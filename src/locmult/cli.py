@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -29,14 +30,26 @@ from .qrverify import StructureViolated, parse_strata, verify_structure
 from .weylred import decompose_character
 
 
-def _parse_vector(text: str, what: str) -> WeightVector:
+_RATIONAL = r"[+-]?[0-9]+(/[0-9]+)?"
+
+
+def _parse_rationals(text: str, what: str) -> tuple[Fraction, ...]:
+    """Comma-separated integers or p/q rationals: no decimals, no floats."""
+    parts = [p.strip() for p in text.split(",")]
     try:
-        return WeightVector(tuple(Fraction(p.strip()) for p in text.split(",")))
-    except (ValueError, ZeroDivisionError):
-        raise LocmultError(
-            f"malformed {what} {text!r}; expected comma-separated rationals",
-            code="bad-flag",
-        ) from None
+        if all(re.fullmatch(_RATIONAL, p) for p in parts):
+            return tuple(Fraction(p) for p in parts)
+    except ZeroDivisionError:
+        pass
+    raise LocmultError(
+        f"malformed {what} {text!r}; expected comma-separated integers "
+        f"or p/q rationals",
+        code="bad-flag",
+    )
+
+
+def _parse_vector(text: str, what: str) -> WeightVector:
+    return WeightVector(_parse_rationals(text, what))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -197,7 +210,7 @@ def cmd_series(args) -> int:
 
 def _fit_samples(args):
     if args.series:
-        values = [Fraction(p.strip()) for p in args.series.split(",")]
+        values = _parse_rationals(args.series, "series")
         return list(enumerate(values, start=args.m_from))
     if not (args.dataset and args.mu and args.m_range):
         raise LocmultError(

@@ -1,11 +1,13 @@
 """Weight lattice vectors, exact linear algebra, and finite reflection groups.
 
-Everything is exact: coordinates are Fractions, systems are solved by
-Gaussian elimination over the rationals, and Weyl groups are generated
-as integer matrix groups.  The pairing used throughout is the
-coordinate dot product, so root systems must be presented in a basis
-where that pairing cuts out the intended chambers (orthogonal
-realizations of the classical series do).
+Everything is exact: WeightVector, the public type, keeps Fraction
+coordinates (weights may be rational, e.g. delta or an eta
+certificate); the counting kernels in `localize` scale to int tuples at
+their boundary.  Systems are solved by Gaussian elimination over the
+rationals, and Weyl groups are generated as integer matrix groups.
+The pairing used throughout is the coordinate dot product, so root
+systems must be presented in a basis where that pairing cuts out the
+intended chambers (orthogonal realizations of the classical series do).
 """
 
 from __future__ import annotations

@@ -4,14 +4,21 @@ The character of the m-th power of the quantizing bundle is a sum over
 fixed points of t^(m*fiber) / prod_j (1 - t^(-alpha_j)).  Expanding
 every factor toward a chosen generic direction eta (flipping the sign
 of each normal weight that pairs negatively with eta) turns each term
-into a signed, shifted vector partition generating function, and the
-multiplicity of a weight becomes a finite signed count of lattice
-partitions.  The count is independent of eta; tests exercise this.
+into a signed, shifted vector partition generating function.  A single
+multiplicity is then a finite signed count of lattice partitions
+(`multiplicity`, `count_partitions`); a whole table is read off one
+truncated expansion of prod 1/(1 - t^a) per fixed point
+(`character_table`).  Both are independent of eta; tests exercise this.
+
+WeightVector, with Fraction coordinates, is the public type.  The
+counting kernels convert to int tuples at their boundary, scaling the
+vectors by a common denominator, and do all their work on integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -176,40 +183,81 @@ class PartitionProblem:
             )
 
 
+def _denominator(vectors: Iterable[WeightVector]) -> int:
+    """Least common denominator of every coordinate of the vectors."""
+    return math.lcm(*(c.denominator for v in vectors for c in v.coords))
+
+
+def _scaled(v: WeightVector, d: int) -> tuple[int, ...]:
+    """d * v as an int tuple; d must be a multiple of v's denominators."""
+    return tuple(c.numerator * (d // c.denominator) for c in v.coords)
+
+
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
 def count_partitions(problem: PartitionProblem) -> int:
-    """Exact number of solutions; memoized depth-first enumeration."""
-    cols = problem.columns
+    """Exact number of solutions; memoized depth-first enumeration.
+
+    Runs on int tuples: the columns and the effective target are scaled
+    by one common denominator (the solutions do not change) and eta by
+    its own (no sign and no floor(budget / step) changes).  The last
+    column is solved in closed form by a divisibility check.
+    """
     eff = problem.target - problem.shift
-    for lb, a in zip(problem.lower_bounds, cols):
+    for lb, a in zip(problem.lower_bounds, problem.columns):
         if lb:
             eff = eff - a
-    if not cols:
+    if not problem.columns:
         return 1 if eff.is_zero() else 0
-    eta = problem.eta
-    steps = [pairing(a, eta) for a in cols]
+    d = _denominator((eff, *problem.columns))
+    cols = [_scaled(a, d) for a in problem.columns]
+    eta = _scaled(problem.eta, _denominator((problem.eta,)))
+    steps = [_dot(a, eta) for a in cols]
+    last = len(cols) - 1
     memo: dict[tuple, int] = {}
 
-    def count(i: int, rem: WeightVector) -> int:
-        budget = pairing(rem, eta)
-        if budget < 0:
-            return 0
-        if i == len(cols):
-            return 1 if rem.is_zero() else 0
-        key = (i, rem.coords)
+    def count(i: int, rem: tuple[int, ...], budget: int) -> int:
+        if i == last:
+            k, r = divmod(budget, steps[last])
+            return int(r == 0 and all(x == k * c for x, c in zip(rem, cols[last])))
+        key = (i, rem)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        a = cols[i]
+        a, step = cols[i], steps[i]
         total = 0
-        top = int(budget / steps[i])
-        cur = rem
-        for _ in range(top + 1):
-            total += count(i + 1, cur)
-            cur = cur - a
+        while budget >= 0:
+            total += count(i + 1, rem, budget)
+            rem = tuple(x - c for x, c in zip(rem, a))
+            budget -= step
         memo[key] = total
         return total
 
-    return count(0, eff)
+    target = _scaled(eff, d)
+    budget = _dot(target, eta)
+    return count(0, target, budget) if budget >= 0 else 0
+
+
+def _expand(
+    cols: list[tuple[int, ...]], eta: tuple[int, ...], level: int
+) -> dict[tuple[int, ...], int]:
+    """Terms t^v of prod_a 1/(1 - t^a) with <v, eta> <= level, as
+    {v: coefficient}.  Every column pairs positively with eta, so the
+    truncated terms are exactly those with a larger eta-level."""
+    terms = {(0,) * len(eta): 1} if level >= 0 else {}
+    for a in cols:
+        step = _dot(a, eta)
+        nxt: dict[tuple[int, ...], int] = {}
+        for v, c in terms.items():
+            lvl = _dot(v, eta)
+            while lvl <= level:
+                nxt[v] = nxt.get(v, 0) + c
+                v = tuple(x + y for x, y in zip(v, a))
+                lvl += step
+        terms = nxt
+    return terms
 
 
 class CharacterTable:
@@ -330,37 +378,46 @@ def character_table(
     """Full character of the m-th power as a weight/multiplicity table.
 
     The support lies in the convex hull of the scaled fiber weights, so
-    scanning their integer bounding box is exhaustive.
+    their integer bounding box holds every entry.  Each fixed point adds
+    its sign and coefficient times one expansion of prod 1/(1 - t^a')
+    over its polarized columns a', placed at the apex m*fiber - shift
+    and truncated at the lowest eta-level of the box; the sum is
+    clipped to the box.
     """
     _check_power(m)
     if eta is None:
         eta = generic_direction(ds)
-    pols = [(fp, polarize(fp, eta)) for fp in ds.fixed_points]
-    corners = [m * fp.fiber_weight for fp in ds.fixed_points]
+    pols = [polarize(fp, eta) for fp in ds.fixed_points]
+    d = _denominator(a for pol in pols for a in pol.polarized_weights)
+    e = _scaled(eta, _denominator((eta,)))
+    corners = [_scaled(m * fp.fiber_weight, d) for fp in ds.fixed_points]
+    lo = [min(c[i] for c in corners) for i in range(ds.rank)]
+    hi = [max(c[i] for c in corners) for i in range(ds.rank)]
+    floor = sum(min(a * x, b * x) for a, b, x in zip(lo, hi, e))
+    # Signed coefficients as integers over one common denominator q.
+    coefs = [(-1) ** pol.sign_count * fp.coefficient_at(m)
+             for fp, pol in zip(ds.fixed_points, pols)]
+    q = math.lcm(*(c.denominator for c in coefs))
+    acc: dict[tuple[int, ...], int] = {}
+    for fp, pol, coef in zip(ds.fixed_points, pols, coefs):
+        apex = _scaled(m * fp.fiber_weight - pol.shift, d)
+        cols = [_scaled(a, d) for a in pol.polarized_weights]
+        scale = int(coef * q)
+        for v, n in _expand(cols, e, _dot(apex, e) - floor).items():
+            mu = tuple(x - y for x, y in zip(apex, v))
+            if all(a <= x <= b and x % d == 0 for a, x, b in zip(lo, mu, hi)):
+                key = tuple(x // d for x in mu)
+                acc[key] = acc.get(key, 0) + scale * n
     entries = []
-    ranges = []
-    for i in range(ds.rank):
-        vals = [int(c.coords[i]) for c in corners]
-        ranges.append(range(min(vals), max(vals) + 1))
-
-    def scan(prefix, i):
-        if i == ds.rank:
-            mu = WeightVector(tuple(prefix))
-            val = Fraction(0)
-            for fp, pol in pols:
-                val += _contribution(fp, pol, mu, m, eta)
-            if val != 0:
-                if val.denominator != 1:
-                    raise ComputationError(
-                        f"multiplicity at {mu} is not an integer: {val}",
-                        code="non-integer-multiplicity",
-                    )
-                entries.append((mu, int(val)))
-            return
-        for x in ranges[i]:
-            scan(prefix + [Fraction(x)], i + 1)
-
-    scan([], 0)
+    for key in sorted(acc):
+        val, rest = divmod(acc[key], q)
+        if rest:
+            raise ComputationError(
+                f"multiplicity at {WeightVector(key)} is not an integer: "
+                f"{Fraction(acc[key], q)}",
+                code="non-integer-multiplicity",
+            )
+        entries.append((WeightVector(key), val))
     return CharacterTable(entries)
 
 

@@ -5,9 +5,11 @@ Strata are input, never computed: each carries the order of its
 stabilizer element, the exact rotation phi (the stratum's m-th
 contribution is modulated by e^{2*pi*i*m*phi}), and a degree cap for
 its polynomial.  The verifier fits the series with period lcm(orders),
-locates the onset threshold realizing the "large m" clause, and, for
-periods 1 and 2, splits the fit into phase polynomials that can be
-checked degree-wise and value-wise against the declaration.  The onset
+locates the onset threshold realizing the "large m" clause, and splits
+the fit into phase polynomials that are checked degree-wise and
+value-wise against the declaration.  Only periods 1 and 2 have a phase
+split over the rationals; strata giving a larger period are refused
+rather than reported as an unchecked pass.  The onset
 is reported neutrally; an onset above 1 on an abelian dataset is a
 finding for the caller, not an error.
 """
@@ -21,6 +23,7 @@ from fractions import Fraction
 from . import poly
 from .ehrhart import (
     FitVerificationError,
+    PhaseFormUnavailable,
     QuasiPolynomial,
     evaluate,
     fit_quasi_polynomial,
@@ -166,7 +169,7 @@ class QRReport:
     period_used: int
     onset: int
     series: tuple[tuple[int, int], ...]
-    phase_polys: dict | None
+    phase_polys: dict
     phase_checks: tuple[PhaseCheck, ...]
     expected_comparisons: tuple[ExpectedComparison, ...]
     minimal_period_found: int | None
@@ -205,6 +208,11 @@ def verify_structure(
     k = 1
     for s in strata:
         k = math.lcm(k, s.order)
+    if k > 2:
+        raise PhaseFormUnavailable(
+            f"strata orders give period {k}; checking phases of a period "
+            f"above 2 needs cyclotomic phase splitting, which is not available"
+        )
     d = max(s.degree_bound for s in strata)
     required = 2 * (k + d + 2)
     if m_max < required:
@@ -238,39 +246,37 @@ def verify_structure(
     except LocmultError:
         pass
 
-    phase_polys = None
+    phase_polys = dict(phase_decomposition(qp))
     checks: list[PhaseCheck] = []
     comparisons: list[ExpectedComparison] = []
-    if k <= 2:
-        phase_polys = dict(phase_decomposition(qp))
-        for phase in (1, -1) if k == 2 else (1,):
-            fitted = phase_polys.get(phase, poly.ZERO)
-            declaring = [s for s in strata if _phase_label(s.rotation) == phase]
-            if declaring:
-                bound = max(s.degree_bound for s in declaring)
-                checks.append(
-                    PhaseCheck(phase, fitted, bound, poly.degree(fitted) <= bound)
+    for phase in (1, -1) if k == 2 else (1,):
+        fitted = phase_polys.get(phase, poly.ZERO)
+        declaring = [s for s in strata if _phase_label(s.rotation) == phase]
+        if declaring:
+            bound = max(s.degree_bound for s in declaring)
+            checks.append(
+                PhaseCheck(phase, fitted, bound, poly.degree(fitted) <= bound)
+            )
+            expected = None
+            equal = None
+            if all(s.expected_poly is not None for s in declaring):
+                expected = poly.ZERO
+                for s in declaring:
+                    expected = poly.add(expected, s.expected_poly)
+                equal = expected == fitted
+            comparisons.append(
+                ExpectedComparison(
+                    phase,
+                    tuple(s.label for s in declaring),
+                    expected,
+                    fitted,
+                    equal,
                 )
-                expected = None
-                equal = None
-                if all(s.expected_poly is not None for s in declaring):
-                    expected = poly.ZERO
-                    for s in declaring:
-                        expected = poly.add(expected, s.expected_poly)
-                    equal = expected == fitted
-                comparisons.append(
-                    ExpectedComparison(
-                        phase,
-                        tuple(s.label for s in declaring),
-                        expected,
-                        fitted,
-                        equal,
-                    )
-                )
-            else:
-                checks.append(
-                    PhaseCheck(phase, fitted, None, poly.degree(fitted) < 0)
-                )
+            )
+        else:
+            checks.append(
+                PhaseCheck(phase, fitted, None, poly.degree(fitted) < 0)
+            )
 
     return QRReport(
         fitted=qp,

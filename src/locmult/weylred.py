@@ -69,7 +69,7 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
         raise NonDominantWeight(f"highest weight {lam} is not dominant")
     count = _kostant_counter(rs)
     delta = rs.delta
-    shifted = lam + delta
+    images = [(w.sign, w.apply(lam + delta) - delta) for w in rs.weyl_elements]
     orbit = [w.apply(lam) for w in rs.weyl_elements]
     entries = []
     ranges = []
@@ -81,8 +81,8 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
         if i == rs.rank:
             mu = WeightVector(tuple(prefix))
             total = 0
-            for w in rs.weyl_elements:
-                total += w.sign * count(w.apply(shifted) - (mu + delta))
+            for sign, image in images:
+                total += sign * count(image - mu)
             if total:
                 entries.append((mu, total))
             return

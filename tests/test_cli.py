@@ -154,6 +154,22 @@ def test_fit_needs_a_source(capsys):
     assert err.startswith("error: bad-flag:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("fit", "--series", "1,2,x", "--period", "1", "--degree", "0"),
+    ("fit", "--series", "1.5", "--period", "1", "--degree", "0"),
+    ("mult", "--dataset", CP2, "--mu", "0.5", "--m", "4"),
+    ("mult", "--dataset", CP2, "--mu", "0", "--m", "4", "--eta", "1e3"),
+    ("mult", "--dataset", CP2, "--mu", "0", "--m", "4", "--eta", "1/0"),
+    ("series", "--dataset", CP2, "--mu", "1,", "--m-range", "1..4"),
+])
+def test_malformed_numbers_are_bad_flags(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad-flag:")
+    assert err.count("\n") == 1
+
+
 def test_fit_failure_reported(capsys):
     code, out, err = run(capsys, "fit", "--series", "1,1,2,2,3,3",
                          "--period", "1", "--degree", "1")
@@ -197,6 +213,21 @@ def test_verify_qr_violation(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: structure-violated:")
     assert "witnesses m=12" in err
+
+
+def test_verify_qr_refuses_period_above_two(capsys, tmp_path):
+    strata = tmp_path / "period3.json"
+    strata.write_text(json.dumps([
+        {"label": "e", "order": 1, "rotation": "0", "degree_bound": 0,
+         "expected_poly": ["5"]},
+        {"label": "g", "order": 3, "rotation": "1/3", "degree_bound": 0},
+    ]))
+    code, out, err = run(capsys, "verify-qr", "--dataset", CP1, "--mu", "0",
+                         "--m-max", "30", "--strata", str(strata))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: phase-form-unavailable:")
+    assert err.count("\n") == 1
 
 
 def test_verify_qr_missing_strata(capsys, tmp_path):

@@ -12,6 +12,7 @@ from locmult import (
     character_table,
     count_partitions,
     find_certificate,
+    generic_direction,
     multiplicity,
     multiplicity_series,
     pairing,
@@ -260,3 +261,66 @@ def test_count_partitions_matches_naive_enumeration():
         assert count_partitions(problem) == expected, (cols, target, lower, shift)
         checked += 1
     assert checked == 120
+
+
+def test_count_partitions_rational_columns_match_naive_enumeration():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert count_partitions(PartitionProblem((wv(half), wv(1)), wv(3))) == 4
+    cases = [
+        ((wv(half), wv(1)), wv(3), (0, 0), wv(0)),
+        ((wv(half), wv(third)), wv(Fraction(7, 3)), (1, 0), wv(half)),
+        ((wv(half, 0), wv(third, third), wv(0, 1)),
+         wv(Fraction(7, 3), Fraction(10, 3)), (0, 1, 0), wv(0, 0)),
+        ((wv(1, -half), wv(third, 1)), wv(Fraction(10, 3), 3), (0, 0),
+         wv(third, 1)),
+        ((wv(2), wv(3)), wv(half), (0, 0), wv(0)),
+    ]
+    for cols, target, lower, shift in cases:
+        for eta in (find_certificate(cols),
+                    wv(*[Fraction(2 + i, 5) for i in range(target.rank)])):
+            problem = PartitionProblem(cols, target, lower_bounds=lower,
+                                       shift=shift, eta=eta)
+            expected = naive_count(cols, target, lower, shift, eta)
+            assert count_partitions(problem) == expected, (cols, target, eta)
+
+
+def box_table(ds, m, eta):
+    """multiplicity() at every point of the integer bounding box of the
+    scaled fiber weights: the cell-by-cell reference for character_table."""
+    corners = [m * fp.fiber_weight for fp in ds.fixed_points]
+    ranges = [
+        range(int(min(c.coords[i] for c in corners)),
+              int(max(c.coords[i] for c in corners)) + 1)
+        for i in range(ds.rank)
+    ]
+    return CharacterTable(
+        {wv(*p): multiplicity(ds, wv(*p), m, eta)
+         for p in itertools.product(*ranges)}
+    )
+
+
+def test_character_table_matches_multiplicity(
+    cp1, cp2_weighted, cp2_standard, cp3_standard
+):
+    q = Fraction
+    # per dataset: a rational eta and one flipping weights the default keeps
+    grids = [
+        (cp1, (1, 2, 5), [wv(q(3, 4)), wv(-2)]),
+        (cp2_weighted, (1, 2, 5), [wv(q(5, 3)), wv(q(-1, 2))]),
+        (cp2_standard, (1, 2, 4), [wv(q(1, 2), q(5, 3)), wv(-3, 1)]),
+        (cp3_standard, (1, 2, 3), [wv(q(1, 2), q(4, 3), q(7, 2)),
+                                   wv(-1, -2, 5)]),
+    ]
+    for ds, powers, etas in grids:
+        default = generic_direction(ds)
+        flipped = etas[1]
+        assert any(
+            (pairing(a, default) > 0) != (pairing(a, flipped) > 0)
+            for a in ds.all_normal_weights()
+        )
+        for m in powers:
+            for eta in (None, *etas):
+                expected = box_table(ds, m, eta)
+                assert expected, (ds.metadata.get("name"), m, eta)
+                assert character_table(ds, m, eta) == expected, (
+                    ds.metadata.get("name"), m, eta)

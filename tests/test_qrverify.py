@@ -12,6 +12,7 @@ from locmult import (
     verify_structure,
     wv,
 )
+from locmult.ehrhart import PhaseFormUnavailable
 from locmult.errors import LocmultError
 from locmult.fpdata import DatasetError
 from locmult.poly import make
@@ -184,3 +185,13 @@ def test_verify_over_declared_stratum_diagnostic(cp1):
     assert report.period_used == 2
     assert report.minimal_period_found == 1
     assert report.onset == 1
+
+
+def test_period_above_two_is_refused(cp1):
+    # a false expectation that a vacuous pass would hide
+    strata = (
+        StratumPhaseDatum("e", 1, Fraction(0), 0, expected_poly=make(["5"])),
+        StratumPhaseDatum("g", 3, Fraction(1, 3), 0),
+    )
+    with pytest.raises(PhaseFormUnavailable):
+        verify_structure(cp1, wv(0), strata, 30)
