@@ -17,8 +17,15 @@ from fractions import Fraction
 from . import poly
 from .ehrhart import fit_quasi_polynomial, phase_decomposition
 from .errors import LocmultError
-from .fpdata import DatasetError, load_dataset_file, validate
-from .lattice import WeightVector, generate_weyl_group
+from .fpdata import (
+    DatasetError,
+    _parse_root_system,
+    _reject_float,
+    load_dataset_file,
+    rational_from_text,
+    validate,
+)
+from .lattice import WeightVector
 from .localize import (
     CharacterTable,
     character_table,
@@ -30,17 +37,11 @@ from .qrverify import StructureViolated, parse_strata, verify_structure
 from .weylred import decompose_character
 
 
-_RATIONAL = r"[+-]?[0-9]+(/[0-9]+)?"
-
-
 def _parse_rationals(text: str, what: str) -> tuple[Fraction, ...]:
     """Comma-separated integers or p/q rationals: no decimals, no floats."""
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        if all(re.fullmatch(_RATIONAL, p) for p in parts):
-            return tuple(Fraction(p) for p in parts)
-    except ZeroDivisionError:
-        pass
+    values = tuple(rational_from_text(p.strip()) for p in text.split(","))
+    if None not in values:
+        return values
     raise LocmultError(
         f"malformed {what} {text!r}; expected comma-separated integers "
         f"or p/q rationals",
@@ -50,6 +51,20 @@ def _parse_rationals(text: str, what: str) -> tuple[Fraction, ...]:
 
 def _parse_vector(text: str, what: str) -> WeightVector:
     return WeightVector(_parse_rationals(text, what))
+
+
+def _integer_flag(flag: str):
+    """argparse type for an integer flag; anything else is a bad-flag
+    error, which main reports as one coded line."""
+
+    def parse(text: str) -> int:
+        if not re.fullmatch(r"[+-]?[0-9]+", text):
+            raise LocmultError(
+                f"malformed {flag} {text!r}; expected an integer", code="bad-flag"
+            )
+        return int(text)
+
+    return parse
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -84,10 +99,6 @@ def _emit(obj):
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _reject_float(text):
-    raise DatasetError(f"floating point literal {text!r} is not accepted")
-
-
 def _load_json_file(path, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -116,12 +127,7 @@ def _eta(args):
 
 
 def cmd_validate(args) -> int:
-    try:
-        ds = load_dataset_file(args.dataset)
-    except OSError as exc:
-        raise LocmultError(
-            f"cannot read dataset {args.dataset}: {exc}", code="io-error"
-        )
+    ds = _load_dataset(args)
     report = validate(ds)
     if args.format == "records":
         for f in report.findings:
@@ -431,26 +437,12 @@ def _load_character_file(path) -> tuple[CharacterTable, dict | None]:
     return CharacterTable(entries), doc.get("root_system")
 
 
-def _root_system_from_block(block, where):
-    if (
-        not isinstance(block, dict)
-        or "simple_roots" not in block
-        or "cartan_pairing" not in block
-    ):
-        raise DatasetError(
-            "root system block needs 'simple_roots' and 'cartan_pairing'",
-            location=where,
-        )
-    roots = tuple(WeightVector(tuple(r)) for r in block["simple_roots"])
-    table = [tuple(row) for row in block["cartan_pairing"]]
-    return generate_weyl_group(roots, table)
-
-
 def cmd_weyl_decompose(args) -> int:
     chi, embedded_rs = _load_character_file(args.character)
     if args.root_system:
-        rs = _root_system_from_block(
-            _load_json_file(args.root_system, "root system file"), args.root_system
+        rs = _parse_root_system(
+            _load_json_file(args.root_system, "root system file"), None,
+            args.root_system,
         )
     elif args.dataset:
         ds = _load_dataset(args)
@@ -460,7 +452,7 @@ def cmd_weyl_decompose(args) -> int:
             )
         rs = ds.root_system
     elif embedded_rs is not None:
-        rs = _root_system_from_block(embedded_rs, str(args.character))
+        rs = _parse_root_system(embedded_rs, None, str(args.character))
     else:
         raise LocmultError(
             "no root system: pass --root-system, --dataset, or embed one in "
@@ -514,13 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mu", required=flags["mu"] == "required",
                            help="weight, comma-separated rationals")
         if flags.get("m"):
-            p.add_argument("--m", type=int, required=True, help="power m")
+            p.add_argument("--m", type=_integer_flag("--m"), required=True,
+                           help="power m")
         if flags.get("m_range"):
             p.add_argument("--m-range", dest="m_range",
                            required=flags["m_range"] == "required", help="range A..B")
         if flags.get("m_max"):
-            p.add_argument("--m-max", dest="m_max", type=int, required=True,
-                           help="largest power to test")
+            p.add_argument("--m-max", dest="m_max", type=_integer_flag("--m-max"),
+                           required=True, help="largest power to test")
         if flags.get("mode"):
             p.add_argument("--mode", choices=("fixed", "scaled"), default="scaled",
                            help="weight handling: fixed mu or scaled m*mu")
@@ -542,10 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
                 dataset="optional", mu="optional", m_range="optional", mode=True,
                 eta=True)
     p_fit.add_argument("--series", help="comma-separated values, overrides --dataset")
-    p_fit.add_argument("--m-from", dest="m_from", type=int, default=1,
-                       help="m of the first --series value")
-    p_fit.add_argument("--period", type=int, required=True)
-    p_fit.add_argument("--degree", type=int, required=True)
+    p_fit.add_argument("--m-from", dest="m_from", type=_integer_flag("--m-from"),
+                       default=1, help="m of the first --series value")
+    p_fit.add_argument("--period", type=_integer_flag("--period"), required=True)
+    p_fit.add_argument("--degree", type=_integer_flag("--degree"), required=True)
 
     p_vqr = add("verify-qr", cmd_verify_qr, "verify arithmetic-polynomial structure",
                 dataset="required", mu="required", m_max=True, mode=True, eta=True)
@@ -568,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except LocmultError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

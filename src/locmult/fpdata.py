@@ -15,6 +15,7 @@ input); serialization always emits the canonical string form.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
@@ -144,18 +145,33 @@ def _parse_weight(value, rank, location) -> WeightVector:
     return WeightVector(coords)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def rational_from_text(text: str) -> Fraction | None:
+    """An integer or "p/q" string as a Fraction; None for anything else,
+    decimals, exponents and zero denominators included."""
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    return None
+
+
 def parse_rational(value, location) -> Fraction:
     if isinstance(value, bool):
         raise DatasetError(f"expected a rational, got {value!r}", location=location)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        q = rational_from_text(value)
+        if q is None:
             raise DatasetError(
-                f"malformed rational {value!r}", location=location
-            ) from None
+                f"malformed rational {value!r}; expected an integer or 'p/q'",
+                location=location,
+            )
+        return q
     raise DatasetError(f"expected a rational, got {value!r}", location=location)
 
 
@@ -203,12 +219,16 @@ def _parse_fixed_point(obj, rank, location) -> FixedPointDatum:
 
 
 def _parse_root_system(obj, rank, location) -> RootSystem:
+    """Root system block; a rank of None is read off the first simple root."""
     if not isinstance(obj, dict):
         raise DatasetError("root_system must be an object", location=location)
     _check_keys(obj, ("simple_roots", "cartan_pairing"), location)
     for key in ("simple_roots", "cartan_pairing"):
         if key not in obj or not isinstance(obj[key], list):
             raise DatasetError(f"missing or malformed {key!r}", location=location)
+    if rank is None:
+        first = obj["simple_roots"][:1]
+        rank = len(first[0]) if first and isinstance(first[0], list) else 0
     roots = tuple(
         _parse_weight(r, rank, f"{location}.simple_roots[{i}]")
         for i, r in enumerate(obj["simple_roots"])

@@ -2,21 +2,23 @@
 decomposition of invariant characters, and a wall-crossing heuristic
 for fixed-point data.
 
-Irreducible characters come from the alternating-sum multiplicity
-formula with the positive roots as partition columns; decomposition
-inverts it by the matching alternating sum over translated weights.
-Both use the same delta shift (half the sum of the positive roots).
+An irreducible character is the localization formula on the flag
+variety G/T (the Weyl character formula): one fixed point per Weyl
+element w, with fiber weight w(lam) and normal weights w(beta) over the
+positive roots beta.  `character_table` of that dataset at m = 1 is the
+character, so torus datasets and Weyl characters share one engine.
+Decomposition inverts it by the alternating sum over translated weights
+w(lam + delta) - delta, with delta half the sum of the positive roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import LocmultError
-from .fpdata import LocalizationDataset
+from .fpdata import FixedPointDatum, LocalizationDataset
 from .lattice import RootSystem, WeightVector, is_dominant, pairing
-from .localize import CharacterTable, PartitionProblem, count_partitions, find_certificate
+from .localize import CharacterTable, character_table
 
 
 class NonDominantWeight(LocmultError):
@@ -45,20 +47,16 @@ class DecompositionResult:
         return self.w_invariant and not self.residual
 
 
-def _kostant_counter(rs: RootSystem):
-    cols = rs.positive_roots
-    eta = find_certificate(cols)
-
-    def count(target: WeightVector) -> int:
-        if not target.is_integral():
-            return 0
-        if pairing(target, eta) < 0:
-            return 0
-        return count_partitions(
-            PartitionProblem(columns=cols, target=target, eta=eta)
+def flag_dataset(rs: RootSystem, lam: WeightVector) -> LocalizationDataset:
+    """Fixed-point data of the line bundle with weight lam on G/T: the
+    fixed point w has fiber weight w(lam) and normal weights w(beta)."""
+    points = tuple(
+        FixedPointDatum(
+            f"w{i}", w.apply(lam), tuple(w.apply(b) for b in rs.positive_roots)
         )
-
-    return count
+        for i, w in enumerate(rs.weyl_elements)
+    )
+    return LocalizationDataset(rank=rs.rank, fixed_points=points, root_system=rs)
 
 
 def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
@@ -67,30 +65,7 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
         raise NonDominantWeight(f"highest weight {lam} is not a lattice point")
     if not is_dominant(lam, rs):
         raise NonDominantWeight(f"highest weight {lam} is not dominant")
-    count = _kostant_counter(rs)
-    delta = rs.delta
-    images = [(w.sign, w.apply(lam + delta) - delta) for w in rs.weyl_elements]
-    orbit = [w.apply(lam) for w in rs.weyl_elements]
-    entries = []
-    ranges = []
-    for i in range(rs.rank):
-        vals = [v.coords[i] for v in orbit]
-        ranges.append(range(int(min(vals)), int(max(vals)) + 1))
-
-    def scan(prefix, i):
-        if i == rs.rank:
-            mu = WeightVector(tuple(prefix))
-            total = 0
-            for sign, image in images:
-                total += sign * count(image - mu)
-            if total:
-                entries.append((mu, total))
-            return
-        for x in ranges[i]:
-            scan(prefix + [Fraction(x)], i + 1)
-
-    scan([], 0)
-    return CharacterTable(entries)
+    return character_table(flag_dataset(rs, lam), 1)
 
 
 def is_w_invariant(chi: CharacterTable, rs: RootSystem) -> bool:

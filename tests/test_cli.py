@@ -37,6 +37,14 @@ def test_validate_corrupt_file(capsys, tmp_path):
     code, out, err = run(capsys, "validate", "--dataset", str(path))
     assert code == 1
     assert err.startswith("error: schema-violation:")
+    for decimal in ("0.5", "1e0"):
+        doc = json.loads((DATASETS / "cp1.json").read_text())
+        doc["fixed_points"][0]["coefficient"] = [decimal]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--dataset", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: schema-violation:")
+        assert err.count("\n") == 1
 
 
 def test_validate_warnings_only(capsys, tmp_path):
@@ -161,6 +169,14 @@ def test_fit_needs_a_source(capsys):
     ("mult", "--dataset", CP2, "--mu", "0", "--m", "4", "--eta", "1e3"),
     ("mult", "--dataset", CP2, "--mu", "0", "--m", "4", "--eta", "1/0"),
     ("series", "--dataset", CP2, "--mu", "1,", "--m-range", "1..4"),
+    ("character", "--dataset", CP1, "--m", "1.5"),
+    ("mult", "--dataset", CP2, "--mu", "0", "--m", "1e3"),
+    ("oracle-check", "--dataset", CP2, "--m-max", "x"),
+    ("verify-qr", "--dataset", CP2, "--mu", "0", "--m-max", "12.0"),
+    ("fit", "--series", "1,2", "--m-from", "0.5", "--period", "1",
+     "--degree", "0"),
+    ("fit", "--series", "1,2", "--period", "1/1", "--degree", "0"),
+    ("fit", "--series", "1,2", "--period", "1", "--degree", " 0"),
 ])
 def test_malformed_numbers_are_bad_flags(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -308,6 +324,15 @@ def test_weyl_decompose_requires_root_system(capsys, tmp_path):
     code, out, err = run(capsys, "weyl-decompose", "--character", str(path))
     assert code == 1
     assert err.startswith("error: missing-root-system:")
+    for roots, error in (([2], "schema-violation"), ([["a"]], "non-integer-weight")):
+        path.write_text(json.dumps({
+            "entries": [{"weight": [0], "multiplicity": 1}],
+            "root_system": {"simple_roots": roots, "cartan_pairing": [[1]]},
+        }))
+        code, out, err = run(capsys, "weyl-decompose", "--character", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {error}:")
+        assert err.count("\n") == 1
 
 
 def test_weyl_decompose_flags_non_invariant(capsys, tmp_path):

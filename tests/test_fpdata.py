@@ -14,6 +14,7 @@ from locmult import (
     wv,
 )
 from locmult.fpdata import DatasetError
+from locmult.qrverify import parse_strata
 
 CP1_DOC = """
 {
@@ -118,6 +119,21 @@ def test_bad_coefficient():
     ])
     with pytest.raises(DatasetError):
         load_dataset(doc)
+
+
+def test_decimal_rationals_are_rejected():
+    for decimal in ("0.5", "1e0", "1.", " 1"):
+        doc = _doc(fixed_points=[
+            {"label": "P0", "fiber_weight": [1], "normal_weights": [[1]],
+             "coefficient": [decimal]}
+        ])
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(doc)
+        assert exc.value.code == "schema-violation"
+        assert "malformed rational" in str(exc.value)
+    with pytest.raises(DatasetError, match="malformed rational"):
+        parse_strata([{"label": "e", "order": 1, "rotation": "0",
+                       "degree_bound": 0, "expected_poly": ["0.25"]}])
 
 
 def test_coefficient_accepts_ints_and_strings():

@@ -1,5 +1,7 @@
 """Irreducible characters, decomposition, and the wall heuristic."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -8,8 +10,13 @@ from locmult import (
     CharacterTable,
     FixedPointDatum,
     LocalizationDataset,
+    PartitionProblem,
+    count_partitions,
     decompose_character,
+    find_certificate,
+    generate_weyl_group,
     irreducible_character,
+    pairing,
     regular_image_check,
     tensor,
     wv,
@@ -37,6 +44,62 @@ def strip_highest_weights(chi, irrep_of, direction):
         mults[top] = mults.get(top, 0) + n
         work = work - irrep_of(top).scale(n)
     raise AssertionError("stripping did not terminate")
+
+
+def kostant_character(rs, lam):
+    """Independent reference: Kostant's alternating sum
+    mult(mu) = sum_w sign(w) * P(w(lam + delta) - delta - mu), with P
+    the number of partitions into positive roots, over the bounding box
+    of the Weyl orbit of lam."""
+    cols = rs.positive_roots
+    eta = find_certificate(cols)
+    orbit = [w.apply(lam) for w in rs.weyl_elements]
+    box = [range(int(min(v.coords[i] for v in orbit)),
+                 int(max(v.coords[i] for v in orbit)) + 1)
+           for i in range(rs.rank)]
+    table = {}
+    for coords in itertools.product(*box):
+        mu = wv(*coords)
+        table[mu] = 0
+        for w in rs.weyl_elements:
+            target = w.apply(lam + rs.delta) - rs.delta - mu
+            if target.is_integral() and pairing(target, eta) >= 0:
+                table[mu] += w.sign * count_partitions(
+                    PartitionProblem(cols, target, eta=eta))
+    return CharacterTable(table)
+
+
+def weyl_dimension(rs, lam):
+    """prod over positive roots of <lam + delta, b> / <delta, b>; valid
+    for root systems whose coordinate pairing is Weyl invariant."""
+    return math.prod(pairing(lam + rs.delta, b) / pairing(rs.delta, b)
+                     for b in rs.positive_roots)
+
+
+@pytest.fixture(scope="module")
+def b2():
+    # the B2 realization of the benchmark generator: short root (0, 1)
+    return generate_weyl_group((wv(1, -1), wv(0, 1)), [[1, -1], [0, 2]])
+
+
+def test_irreducible_matches_kostant_sum(a1, a1xa1, a2, b2):
+    cases = [(a1, wv(a)) for a in range(9)]
+    cases += [(a1xa1, wv(a, b)) for a in range(4) for b in range(4)]
+    cases += [(a2, wv(a, b, 0)) for a in range(5) for b in range(a + 1)]
+    cases += [(a2, wv(1, 0, -1)), (a2, wv(0, 0, -2)), (a2, wv(2, 2, -1))]
+    cases += [(b2, wv(a, b)) for a in range(4) for b in range(a + 1)]
+    for rs, lam in cases:
+        assert irreducible_character(rs, lam) == kostant_character(rs, lam), lam
+
+
+def test_irreducible_dimension_formula(a1xa1, a2, b2):
+    assert irreducible_character(b2, wv(3, 1)).total() == 81
+    assert irreducible_character(a2, 2 * a2.delta).total() == 27
+    cases = [(a1xa1, wv(a, b)) for a in range(4) for b in range(4)]
+    cases += [(a2, wv(a, b, 0)) for a in range(6) for b in range(a + 1)]
+    cases += [(b2, wv(a, b)) for a in range(5) for b in range(a + 1)]
+    for rs, lam in cases:
+        assert irreducible_character(rs, lam).total() == weyl_dimension(rs, lam)
 
 
 def test_irreducible_rank_one_examples(a1):
