@@ -53,12 +53,15 @@ def _parse_vector(text: str, what: str) -> WeightVector:
     return WeightVector(_parse_rationals(text, what))
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _integer_flag(flag: str):
     """argparse type for an integer flag; anything else is a bad-flag
     error, which main reports as one coded line."""
 
     def parse(text: str) -> int:
-        if not re.fullmatch(r"[+-]?[0-9]+", text):
+        if not _INTEGER.fullmatch(text):
             raise LocmultError(
                 f"malformed {flag} {text!r}; expected an integer", code="bad-flag"
             )
@@ -68,17 +71,13 @@ def _integer_flag(flag: str):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """A..B with integer ends, in the grammar of the integer flags."""
     parts = text.split("..")
-    if len(parts) != 2:
+    if len(parts) != 2 or not all(_INTEGER.fullmatch(p) for p in parts):
         raise LocmultError(
             f"malformed range {text!r}; expected A..B", code="bad-flag"
         )
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise LocmultError(
-            f"malformed range {text!r}; expected A..B", code="bad-flag"
-        ) from None
+    return int(parts[0]), int(parts[1])
 
 
 def _parse_coord_weights(text: str) -> tuple[WeightVector, ...]:

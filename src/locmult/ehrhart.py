@@ -48,7 +48,7 @@ class QuasiPolynomial:
 
     def __post_init__(self):
         if self.period < 1:
-            raise LocmultError("period must be a positive integer")
+            raise LocmultError("period must be a positive integer", code="bad-period")
         polys = tuple(poly.normalize(q) for q in self.residue_polys)
         if len(polys) != self.period:
             raise LocmultError("need exactly one residue polynomial per class")
@@ -74,9 +74,9 @@ def fit_quasi_polynomial(samples, period: int, degree: int) -> QuasiPolynomial:
     the candidate fails to reproduce raises FitVerificationError.
     """
     if period < 1:
-        raise LocmultError("period must be a positive integer")
+        raise LocmultError("period must be a positive integer", code="bad-period")
     if degree < 0:
-        raise LocmultError("degree must be nonnegative")
+        raise LocmultError("degree must be nonnegative", code="bad-degree")
     seen: dict[int, Fraction] = {}
     for m, v in samples:
         m = int(m)

@@ -5,10 +5,13 @@ fixed points of t^(m*fiber) / prod_j (1 - t^(-alpha_j)).  Expanding
 every factor toward a chosen generic direction eta (flipping the sign
 of each normal weight that pairs negatively with eta) turns each term
 into a signed, shifted vector partition generating function.  A single
-multiplicity is then a finite signed count of lattice partitions
-(`multiplicity`, `count_partitions`); a whole table is read off one
-truncated expansion of prod 1/(1 - t^a) per fixed point
+multiplicity is then a finite signed count of lattice partitions, one
+per fixed point (`multiplicity`, `count_partitions`); a whole table is
+read off one truncated expansion of prod 1/(1 - t^a) per fixed point
 (`character_table`).  Both are independent of eta; tests exercise this.
+A series in m (`multiplicity_series`) is polarized and scaled once, and
+keeps one counter per fixed point for the whole range; `multiplicity`
+is the same plan at a single m.
 
 WeightVector, with Fraction coordinates, is the public type.  The
 counting kernels convert to int tuples at their boundary, scaling the
@@ -197,23 +200,17 @@ def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def count_partitions(problem: PartitionProblem) -> int:
-    """Exact number of solutions; memoized depth-first enumeration.
+def _counter(cols: list[tuple[int, ...]], eta: tuple[int, ...]):
+    """count(target): the number of k in N^len(cols) with
+    sum_j k_j * cols[j] = target, for int tuples; every column pairs
+    positively with eta.
 
-    Runs on int tuples: the columns and the effective target are scaled
-    by one common denominator (the solutions do not change) and eta by
-    its own (no sign and no floor(budget / step) changes).  The last
-    column is solved in closed form by a divisibility check.
+    Memoized depth-first enumeration with the last column solved in
+    closed form by a divisibility check.  The memo serves every later
+    target: a key (i, rem) fixes the budget <rem, eta>.
     """
-    eff = problem.target - problem.shift
-    for lb, a in zip(problem.lower_bounds, problem.columns):
-        if lb:
-            eff = eff - a
-    if not problem.columns:
-        return 1 if eff.is_zero() else 0
-    d = _denominator((eff, *problem.columns))
-    cols = [_scaled(a, d) for a in problem.columns]
-    eta = _scaled(problem.eta, _denominator((problem.eta,)))
+    if not cols:
+        return lambda target: int(not any(target))
     steps = [_dot(a, eta) for a in cols]
     last = len(cols) - 1
     memo: dict[tuple, int] = {}
@@ -235,9 +232,31 @@ def count_partitions(problem: PartitionProblem) -> int:
         memo[key] = total
         return total
 
-    target = _scaled(eff, d)
-    budget = _dot(target, eta)
-    return count(0, target, budget) if budget >= 0 else 0
+    def count_target(target: tuple[int, ...]) -> int:
+        budget = _dot(target, eta)
+        return count(0, target, budget) if budget >= 0 else 0
+
+    return count_target
+
+
+def count_partitions(problem: PartitionProblem) -> int:
+    """Exact number of solutions.
+
+    The columns and the effective target are scaled to int tuples by
+    one common denominator (the solutions do not change) and eta by its
+    own (no sign and no floor(budget / step) changes), then counted
+    once by `_counter`.
+    """
+    eff = problem.target - problem.shift
+    for lb, a in zip(problem.lower_bounds, problem.columns):
+        if lb:
+            eff = eff - a
+    if not problem.columns:
+        return 1 if eff.is_zero() else 0
+    d = _denominator((eff, *problem.columns))
+    cols = [_scaled(a, d) for a in problem.columns]
+    eta = _scaled(problem.eta, _denominator((problem.eta,)))
+    return _counter(cols, eta)(_scaled(eff, d))
 
 
 def _expand(
@@ -331,20 +350,55 @@ def _check_power(m):
         raise ComputationError(f"power m must be a positive integer, got {m!r}")
 
 
-def _contribution(
-    fp: FixedPointDatum, pol: PolarizedFixedPoint, mu: WeightVector, m: int,
-    eta: WeightVector,
-) -> Fraction:
-    prob = PartitionProblem(
-        columns=pol.polarized_weights,
-        target=m * fp.fiber_weight - mu,
-        shift=pol.shift,
-        eta=eta,
-    )
-    n = count_partitions(prob)
-    if n == 0:
-        return Fraction(0)
-    return fp.coefficient_at(m) * (-1) ** pol.sign_count * n
+def _check_rank(ds: LocalizationDataset, mu: WeightVector):
+    if len(mu.coords) != ds.rank:
+        raise ComputationError(
+            f"weight rank {len(mu.coords)} differs from dataset rank {ds.rank}"
+        )
+
+
+def _plan(ds: LocalizationDataset, mu: WeightVector, eta: WeightVector):
+    """at(m, scaled): the multiplicity at mu, or at m*mu when scaled.
+
+    Polarizes every fixed point once and scales mu, the fiber weights,
+    the shifts and the polarized columns to int tuples by one common
+    denominator d; each fixed point keeps one counter for every m.  At
+    a power m, fixed point F adds sign * coefficient_at(m) times the
+    count at d*(m*J_F - target - shift_F).
+    """
+    _check_rank(ds, mu)
+    pols = [polarize(fp, eta) for fp in ds.fixed_points]
+    d = _denominator((
+        mu,
+        *(fp.fiber_weight for fp in ds.fixed_points),
+        *(pol.shift for pol in pols),
+        *(a for pol in pols for a in pol.polarized_weights),
+    ))
+    e = _scaled(eta, _denominator((eta,)))
+    points = [
+        (fp, (-1) ** pol.sign_count, _scaled(fp.fiber_weight, d),
+         _scaled(pol.shift, d),
+         _counter([_scaled(a, d) for a in pol.polarized_weights], e))
+        for fp, pol in zip(ds.fixed_points, pols)
+    ]
+    base = _scaled(mu, d)
+
+    def at(m: int, scaled: bool) -> int:
+        target = tuple(m * x for x in base) if scaled else base
+        total = Fraction(0)
+        for fp, sign, fiber, shift, count in points:
+            n = count(tuple(m * j - s - t for j, s, t in zip(fiber, shift, target)))
+            if n:
+                total += sign * n * fp.coefficient_at(m)
+        if total.denominator != 1:
+            raise ComputationError(
+                f"multiplicity at {m * mu if scaled else mu} is not an integer: "
+                f"{total}",
+                code="non-integer-multiplicity",
+            )
+        return int(total)
+
+    return at
 
 
 def multiplicity(
@@ -353,23 +407,12 @@ def multiplicity(
 ) -> int:
     """Multiplicity of the weight mu in the m-th power character."""
     _check_power(m)
-    if len(mu.coords) != ds.rank:
-        raise ComputationError(
-            f"weight rank {len(mu.coords)} differs from dataset rank {ds.rank}"
-        )
+    _check_rank(ds, mu)
     if not mu.is_integral():
         raise ComputationError(f"weight {mu} is not a lattice point")
     if eta is None:
         eta = generic_direction(ds)
-    total = Fraction(0)
-    for fp in ds.fixed_points:
-        total += _contribution(fp, polarize(fp, eta), mu, m, eta)
-    if total.denominator != 1:
-        raise ComputationError(
-            f"multiplicity at {mu} is not an integer: {total}",
-            code="non-integer-multiplicity",
-        )
-    return int(total)
+    return _plan(ds, mu, eta)(m, scaled=False)
 
 
 def character_table(
@@ -430,7 +473,12 @@ def multiplicity_series(
     eta: WeightVector | None = None,
 ) -> list[tuple[int, int]]:
     """Multiplicities for m in [m_from, m_to], at mu (fixed mode) or at
-    m*mu (scaled mode)."""
+    m*mu (scaled mode).
+
+    The dataset is polarized and scaled to integers once, at the first
+    m; each m then costs one count per fixed point, and each fixed point
+    keeps one counter, with its memo, for the whole range.
+    """
     if mode not in (MODE_FIXED, MODE_SCALED):
         raise ComputationError(f"unknown mode {mode!r}", code="bad-mode")
     _check_power(m_from)
@@ -438,13 +486,17 @@ def multiplicity_series(
         raise ComputationError("empty power range")
     if eta is None:
         eta = generic_direction(ds)
+    scaled = mode == MODE_SCALED
+    q = _denominator((mu,))  # m*mu is a lattice point exactly when q divides m
+    at = None
     out = []
     for m in range(m_from, m_to + 1):
-        target = mu if mode == MODE_FIXED else m * mu
-        if not target.is_integral():
+        if q > 1 and not (scaled and m % q == 0):
             raise ComputationError(
                 f"scaled weight {m}*({mu}) is not a lattice point",
                 code="non-lattice-weight",
             )
-        out.append((m, multiplicity(ds, target, m, eta)))
+        # planned after the first lattice check, which must raise first
+        at = at or _plan(ds, mu, eta)
+        out.append((m, at(m, scaled)))
     return out

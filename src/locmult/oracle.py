@@ -37,9 +37,9 @@ class ProjectiveActionSpec:
                     f"coordinate weight {w} is not a rank-{rank} lattice point"
                 )
         if isinstance(self.degree, bool) or not isinstance(self.degree, int):
-            raise LocmultError("degree must be an integer")
+            raise LocmultError("degree must be an integer", code="bad-degree")
         if self.degree < 0:
-            raise LocmultError("degree must be nonnegative")
+            raise LocmultError("degree must be nonnegative", code="bad-degree")
 
     @property
     def rank(self) -> int:

@@ -123,10 +123,11 @@ def test_series(capsys):
 
 
 def test_series_bad_range(capsys):
-    code, out, err = run(capsys, "series", "--dataset", CP2, "--mu", "0",
-                         "--m-range", "six")
-    assert code == 1
-    assert err.startswith("error: bad-flag:")
+    for text in ("six", "1_0..1_2", " 1..3"):
+        code, out, err = run(capsys, "series", "--dataset", CP2, "--mu", "0",
+                             "--m-range", text)
+        assert code == 1
+        assert err.startswith("error: bad-flag:")
 
 
 def test_fit_from_series(capsys):
@@ -184,6 +185,19 @@ def test_malformed_numbers_are_bad_flags(capsys, argv):
     assert out == ""
     assert err.startswith("error: bad-flag:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("period, degree, line", [
+    ("0", "1", "error: bad-period: period must be a positive integer\n"),
+    ("-2", "1", "error: bad-period: period must be a positive integer\n"),
+    ("1", "-1", "error: bad-degree: degree must be nonnegative\n"),
+], ids=["period-zero", "period-negative", "degree-negative"])
+def test_fit_period_and_degree_errors_are_coded(capsys, period, degree, line):
+    code, out, err = run(capsys, "fit", "--series", "1,2,3,4",
+                         "--period", period, "--degree", degree)
+    assert code == 1
+    assert out == ""
+    assert err == line
 
 
 def test_fit_failure_reported(capsys):

@@ -205,3 +205,15 @@ def test_phase_and_residue_forms_agree():
                 (phase ** m) * poly_eval(poly, m) for phase, poly in phases
             )
             assert via_phases == evaluate(qp, m)
+
+
+def test_period_and_degree_errors_are_coded():
+    samples = [(m, m) for m in range(1, 5)]
+    for call, code in [
+        (lambda: QuasiPolynomial(0, ()), "bad-period"),
+        (lambda: fit_quasi_polynomial(samples, 0, 1), "bad-period"),
+        (lambda: fit_quasi_polynomial(samples, 1, -1), "bad-degree"),
+    ]:
+        with pytest.raises(Exception) as err:
+            call()
+        assert err.value.code == code

@@ -324,3 +324,97 @@ def test_character_table_matches_multiplicity(
                 assert expected, (ds.metadata.get("name"), m, eta)
                 assert character_table(ds, m, eta) == expected, (
                     ds.metadata.get("name"), m, eta)
+
+
+def test_series_matches_character_table(
+    cp1, cp2_weighted, cp2_standard, cp3_standard
+):
+    """multiplicity_series against a different engine, the per-fixed-point
+    expansion of character_table, at every m of ranges long enough for
+    the counters' memos to be reused."""
+    q = Fraction
+    grids = [
+        (cp1, 12, [wv(0), wv(1), wv(2), wv(-1)]),
+        (cp2_weighted, 12, [wv(0), wv(1), wv(-2), wv(3)]),
+        (cp2_standard, 10, [wv(0, 0), wv(1, 0), wv(1, 1), wv(2, -1)]),
+        (cp3_standard, 8, [wv(0, 0, 0), wv(1, 0, 0), wv(1, 1, 0), wv(1, 1, 1)]),
+    ]
+    for ds, m_to, mus in grids:
+        rank = ds.rank
+        rational = wv(*(q(1, 2), q(5, 3), q(7, 2))[:rank])
+        ones = wv(*[-1] * rank)
+        for eta in (None, rational, ones):
+            if eta is ones and rank > 1:
+                # -(1, ..., 1) is orthogonal to e_i - e_j: both engines refuse it
+                with pytest.raises(EtaNotGeneric):
+                    multiplicity_series(ds, mus[0], 1, 2, eta=eta)
+                with pytest.raises(EtaNotGeneric):
+                    character_table(ds, 1, eta)
+                continue
+            tables = {m: character_table(ds, m, eta) for m in range(1, m_to + 1)}
+            for mu in mus:
+                for mode in ("fixed", "scaled"):
+                    series = multiplicity_series(ds, mu, 1, m_to, mode, eta)
+                    assert series == [
+                        (m, tables[m][mu if mode == "fixed" else m * mu])
+                        for m in range(1, m_to + 1)
+                    ], (ds.metadata.get("name"), mu, mode, eta)
+
+
+def test_series_closed_form_to_m_100(cp2_weighted):
+    def closed(weight, m):
+        return 1 + (m - abs(weight)) // 2 if abs(weight) <= m else 0
+
+    for mu in (0, 1, -1, 3, -7, 18):
+        assert multiplicity_series(cp2_weighted, wv(mu), 1, 100, mode="fixed") == [
+            (m, closed(mu, m)) for m in range(1, 101)
+        ]
+    for mu in (0, 1, -1):
+        assert multiplicity_series(cp2_weighted, wv(mu), 1, 100) == [
+            (m, closed(m * mu, m)) for m in range(1, 101)
+        ]
+
+
+def test_non_integer_multiplicity_text():
+    from locmult.fpdata import FixedPointDatum, LocalizationDataset
+
+    # coefficient m/2 on both fixed points of cp1: integral exactly at even m
+    half_m = (Fraction(0), Fraction(1, 2))
+    ds = LocalizationDataset(1, (
+        FixedPointDatum("P", wv(1), (wv(1),), half_m),
+        FixedPointDatum("Q", wv(0), (wv(-1),), half_m),
+    ))
+    assert multiplicity(ds, wv(0), 2) == 1
+    assert multiplicity_series(ds, wv(1), 2, 2) == [(2, 1)]
+    calls = [
+        (lambda: multiplicity(ds, wv(0), 3), "0", "3/2"),
+        (lambda: multiplicity_series(ds, wv(1), 2, 5, "fixed"), "1", "3/2"),
+        (lambda: multiplicity_series(ds, wv(1), 2, 5), "3", "3/2"),  # 3 * mu
+        (lambda: multiplicity_series(ds, wv(0), 1, 3), "0", "1/2"),
+        (lambda: character_table(ds, 3), "0", "3/2"),
+    ]
+    for call, weight, value in calls:
+        with pytest.raises(Exception) as err:
+            call()
+        assert err.value.code == "non-integer-multiplicity"
+        assert str(err.value) == (
+            f"multiplicity at {weight} is not an integer: {value}"
+        )
+
+
+def test_series_polarizes_once_per_fixed_point(cp2_weighted, monkeypatch):
+    """A deterministic work counter: the series is polarized once, not once
+    per power."""
+    from locmult import localize
+
+    calls = []
+    original = localize.polarize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(localize, "polarize", counting)
+    series = multiplicity_series(cp2_weighted, wv(0), 1, 100)
+    assert series[-1] == (100, 51)
+    assert len(calls) == len(cp2_weighted.fixed_points) == 3

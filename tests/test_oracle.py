@@ -52,6 +52,10 @@ def test_action_spec_validation():
         ProjectiveActionSpec((wv(1),), -1)
     with pytest.raises(LocmultError):
         ProjectiveActionSpec((wv(1),), True)
+    for degree in (-1, True, "2"):
+        with pytest.raises(LocmultError) as err:
+            ProjectiveActionSpec((wv(1),), degree)
+        assert err.value.code == "bad-degree"
 
 
 def test_dimension_conservation():
