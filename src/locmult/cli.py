@@ -558,8 +558,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """`--flag -1,0` as `--flag=-1,0`: argparse takes a separate token
+    that starts with '-' for an option unless it is a bare number, and
+    no option of this parser starts with '-' and a digit."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-[0-9]", token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -10,7 +10,7 @@ cyclotomic coefficients, which this module does not carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import poly
@@ -149,18 +149,12 @@ def phase_decomposition(qp: QuasiPolynomial):
 
 
 def count_dilated(problem: PartitionProblem, m: int) -> int:
-    """Partition count at the m-fold dilation: solutions of
-    columns*l = m*target + shift with l bounded below as given.
+    """Partition count at the m-fold dilation: the same problem at
+    target m*target.
 
-    Only the target scales with m; the affine shift enters once, so it
-    is folded into the dilated target rather than kept as a shift.
+    Only the target scales with m; the shift is subtracted once, as in
+    `PartitionProblem`.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise LocmultError(f"dilation factor must be a positive integer, got {m!r}")
-    dilated = PartitionProblem(
-        columns=problem.columns,
-        target=m * problem.target + problem.shift,
-        lower_bounds=problem.lower_bounds,
-        eta=problem.eta,
-    )
-    return count_partitions(dilated)
+    return count_partitions(replace(problem, target=m * problem.target))

@@ -4,18 +4,21 @@ The character of the m-th power of the quantizing bundle is a sum over
 fixed points of t^(m*fiber) / prod_j (1 - t^(-alpha_j)).  Expanding
 every factor toward a chosen generic direction eta (flipping the sign
 of each normal weight that pairs negatively with eta) turns each term
-into a signed, shifted vector partition generating function.  A single
-multiplicity is then a finite signed count of lattice partitions, one
-per fixed point (`multiplicity`, `count_partitions`); a whole table is
-read off one truncated expansion of prod 1/(1 - t^a) per fixed point
-(`character_table`).  Both are independent of eta; tests exercise this.
-A series in m (`multiplicity_series`) is polarized and scaled once, and
-keeps one counter per fixed point for the whole range; `multiplicity`
-is the same plan at a single m.
+into a signed, shifted vector partition generating function.  A
+multiplicity is then a signed sum, over the fixed points, of
+coefficients of prod 1/(1 - t^a) over the polarized columns a.  One
+kernel, `_expand`, computes those coefficients: it truncates the
+product at an eta-level, which is exact because every polarized column
+pairs positively with eta.  A whole table (`character_table`) is read
+off one expansion per fixed point; a series in m (`multiplicity_series`)
+expands each fixed point once, up to the highest level its targets
+reach in the range, and reads each m off by lookup; `multiplicity` is
+the same at a single m, and `count_partitions` reads one coefficient.
+The results are independent of eta; tests exercise this.
 
 WeightVector, with Fraction coordinates, is the public type.  The
-counting kernels convert to int tuples at their boundary, scaling the
-vectors by a common denominator, and do all their work on integers.
+kernel works on int tuples: vectors are scaled by a common denominator
+at its boundary.
 """
 
 from __future__ import annotations
@@ -200,52 +203,13 @@ def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _counter(cols: list[tuple[int, ...]], eta: tuple[int, ...]):
-    """count(target): the number of k in N^len(cols) with
-    sum_j k_j * cols[j] = target, for int tuples; every column pairs
-    positively with eta.
-
-    Memoized depth-first enumeration with the last column solved in
-    closed form by a divisibility check.  The memo serves every later
-    target: a key (i, rem) fixes the budget <rem, eta>.
-    """
-    if not cols:
-        return lambda target: int(not any(target))
-    steps = [_dot(a, eta) for a in cols]
-    last = len(cols) - 1
-    memo: dict[tuple, int] = {}
-
-    def count(i: int, rem: tuple[int, ...], budget: int) -> int:
-        if i == last:
-            k, r = divmod(budget, steps[last])
-            return int(r == 0 and all(x == k * c for x, c in zip(rem, cols[last])))
-        key = (i, rem)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        a, step = cols[i], steps[i]
-        total = 0
-        while budget >= 0:
-            total += count(i + 1, rem, budget)
-            rem = tuple(x - c for x, c in zip(rem, a))
-            budget -= step
-        memo[key] = total
-        return total
-
-    def count_target(target: tuple[int, ...]) -> int:
-        budget = _dot(target, eta)
-        return count(0, target, budget) if budget >= 0 else 0
-
-    return count_target
-
-
 def count_partitions(problem: PartitionProblem) -> int:
     """Exact number of solutions.
 
     The columns and the effective target are scaled to int tuples by
     one common denominator (the solutions do not change) and eta by its
-    own (no sign and no floor(budget / step) changes), then counted
-    once by `_counter`.
+    own (no eta-level changes sign); the count is the target's
+    coefficient in one expansion truncated at the target's eta-level.
     """
     eff = problem.target - problem.shift
     for lb, a in zip(problem.lower_bounds, problem.columns):
@@ -256,7 +220,8 @@ def count_partitions(problem: PartitionProblem) -> int:
     d = _denominator((eff, *problem.columns))
     cols = [_scaled(a, d) for a in problem.columns]
     eta = _scaled(problem.eta, _denominator((problem.eta,)))
-    return _counter(cols, eta)(_scaled(eff, d))
+    target = _scaled(eff, d)
+    return _expand(cols, eta, _dot(target, eta)).get(target, 0)
 
 
 def _expand(
@@ -357,46 +322,79 @@ def _check_rank(ds: LocalizationDataset, mu: WeightVector):
         )
 
 
-def _plan(ds: LocalizationDataset, mu: WeightVector, eta: WeightVector):
-    """at(m, scaled): the multiplicity at mu, or at m*mu when scaled.
+def _polarized(ds: LocalizationDataset, eta: WeightVector, *extra: WeightVector):
+    """Polarize every fixed point once and scale it to integers.
 
-    Polarizes every fixed point once and scales mu, the fiber weights,
-    the shifts and the polarized columns to int tuples by one common
-    denominator d; each fixed point keeps one counter for every m.  At
-    a power m, fixed point F adds sign * coefficient_at(m) times the
-    count at d*(m*J_F - target - shift_F).
+    Returns d, eta scaled by its own denominator, q and, per fixed
+    point, (coef, fiber, shift, columns): sign * the coefficient
+    polynomial times q, the coefficients' common denominator, and int
+    tuples times d, the common denominator of the columns and the extra
+    vectors (fiber weights are lattice points and shifts are sums of
+    columns, so d serves them too).
     """
-    _check_rank(ds, mu)
     pols = [polarize(fp, eta) for fp in ds.fixed_points]
-    d = _denominator((
-        mu,
-        *(fp.fiber_weight for fp in ds.fixed_points),
-        *(pol.shift for pol in pols),
-        *(a for pol in pols for a in pol.polarized_weights),
-    ))
-    e = _scaled(eta, _denominator((eta,)))
+    d = _denominator((*extra, *(a for pol in pols for a in pol.polarized_weights)))
+    q = math.lcm(*(c.denominator for fp in ds.fixed_points for c in fp.coefficient))
     points = [
-        (fp, (-1) ** pol.sign_count, _scaled(fp.fiber_weight, d),
-         _scaled(pol.shift, d),
-         _counter([_scaled(a, d) for a in pol.polarized_weights], e))
+        ([(-1) ** pol.sign_count * c.numerator * (q // c.denominator)
+          for c in fp.coefficient],
+         _scaled(fp.fiber_weight, d), _scaled(pol.shift, d),
+         [_scaled(a, d) for a in pol.polarized_weights])
         for fp, pol in zip(ds.fixed_points, pols)
     ]
+    return d, _scaled(eta, _denominator((eta,))), q, points
+
+
+def _at_power(coef: list[int], m: int) -> int:
+    """The polynomial coef (constant first) at m."""
+    return sum(c * m**k for k, c in enumerate(coef))
+
+
+def _exact(total: int, q: int, mu: WeightVector, k: int = 1) -> int:
+    """The multiplicity total / q at k*mu, which must be an integer."""
+    value, rest = divmod(total, q)
+    if rest:
+        raise ComputationError(
+            f"multiplicity at {k * mu} is not an integer: {Fraction(total, q)}",
+            code="non-integer-multiplicity",
+        )
+    return value
+
+
+def _plan(
+    ds: LocalizationDataset, mu: WeightVector, eta: WeightVector,
+    m_from: int, m_to: int, scaled: bool,
+):
+    """at(m): the multiplicity at mu, or at m*mu when scaled, for m in
+    [m_from, m_to].
+
+    At a power m, fixed point F adds sign * coefficient_at(m) times the
+    coefficient of t^(d*(m*J_F - shift_F - target)) in prod 1/(1 - t^a')
+    over its polarized columns a'.  The eta-level of that exponent is
+    affine in m, so each fixed point is expanded once, up to the larger
+    of its levels at m_from and m_to, and each m is one lookup per
+    fixed point.
+    """
+    _check_rank(ds, mu)
+    d, e, q, points = _polarized(ds, eta, mu)
     base = _scaled(mu, d)
 
-    def at(m: int, scaled: bool) -> int:
-        target = tuple(m * x for x in base) if scaled else base
-        total = Fraction(0)
-        for fp, sign, fiber, shift, count in points:
-            n = count(tuple(m * j - s - t for j, s, t in zip(fiber, shift, target)))
-            if n:
-                total += sign * n * fp.coefficient_at(m)
-        if total.denominator != 1:
-            raise ComputationError(
-                f"multiplicity at {m * mu if scaled else mu} is not an integer: "
-                f"{total}",
-                code="non-integer-multiplicity",
-            )
-        return int(total)
+    def exponent(m, fiber, shift):
+        k = m if scaled else 1
+        return tuple(m * j - s - k * t for j, s, t in zip(fiber, shift, base))
+
+    expansions = [
+        _expand(cols, e, max(_dot(exponent(m, fiber, shift), e)
+                             for m in (m_from, m_to)))
+        for _, fiber, shift, cols in points
+    ]
+
+    def at(m: int) -> int:
+        total = sum(
+            _at_power(coef, m) * terms.get(exponent(m, fiber, shift), 0)
+            for (coef, fiber, shift, _), terms in zip(points, expansions)
+        )
+        return _exact(total, q, mu, m if scaled else 1)
 
     return at
 
@@ -412,7 +410,7 @@ def multiplicity(
         raise ComputationError(f"weight {mu} is not a lattice point")
     if eta is None:
         eta = generic_direction(ds)
-    return _plan(ds, mu, eta)(m, scaled=False)
+    return _plan(ds, mu, eta, m, m, scaled=False)(m)
 
 
 def character_table(
@@ -430,22 +428,15 @@ def character_table(
     _check_power(m)
     if eta is None:
         eta = generic_direction(ds)
-    pols = [polarize(fp, eta) for fp in ds.fixed_points]
-    d = _denominator(a for pol in pols for a in pol.polarized_weights)
-    e = _scaled(eta, _denominator((eta,)))
-    corners = [_scaled(m * fp.fiber_weight, d) for fp in ds.fixed_points]
+    d, e, q, points = _polarized(ds, eta)
+    corners = [tuple(m * x for x in fiber) for _, fiber, _, _ in points]
     lo = [min(c[i] for c in corners) for i in range(ds.rank)]
     hi = [max(c[i] for c in corners) for i in range(ds.rank)]
     floor = sum(min(a * x, b * x) for a, b, x in zip(lo, hi, e))
-    # Signed coefficients as integers over one common denominator q.
-    coefs = [(-1) ** pol.sign_count * fp.coefficient_at(m)
-             for fp, pol in zip(ds.fixed_points, pols)]
-    q = math.lcm(*(c.denominator for c in coefs))
     acc: dict[tuple[int, ...], int] = {}
-    for fp, pol, coef in zip(ds.fixed_points, pols, coefs):
-        apex = _scaled(m * fp.fiber_weight - pol.shift, d)
-        cols = [_scaled(a, d) for a in pol.polarized_weights]
-        scale = int(coef * q)
+    for coef, fiber, shift, cols in points:
+        scale = _at_power(coef, m)
+        apex = tuple(m * j - s for j, s in zip(fiber, shift))
         for v, n in _expand(cols, e, _dot(apex, e) - floor).items():
             mu = tuple(x - y for x, y in zip(apex, v))
             if all(a <= x <= b and x % d == 0 for a, x, b in zip(lo, mu, hi)):
@@ -453,14 +444,8 @@ def character_table(
                 acc[key] = acc.get(key, 0) + scale * n
     entries = []
     for key in sorted(acc):
-        val, rest = divmod(acc[key], q)
-        if rest:
-            raise ComputationError(
-                f"multiplicity at {WeightVector(key)} is not an integer: "
-                f"{Fraction(acc[key], q)}",
-                code="non-integer-multiplicity",
-            )
-        entries.append((WeightVector(key), val))
+        w = WeightVector(key)
+        entries.append((w, _exact(acc[key], q, w)))
     return CharacterTable(entries)
 
 
@@ -475,9 +460,9 @@ def multiplicity_series(
     """Multiplicities for m in [m_from, m_to], at mu (fixed mode) or at
     m*mu (scaled mode).
 
-    The dataset is polarized and scaled to integers once, at the first
-    m; each m then costs one count per fixed point, and each fixed point
-    keeps one counter, with its memo, for the whole range.
+    One plan serves the whole range: each fixed point is polarized,
+    scaled to integers and expanded once, at the first m, and each m
+    is then one lookup per fixed point.
     """
     if mode not in (MODE_FIXED, MODE_SCALED):
         raise ComputationError(f"unknown mode {mode!r}", code="bad-mode")
@@ -488,6 +473,8 @@ def multiplicity_series(
         eta = generic_direction(ds)
     scaled = mode == MODE_SCALED
     q = _denominator((mu,))  # m*mu is a lattice point exactly when q divides m
+    # with q > 1 the lattice check fails at m_from + 1: plan m_from only
+    last = m_to if q == 1 else m_from
     at = None
     out = []
     for m in range(m_from, m_to + 1):
@@ -497,6 +484,6 @@ def multiplicity_series(
                 code="non-lattice-weight",
             )
         # planned after the first lattice check, which must raise first
-        at = at or _plan(ds, mu, eta)
-        out.append((m, at(m, scaled)))
+        at = at or _plan(ds, mu, eta, m_from, last, scaled)
+        out.append((m, at(m)))
     return out

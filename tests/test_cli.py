@@ -10,6 +10,7 @@ from conftest import DATASETS
 
 CP1 = str(DATASETS / "cp1.json")
 CP2 = str(DATASETS / "cp2_weighted.json")
+CP2S = str(DATASETS / "cp2_standard.json")
 CP3 = str(DATASETS / "cp3_standard.json")
 A1_TENSOR = str(DATASETS / "char_a1_tensor.json")
 
@@ -372,6 +373,25 @@ def test_records_are_deterministic(capsys):
     fourth = run(capsys, "verify-qr", "--dataset", CP2, "--mu", "0",
                  "--m-max", "12", "--format", "records")
     assert third == fourth
+
+
+@pytest.mark.parametrize("argv, flag, value, code", [
+    (("mult", "--dataset", CP2S, "--m", "2"), "--mu", "-1,0", 0),
+    (("mult", "--dataset", CP2S, "--mu", "1,0", "--m", "2"), "--eta", "-1,2", 0),
+    (("fit", "--period", "1", "--degree", "1"), "--series", "-1,0,1,2", 0),
+    (("oracle-check", "--dataset", CP2, "--m-max", "3"), "--coord-weights",
+     "-1;1;0", 0),
+    (("series", "--dataset", CP2, "--mu", "0"), "--m-range", "-1..3", 1),
+])
+def test_values_starting_with_minus(capsys, argv, flag, value, code):
+    """A value that starts with '-' may follow its flag as a separate
+    token, as it may after '='."""
+    result = run(capsys, *argv, flag, value)
+    assert result == run(capsys, *argv, f"{flag}={value}")
+    assert result[0] == code
+    if code:
+        assert result[2].startswith("error: computation-error:")
+        assert result[2].count("\n") == 1
 
 
 def test_unknown_flag_is_an_error(capsys):

@@ -145,10 +145,10 @@ def test_count_dilated_examples():
 
 def test_count_dilated_keeps_shift_and_bounds():
     p = PartitionProblem((wv(1),), wv(1), lower_bounds=(1,), shift=wv(1))
-    # k = m + 1 with k >= 1: exactly one solution
+    # k = m - 1 with k >= 1: exactly one solution
     assert count_dilated(p, 4) == 1
     p = PartitionProblem((wv(2), wv(1)), wv(1), shift=wv(1))
-    assert count_dilated(p, 5) == 4  # 2x + s = 6
+    assert count_dilated(p, 5) == 3  # 2x + y = 4
 
 
 def test_count_dilated_interval_is_quasi_polynomial():

@@ -9,10 +9,12 @@ import pytest
 from locmult import (
     CharacterTable,
     PartitionProblem,
+    ProjectiveActionSpec,
     character_table,
     count_partitions,
     find_certificate,
     generic_direction,
+    monomial_character,
     multiplicity,
     multiplicity_series,
     pairing,
@@ -361,6 +363,33 @@ def test_series_matches_character_table(
                     ], (ds.metadata.get("name"), mu, mode, eta)
 
 
+def test_series_matches_monomial_oracle(cp2_standard, cp3_standard):
+    """multiplicity_series against the monomial oracle, which shares no
+    code with the expansion that both the series and character_table
+    read their values from."""
+    q = Fraction
+    grids = [
+        (cp2_standard, 8, (wv(1, 0), wv(0, 1), wv(0, 0)), wv(q(1, 2), q(5, 3)),
+         [wv(0, 0), wv(1, 0), wv(1, 1), wv(0, 2), wv(-1, 0), wv(2, -1),
+          wv(-1, -1)]),
+        (cp3_standard, 5, (wv(1, 0, 0), wv(0, 1, 0), wv(0, 0, 1), wv(0, 0, 0)),
+         wv(-1, -2, 5),
+         [wv(0, 0, 0), wv(1, 0, 0), wv(1, 1, 1), wv(2, 0, 1), wv(-1, 0, 0),
+          wv(1, -1, 0), wv(0, 0, -2)]),
+    ]
+    for ds, m_to, coords, rational, mus in grids:
+        oracle = {m: monomial_character(ProjectiveActionSpec(coords, m))
+                  for m in range(1, m_to + 1)}
+        for eta in (None, rational):
+            for mu in mus:
+                for mode in ("fixed", "scaled"):
+                    series = multiplicity_series(ds, mu, 1, m_to, mode, eta)
+                    assert series == [
+                        (m, oracle[m][mu if mode == "fixed" else m * mu])
+                        for m in range(1, m_to + 1)
+                    ], (ds.metadata.get("name"), mu, mode, eta)
+
+
 def test_series_closed_form_to_m_100(cp2_weighted):
     def closed(weight, m):
         return 1 + (m - abs(weight)) // 2 if abs(weight) <= m else 0
@@ -415,6 +444,24 @@ def test_series_polarizes_once_per_fixed_point(cp2_weighted, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(localize, "polarize", counting)
+    series = multiplicity_series(cp2_weighted, wv(0), 1, 100)
+    assert series[-1] == (100, 51)
+    assert len(calls) == len(cp2_weighted.fixed_points) == 3
+
+
+def test_series_expands_once_per_fixed_point(cp2_weighted, monkeypatch):
+    """A deterministic work counter: each fixed point is expanded once
+    for the whole range, and every power is read off by lookup."""
+    from locmult import localize
+
+    calls = []
+    original = localize._expand
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(localize, "_expand", counting)
     series = multiplicity_series(cp2_weighted, wv(0), 1, 100)
     assert series[-1] == (100, 51)
     assert len(calls) == len(cp2_weighted.fixed_points) == 3
