@@ -46,7 +46,6 @@ from .weylred import (
     DecompositionResult,
     decompose_character,
     irreducible_character,
-    regular_image_check,
     tensor,
 )
 from .oracle import ProjectiveActionSpec, monomial_character, total_dimension

@@ -32,7 +32,7 @@ from .localize import (
     multiplicity,
     multiplicity_series,
 )
-from .oracle import ProjectiveActionSpec, monomial_character, total_dimension
+from .oracle import ProjectiveActionSpec, monomial_character
 from .qrverify import StructureViolated, parse_strata, verify_structure
 from .weylred import decompose_character
 
@@ -86,8 +86,8 @@ def _parse_coord_weights(text: str) -> tuple[WeightVector, ...]:
     )
 
 
-def _coord_json(c: Fraction):
-    return int(c) if c.denominator == 1 else str(c)
+def _coord_json(c: int | Fraction):
+    return c if isinstance(c, int) else str(c)
 
 
 def _weight_json(w: WeightVector) -> list:

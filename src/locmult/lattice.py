@@ -1,10 +1,10 @@
 """Weight lattice vectors, exact linear algebra, and finite reflection groups.
 
-Everything is exact: WeightVector, the public type, keeps Fraction
-coordinates (weights may be rational, e.g. delta or an eta
-certificate); the counting kernels in `localize` scale to int tuples at
-their boundary.  Systems are solved by Gaussian elimination over the
-rationals, and Weyl groups are generated as integer matrix groups.
+Everything is exact: a WeightVector keeps an integral coordinate as an
+int and any other as a Fraction (weights may be rational, e.g. delta or
+an eta certificate), so lattice points are plain int tuples throughout.
+Systems are solved by Gaussian elimination over the rationals, and Weyl
+groups are generated as integer matrix groups.
 The pairing used throughout is the coordinate dot product, so root
 systems must be presented in a basis where that pairing cuts out the
 intended chambers (orthogonal realizations of the classical series do).
@@ -29,18 +29,13 @@ class NotReflectionGroup(LocmultError):
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Point of the weight lattice (or its rational span)."""
+    """Point of the weight lattice (or its rational span).  Integral
+    coordinates are stored as int, the others as Fraction."""
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) for c in self.coords)
-        )
-
-    @classmethod
-    def of(cls, *coords) -> "WeightVector":
-        return cls(coords)
+        object.__setattr__(self, "coords", tuple(map(_coordinate, self.coords)))
 
     @property
     def rank(self) -> int:
@@ -64,7 +59,7 @@ class WeightVector:
         return WeightVector(tuple(-a for a in self.coords))
 
     def __mul__(self, scalar) -> "WeightVector":
-        s = Fraction(scalar)
+        s = _coordinate(scalar)
         return WeightVector(tuple(a * s for a in self.coords))
 
     __rmul__ = __mul__
@@ -76,13 +71,20 @@ class WeightVector:
         return ",".join(str(c) for c in self.coords)
 
 
+def _coordinate(c) -> int | Fraction:
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def wv(*coords) -> WeightVector:
     """Shorthand constructor."""
     return WeightVector(coords)
 
 
 def zero_vector(rank: int) -> WeightVector:
-    return WeightVector((Fraction(0),) * rank)
+    return WeightVector((0,) * rank)
 
 
 def _check_rank(a: WeightVector, b: WeightVector):
@@ -92,10 +94,10 @@ def _check_rank(a: WeightVector, b: WeightVector):
         )
 
 
-def pairing(a: WeightVector, b: WeightVector) -> Fraction:
-    """Coordinate dot product."""
+def pairing(a: WeightVector, b: WeightVector) -> int | Fraction:
+    """Coordinate dot product; an int for two lattice points."""
     _check_rank(a, b)
-    return sum((x * y for x, y in zip(a.coords, b.coords)), Fraction(0))
+    return sum(x * y for x, y in zip(a.coords, b.coords))
 
 
 def pick_generic_direction(weights: Iterable[WeightVector], rank: int) -> WeightVector:
@@ -118,7 +120,7 @@ def pick_generic_direction(weights: Iterable[WeightVector], rank: int) -> Weight
             )
     t = 1
     while True:
-        cand = WeightVector(tuple(Fraction(t) ** i for i in range(rank)))
+        cand = WeightVector(tuple(t**i for i in range(rank)))
         if all(pairing(w, cand) != 0 for w in weights):
             return cand
         t += 1
@@ -172,10 +174,7 @@ class WeylElement:
                 code="rank-mismatch",
             )
         return WeightVector(
-            tuple(
-                sum((Fraction(a) * c for a, c in zip(row, v.coords)), Fraction(0))
-                for row in self.matrix
-            )
+            tuple(sum(a * c for a, c in zip(row, v.coords)) for row in self.matrix)
         )
 
     def compose(self, other: "WeylElement") -> "WeylElement":
@@ -219,7 +218,7 @@ def _reflection_matrix(root: WeightVector, coroot_row: Sequence[int]):
     n = len(root.coords)
     return tuple(
         tuple(
-            int((1 if r == k else 0) - coroot_row[k] * root.coords[r])
+            (1 if r == k else 0) - coroot_row[k] * root.coords[r]
             for k in range(n)
         )
         for r in range(n)

@@ -16,9 +16,9 @@ reach in the range, and reads each m off by lookup; `multiplicity` is
 the same at a single m, and `count_partitions` reads one coefficient.
 The results are independent of eta; tests exercise this.
 
-WeightVector, with Fraction coordinates, is the public type.  The
-kernel works on int tuples: vectors are scaled by a common denominator
-at its boundary.
+The kernel reads WeightVector coordinates directly: lattice data gives
+int tuples, and a rational weight or eta gives Fraction entries, which
+the same code handles exactly.
 """
 
 from __future__ import annotations
@@ -189,51 +189,32 @@ class PartitionProblem:
             )
 
 
-def _denominator(vectors: Iterable[WeightVector]) -> int:
-    """Least common denominator of every coordinate of the vectors."""
-    return math.lcm(*(c.denominator for v in vectors for c in v.coords))
-
-
-def _scaled(v: WeightVector, d: int) -> tuple[int, ...]:
-    """d * v as an int tuple; d must be a multiple of v's denominators."""
-    return tuple(c.numerator * (d // c.denominator) for c in v.coords)
-
-
-def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+def _dot(a: tuple, b: tuple):
     return sum(x * y for x, y in zip(a, b))
 
 
 def count_partitions(problem: PartitionProblem) -> int:
-    """Exact number of solutions.
-
-    The columns and the effective target are scaled to int tuples by
-    one common denominator (the solutions do not change) and eta by its
-    own (no eta-level changes sign); the count is the target's
-    coefficient in one expansion truncated at the target's eta-level.
-    """
+    """Exact number of solutions: the effective target's coefficient in
+    one expansion truncated at the target's eta-level."""
     eff = problem.target - problem.shift
     for lb, a in zip(problem.lower_bounds, problem.columns):
         if lb:
             eff = eff - a
     if not problem.columns:
         return 1 if eff.is_zero() else 0
-    d = _denominator((eff, *problem.columns))
-    cols = [_scaled(a, d) for a in problem.columns]
-    eta = _scaled(problem.eta, _denominator((problem.eta,)))
-    target = _scaled(eff, d)
+    cols = [a.coords for a in problem.columns]
+    eta, target = problem.eta.coords, eff.coords
     return _expand(cols, eta, _dot(target, eta)).get(target, 0)
 
 
-def _expand(
-    cols: list[tuple[int, ...]], eta: tuple[int, ...], level: int
-) -> dict[tuple[int, ...], int]:
+def _expand(cols: list[tuple], eta: tuple, level) -> dict[tuple, int]:
     """Terms t^v of prod_a 1/(1 - t^a) with <v, eta> <= level, as
     {v: coefficient}.  Every column pairs positively with eta, so the
     truncated terms are exactly those with a larger eta-level."""
     terms = {(0,) * len(eta): 1} if level >= 0 else {}
     for a in cols:
         step = _dot(a, eta)
-        nxt: dict[tuple[int, ...], int] = {}
+        nxt: dict[tuple, int] = {}
         for v, c in terms.items():
             lvl = _dot(v, eta)
             while lvl <= level:
@@ -322,27 +303,25 @@ def _check_rank(ds: LocalizationDataset, mu: WeightVector):
         )
 
 
-def _polarized(ds: LocalizationDataset, eta: WeightVector, *extra: WeightVector):
-    """Polarize every fixed point once and scale it to integers.
+def _polarized(ds: LocalizationDataset, eta: WeightVector):
+    """Polarize every fixed point once.
 
-    Returns d, eta scaled by its own denominator, q and, per fixed
-    point, (coef, fiber, shift, columns): sign * the coefficient
-    polynomial times q, the coefficients' common denominator, and int
-    tuples times d, the common denominator of the columns and the extra
-    vectors (fiber weights are lattice points and shifts are sums of
-    columns, so d serves them too).
+    Returns q and, per fixed point, (coef, fiber, shift, columns): sign
+    * the coefficient polynomial times q, the coefficients' common
+    denominator, and the coordinates of the fiber weight, the shift and
+    the polarized columns.
     """
-    pols = [polarize(fp, eta) for fp in ds.fixed_points]
-    d = _denominator((*extra, *(a for pol in pols for a in pol.polarized_weights)))
     q = math.lcm(*(c.denominator for fp in ds.fixed_points for c in fp.coefficient))
-    points = [
-        ([(-1) ** pol.sign_count * c.numerator * (q // c.denominator)
-          for c in fp.coefficient],
-         _scaled(fp.fiber_weight, d), _scaled(pol.shift, d),
-         [_scaled(a, d) for a in pol.polarized_weights])
-        for fp, pol in zip(ds.fixed_points, pols)
-    ]
-    return d, _scaled(eta, _denominator((eta,))), q, points
+    points = []
+    for fp in ds.fixed_points:
+        pol = polarize(fp, eta)
+        points.append((
+            [(-1) ** pol.sign_count * c.numerator * (q // c.denominator)
+             for c in fp.coefficient],
+            fp.fiber_weight.coords, pol.shift.coords,
+            [a.coords for a in pol.polarized_weights],
+        ))
+    return q, points
 
 
 def _at_power(coef: list[int], m: int) -> int:
@@ -369,15 +348,15 @@ def _plan(
     [m_from, m_to].
 
     At a power m, fixed point F adds sign * coefficient_at(m) times the
-    coefficient of t^(d*(m*J_F - shift_F - target)) in prod 1/(1 - t^a')
+    coefficient of t^(m*J_F - shift_F - target) in prod 1/(1 - t^a')
     over its polarized columns a'.  The eta-level of that exponent is
     affine in m, so each fixed point is expanded once, up to the larger
     of its levels at m_from and m_to, and each m is one lookup per
     fixed point.
     """
     _check_rank(ds, mu)
-    d, e, q, points = _polarized(ds, eta, mu)
-    base = _scaled(mu, d)
+    q, points = _polarized(ds, eta)
+    e, base = eta.coords, mu.coords
 
     def exponent(m, fiber, shift):
         k = m if scaled else 1
@@ -428,7 +407,8 @@ def character_table(
     _check_power(m)
     if eta is None:
         eta = generic_direction(ds)
-    d, e, q, points = _polarized(ds, eta)
+    q, points = _polarized(ds, eta)
+    e = eta.coords
     corners = [tuple(m * x for x in fiber) for _, fiber, _, _ in points]
     lo = [min(c[i] for c in corners) for i in range(ds.rank)]
     hi = [max(c[i] for c in corners) for i in range(ds.rank)]
@@ -439,13 +419,13 @@ def character_table(
         apex = tuple(m * j - s for j, s in zip(fiber, shift))
         for v, n in _expand(cols, e, _dot(apex, e) - floor).items():
             mu = tuple(x - y for x, y in zip(apex, v))
-            if all(a <= x <= b and x % d == 0 for a, x, b in zip(lo, mu, hi)):
-                key = tuple(x // d for x in mu)
-                acc[key] = acc.get(key, 0) + scale * n
+            if all(a <= x <= b for a, x, b in zip(lo, mu, hi)):
+                acc[mu] = acc.get(mu, 0) + scale * n
     entries = []
     for key in sorted(acc):
         w = WeightVector(key)
-        entries.append((w, _exact(acc[key], q, w)))
+        if w.is_integral():  # rational normal weights reach off-lattice points
+            entries.append((w, _exact(acc[key], q, w)))
     return CharacterTable(entries)
 
 
@@ -460,19 +440,21 @@ def multiplicity_series(
     """Multiplicities for m in [m_from, m_to], at mu (fixed mode) or at
     m*mu (scaled mode).
 
-    One plan serves the whole range: each fixed point is polarized,
-    scaled to integers and expanded once, at the first m, and each m
-    is then one lookup per fixed point.
+    One plan serves the whole range: each fixed point is polarized and
+    expanded once, and each m is then one lookup per fixed point.
     """
     if mode not in (MODE_FIXED, MODE_SCALED):
         raise ComputationError(f"unknown mode {mode!r}", code="bad-mode")
     _check_power(m_from)
+    if isinstance(m_to, bool) or not isinstance(m_to, int):
+        raise ComputationError(f"power m_to must be an integer, got {m_to!r}")
     if m_to < m_from:
         raise ComputationError("empty power range")
     if eta is None:
         eta = generic_direction(ds)
     scaled = mode == MODE_SCALED
-    q = _denominator((mu,))  # m*mu is a lattice point exactly when q divides m
+    # m*mu is a lattice point exactly when q divides m
+    q = math.lcm(*(c.denominator for c in mu.coords))
     # with q > 1 the lattice check fails at m_from + 1: plan m_from only
     last = m_to if q == 1 else m_from
     at = None

@@ -1,6 +1,5 @@
-"""Weyl-group reduction of characters: irreducible building blocks,
-decomposition of invariant characters, and a wall-crossing heuristic
-for fixed-point data.
+"""Weyl-group reduction of characters: irreducible building blocks and
+decomposition of invariant characters.
 
 An irreducible character is the localization formula on the flag
 variety G/T (the Weyl character formula): one fixed point per Weyl
@@ -17,16 +16,12 @@ from dataclasses import dataclass
 
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
-from .lattice import RootSystem, WeightVector, is_dominant, pairing
+from .lattice import RootSystem, WeightVector, is_dominant
 from .localize import CharacterTable, character_table
 
 
 class NonDominantWeight(LocmultError):
     code = "non-dominant-weight"
-
-
-class MissingRootSystem(LocmultError):
-    code = "missing-root-system"
 
 
 @dataclass
@@ -112,36 +107,3 @@ def tensor(a: CharacterTable, b: CharacterTable) -> CharacterTable:
             key = w1 + w2
             entries[key] = entries.get(key, 0) + c1 * c2
     return CharacterTable(entries)
-
-
-@dataclass(frozen=True)
-class WallFailure:
-    root: WeightVector
-    reason: str
-
-
-@dataclass(frozen=True)
-class RegularImageReport:
-    """Necessary-condition screen: the fiber weights should sit strictly
-    on one side of every root hyperplane for the moment image to avoid
-    the walls.  A pass is not a proof; a failure pinpoints the wall."""
-
-    holds: bool
-    failures: tuple[WallFailure, ...]
-
-
-def regular_image_check(
-    ds: LocalizationDataset, rs: RootSystem | None = None
-) -> RegularImageReport:
-    if rs is None:
-        rs = ds.root_system
-    if rs is None:
-        raise MissingRootSystem("dataset carries no root system")
-    failures = []
-    for beta in rs.positive_roots:
-        vals = [pairing(fp.fiber_weight, beta) for fp in ds.fixed_points]
-        if any(v == 0 for v in vals):
-            failures.append(WallFailure(beta, "a fiber weight lies on the wall"))
-        elif any(v > 0 for v in vals) and any(v < 0 for v in vals):
-            failures.append(WallFailure(beta, "fiber weights straddle the wall"))
-    return RegularImageReport(not failures, tuple(failures))

@@ -115,7 +115,7 @@ def test_criterion_5_partition_counts_vs_enumeration(verdict):
         effective = target - shift
         budget = max(pairing(effective, eta), Fraction(0))
         ranges = [
-            range(lb, int(budget / pairing(a, eta)) + 1)
+            range(lb, budget // pairing(a, eta) + 1)
             for a, lb in zip(columns, lower)
         ]
         hits = 0

@@ -13,6 +13,7 @@ from locmult import (
     pairing,
     pick_generic_direction,
     wv,
+    zero_vector,
 )
 from locmult.lattice import (
     LatticeError,
@@ -57,6 +58,29 @@ def test_weight_vector_arithmetic():
     assert 3 * wv(1, 2) == wv(3, 6)
     assert (Fraction(1, 2) * wv(1, 2)).is_integral() is False
     assert wv(1, 2).is_integral()
+
+
+def test_integral_coordinates_are_ints(a2):
+    """The constructor keeps an integral coordinate as int and any other
+    as Fraction, with the value the input had."""
+    w = WeightVector((3, Fraction(4, 2), True, "6/3", 2.0))
+    assert w.coords == (3, 2, 1, 2, 2)
+    assert all(type(c) is int for c in w.coords)
+    r = WeightVector((Fraction(1, 2), "-2/6", 0.25))
+    assert r.coords == (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4))
+    assert all(type(c) is Fraction for c in r.coords)
+    assert (Fraction(1, 2) * wv(2, 4)).coords == (1, 2)
+    assert type((Fraction(1, 2) * wv(2, 4)).coords[0]) is int
+    assert type(pairing(wv(1, 2), wv(3, 1))) is int
+    assert pairing(wv(Fraction(1, 2), 1), wv(1, 1)) == Fraction(3, 2)
+    assert all(type(c) is int for c in zero_vector(3).coords)
+    assert all(type(c) is int
+               for c in pick_generic_direction([wv(1, -1)], 2).coords)
+    for w in a2.weyl_elements:
+        assert all(type(c) is int for c in w.apply(wv(2, 1, 0)).coords)
+        image = w.apply(a2.delta)
+        assert sorted(image.coords) == [-1, 0, 1]
+        assert all(type(c) is int for c in image.coords)
 
 
 def test_pick_generic_direction_examples():

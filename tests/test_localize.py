@@ -22,7 +22,7 @@ from locmult import (
     wv,
     zero_vector,
 )
-from locmult.localize import EtaNotGeneric, NotPointed
+from locmult.localize import ComputationError, EtaNotGeneric, NotPointed
 
 
 def naive_count(columns, target, lower_bounds, shift, eta):
@@ -33,8 +33,8 @@ def naive_count(columns, target, lower_bounds, shift, eta):
         budget = Fraction(0)
     ranges = []
     for a, lb in zip(columns, lower_bounds):
-        hi = budget / pairing(a, eta)
-        ranges.append(range(lb, int(hi) + 1))
+        hi = budget // pairing(a, eta)
+        ranges.append(range(lb, hi + 1))
     count = 0
     for ks in itertools.product(*ranges):
         acc = zero_vector(target.rank)
@@ -190,6 +190,12 @@ def test_series_scaled_needs_lattice_points(cp1):
     # fixed mode rejects a fractional target outright
     with pytest.raises(Exception):
         multiplicity_series(cp1, wv(Fraction(1, 2)), 1, 4, mode="fixed")
+    # the end of the range is an integer too, and is checked before its order
+    for m_to in (3.5, True):
+        with pytest.raises(ComputationError) as err:
+            multiplicity_series(cp1, wv(0), 1, m_to)
+        assert err.value.code == "computation-error"
+        assert str(err.value) == f"power m_to must be an integer, got {m_to!r}"
 
 
 def test_chamber_independence(cp1, cp2_weighted, cp2_standard, cp3_standard):
