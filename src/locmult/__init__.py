@@ -18,8 +18,12 @@ from .fpdata import (
     DatasetError,
     FixedPointDatum,
     LocalizationDataset,
+    StratumPhaseDatum,
+    load_character_file,
     load_dataset,
     load_dataset_file,
+    load_root_system_file,
+    load_strata_file,
     serialize_dataset,
     validate,
 )
@@ -51,7 +55,6 @@ from .weylred import (
 from .oracle import ProjectiveActionSpec, monomial_character, total_dimension
 from .qrverify import (
     QRReport,
-    StratumPhaseDatum,
     onset_threshold,
     verify_structure,
 )

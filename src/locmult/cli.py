@@ -9,6 +9,7 @@ one line `error: <code>: <message>` to stderr and exits nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -18,10 +19,11 @@ from . import poly
 from .ehrhart import fit_quasi_polynomial, phase_decomposition
 from .errors import LocmultError
 from .fpdata import (
-    DatasetError,
-    _parse_root_system,
-    _reject_float,
+    load_character_file,
     load_dataset_file,
+    load_root_system_file,
+    load_strata_file,
+    parse_root_system,
     rational_from_text,
     validate,
 )
@@ -33,7 +35,7 @@ from .localize import (
     multiplicity_series,
 )
 from .oracle import ProjectiveActionSpec, monomial_character
-from .qrverify import StructureViolated, parse_strata, verify_structure
+from .qrverify import StructureViolated, verify_structure
 from .weylred import decompose_character
 
 
@@ -98,27 +100,6 @@ def _emit(obj):
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _load_json_file(path, what: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise LocmultError(f"cannot read {what} {path}: {exc}", code="io-error")
-    try:
-        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"malformed {what}: {exc.msg}", location=str(path))
-
-
-def _load_dataset(args):
-    try:
-        return load_dataset_file(args.dataset)
-    except OSError as exc:
-        raise LocmultError(
-            f"cannot read dataset {args.dataset}: {exc}", code="io-error"
-        )
-
-
 def _eta(args):
     if getattr(args, "eta", None):
         return _parse_vector(args.eta, "eta")
@@ -126,7 +107,7 @@ def _eta(args):
 
 
 def cmd_validate(args) -> int:
-    ds = _load_dataset(args)
+    ds = load_dataset_file(args.dataset)
     report = validate(ds)
     if args.format == "records":
         for f in report.findings:
@@ -155,7 +136,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_mult(args) -> int:
-    ds = _load_dataset(args)
+    ds = load_dataset_file(args.dataset)
     mu = _parse_vector(args.mu, "mu")
     value = multiplicity(ds, mu, args.m, _eta(args))
     if args.format == "records":
@@ -173,7 +154,7 @@ def cmd_mult(args) -> int:
 
 
 def cmd_character(args) -> int:
-    ds = _load_dataset(args)
+    ds = load_dataset_file(args.dataset)
     table = character_table(ds, args.m, _eta(args))
     if args.format == "records":
         for w, n in table.items():
@@ -193,7 +174,7 @@ def cmd_character(args) -> int:
 
 
 def cmd_series(args) -> int:
-    ds = _load_dataset(args)
+    ds = load_dataset_file(args.dataset)
     mu = _parse_vector(args.mu, "mu")
     m_from, m_to = _parse_range(args.m_range)
     series = multiplicity_series(ds, mu, m_from, m_to, args.mode, _eta(args))
@@ -222,7 +203,7 @@ def _fit_samples(args):
             "fit needs either --series or --dataset with --mu and --m-range",
             code="bad-flag",
         )
-    ds = _load_dataset(args)
+    ds = load_dataset_file(args.dataset)
     mu = _parse_vector(args.mu, "mu")
     m_from, m_to = _parse_range(args.m_range)
     return multiplicity_series(ds, mu, m_from, m_to, args.mode, _eta(args))
@@ -275,9 +256,7 @@ def cmd_fit(args) -> int:
 
 def _resolve_strata(args, ds):
     if args.strata:
-        doc = _load_json_file(args.strata, "strata file")
-        raw = doc["strata"] if isinstance(doc, dict) and "strata" in doc else doc
-        return parse_strata(raw, location=str(args.strata))
+        return load_strata_file(args.strata)
     if ds.strata is not None:
         return ds.strata
     raise LocmultError(
@@ -287,7 +266,7 @@ def _resolve_strata(args, ds):
 
 
 def cmd_verify_qr(args) -> int:
-    ds = _load_dataset(args)
+    ds = load_dataset_file(args.dataset)
     mu = _parse_vector(args.mu, "mu")
     strata = _resolve_strata(args, ds)
     try:
@@ -357,7 +336,7 @@ def cmd_verify_qr(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    ds = _load_dataset(args)
+    ds = load_dataset_file(args.dataset)
     if args.coord_weights:
         weights = _parse_coord_weights(args.coord_weights)
     elif "coord_weights" in ds.metadata:
@@ -367,6 +346,11 @@ def cmd_oracle_check(args) -> int:
             "no coordinate weights: pass --coord-weights or add a "
             "coord_weights metadata entry",
             code="missing-coord-weights",
+        )
+    if any(w.rank != ds.rank for w in weights):
+        raise LocmultError(
+            f"coordinate weights must have the dataset rank {ds.rank}",
+            code="rank-mismatch",
         )
     if args.m_max < 1:
         print("warning: m_max < 1 makes the check vacuous", file=sys.stderr)
@@ -405,53 +389,20 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def _load_character_file(path) -> tuple[CharacterTable, dict | None]:
-    doc = _load_json_file(path, "character file")
-    if not isinstance(doc, dict) or "entries" not in doc:
-        raise DatasetError(
-            "character file must be an object with an 'entries' list",
-            location=str(path),
-        )
-    entries = []
-    for i, e in enumerate(doc["entries"]):
-        loc = f"entries[{i}]"
-        if (
-            not isinstance(e, dict)
-            or "weight" not in e
-            or "multiplicity" not in e
-        ):
-            raise DatasetError(
-                "entry needs 'weight' and 'multiplicity'", location=loc
-            )
-        if isinstance(e["multiplicity"], bool) or not isinstance(
-            e["multiplicity"], int
-        ):
-            raise DatasetError("multiplicity must be an integer", location=loc)
-        coords = e["weight"]
-        if not isinstance(coords, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in coords
-        ):
-            raise DatasetError("weight must be a list of integers", location=loc)
-        entries.append((WeightVector(tuple(coords)), e["multiplicity"]))
-    return CharacterTable(entries), doc.get("root_system")
-
-
 def cmd_weyl_decompose(args) -> int:
-    chi, embedded_rs = _load_character_file(args.character)
+    entries, embedded_rs = load_character_file(args.character)
+    chi = CharacterTable(entries)
     if args.root_system:
-        rs = _parse_root_system(
-            _load_json_file(args.root_system, "root system file"), None,
-            args.root_system,
-        )
+        rs = load_root_system_file(args.root_system)
     elif args.dataset:
-        ds = _load_dataset(args)
+        ds = load_dataset_file(args.dataset)
         if ds.root_system is None:
             raise LocmultError(
                 "dataset carries no root system", code="missing-root-system"
             )
         rs = ds.root_system
     elif embedded_rs is not None:
-        rs = _parse_root_system(embedded_rs, None, str(args.character))
+        rs = parse_root_system(embedded_rs, None, str(args.character))
     else:
         raise LocmultError(
             "no root system: pass --root-system, --dataset, or embed one in "
@@ -487,7 +438,9 @@ def cmd_weyl_decompose(args) -> int:
     return 0 if result.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process and shared by every call: do not change it."""
     parser = argparse.ArgumentParser(
         prog="locmult",
         description="Exact multiplicities and characters from fixed-point data.",

@@ -73,8 +73,10 @@ def fit_quasi_polynomial(samples, period: int, degree: int) -> QuasiPolynomial:
     the polynomial down and the surplus cross-checks it.  Any sample
     the candidate fails to reproduce raises FitVerificationError.
     """
-    if period < 1:
+    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
         raise LocmultError("period must be a positive integer", code="bad-period")
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise LocmultError("degree must be an integer", code="bad-degree")
     if degree < 0:
         raise LocmultError("degree must be nonnegative", code="bad-degree")
     seen: dict[int, Fraction] = {}

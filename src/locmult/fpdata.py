@@ -1,4 +1,8 @@
-"""Input data model for localization datasets.
+"""The input documents and the data model they load into; no other
+module reads an outside document.  There are four: a dataset, a strata
+file (a dataset's strata block, bare or under a `strata` key), a
+root-system file (one root_system block) and a character file
+((weight, multiplicity) entries, optionally with a root_system block).
 
 A dataset lists the isolated fixed points of a torus action together
 with, per point, the fiber weight of the quantizing line bundle and the
@@ -9,7 +13,8 @@ monomial oracle in `oracle` pins this convention down operationally.
 
 Documents are strict JSON with no floating point literals anywhere.
 Rationals are written as "p/q" strings (bare integers are accepted on
-input); serialization always emits the canonical string form.
+input); serialization always emits the canonical string form.  A file
+that cannot be read is an `io-error`.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ from .errors import LocmultError
 from .lattice import RootSystem, WeightVector, generate_weyl_group
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class DatasetError(LocmultError):
     code = "schema-violation"
 
@@ -33,6 +42,10 @@ class DatasetError(LocmultError):
             message = f"{location}: {message}"
         super().__init__(message, code=code)
         self.location = location
+
+
+class BadStratum(LocmultError):
+    code = "bad-stratum"
 
 
 @dataclass(frozen=True)
@@ -65,11 +78,45 @@ class FixedPointDatum:
 
 
 @dataclass(frozen=True)
+class StratumPhaseDatum:
+    """Declared orbifold stratum: stabilizer order, phase rotation, and
+    the degree cap (half the stratum dimension) for its polynomial."""
+
+    label: str
+    order: int
+    rotation: Fraction
+    degree_bound: int
+    expected_poly: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self):
+        for name in ("order", "degree_bound"):
+            if not _is_int(getattr(self, name)):
+                raise BadStratum(f"stratum {self.label!r}: {name} must be an integer")
+        if self.order < 1:
+            raise BadStratum(f"stratum {self.label!r}: order must be positive")
+        rot = Fraction(self.rotation)
+        object.__setattr__(self, "rotation", rot)
+        if not 0 <= rot < 1:
+            raise BadStratum(f"stratum {self.label!r}: rotation must lie in [0,1)")
+        if (rot * self.order).denominator != 1:
+            raise BadStratum(
+                f"stratum {self.label!r}: rotation {rot} is not an order-"
+                f"{self.order} root of unity"
+            )
+        if self.degree_bound < 0:
+            raise BadStratum(f"stratum {self.label!r}: negative degree bound")
+        if self.expected_poly is not None:
+            object.__setattr__(
+                self, "expected_poly", poly.normalize(self.expected_poly)
+            )
+
+
+@dataclass(frozen=True)
 class LocalizationDataset:
     rank: int
     fixed_points: tuple[FixedPointDatum, ...]
     root_system: RootSystem | None = None
-    strata: tuple | None = None
+    strata: tuple[StratumPhaseDatum, ...] | None = None
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -111,15 +158,32 @@ class ValidationReport:
         return not self.errors
 
 
+def _read_text(path, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LocmultError(
+            f"cannot read {what} {path}: {exc}", code="io-error"
+        ) from None
+
+
 def _reject_float(text):
     raise DatasetError(
-        f"floating point literal {text!r} is not accepted; use 'p/q' strings",
-        code="schema-violation",
+        f"floating point literal {text!r} is not accepted; use 'p/q' strings"
     )
 
 
+def _parse_json(text: str, what: str, location=None):
+    """Strict JSON: float, NaN and Infinity literals are schema violations."""
+    try:
+        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"malformed {what}: {exc.msg}", location=location) from None
+
+
 def _expect_int(value, location) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise DatasetError(
             f"expected an integer, got {value!r}",
             code="non-integer-weight",
@@ -160,9 +224,7 @@ def rational_from_text(text: str) -> Fraction | None:
 
 
 def parse_rational(value, location) -> Fraction:
-    if isinstance(value, bool):
-        raise DatasetError(f"expected a rational, got {value!r}", location=location)
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         q = rational_from_text(value)
@@ -183,17 +245,24 @@ def _check_keys(obj, allowed, location):
         )
 
 
-def _parse_fixed_point(obj, rank, location) -> FixedPointDatum:
+def _check_labelled(obj, what, required, optional, location):
+    """The checks shared by fixed points and strata, in this order: an
+    object, no unknown field, every required field, a nonempty label."""
     if not isinstance(obj, dict):
-        raise DatasetError("fixed point must be an object", location=location)
-    _check_keys(
-        obj, ("label", "fiber_weight", "normal_weights", "coefficient"), location
-    )
-    for key in ("label", "fiber_weight", "normal_weights"):
+        raise DatasetError(f"{what} must be an object", location=location)
+    _check_keys(obj, required + optional, location)
+    for key in required:
         if key not in obj:
             raise DatasetError(f"missing field {key!r}", location=location)
     if not isinstance(obj["label"], str) or not obj["label"]:
         raise DatasetError("label must be a nonempty string", location=location)
+
+
+def _parse_fixed_point(obj, rank, location) -> FixedPointDatum:
+    _check_labelled(
+        obj, "fixed point", ("label", "fiber_weight", "normal_weights"),
+        ("coefficient",), location,
+    )
     fiber = _parse_weight(obj["fiber_weight"], rank, f"{location}.fiber_weight")
     if not isinstance(obj["normal_weights"], list):
         raise DatasetError("normal_weights must be a list", location=location)
@@ -218,7 +287,41 @@ def _parse_fixed_point(obj, rank, location) -> FixedPointDatum:
         raise DatasetError(str(exc), code=exc.code, location=location) from None
 
 
-def _parse_root_system(obj, rank, location) -> RootSystem:
+def parse_strata(raw, location="strata") -> tuple[StratumPhaseDatum, ...]:
+    """Parse the JSON strata block of a dataset or strata file."""
+    if not isinstance(raw, list) or not raw:
+        raise DatasetError("strata must be a nonempty list", location=location)
+    out = []
+    for i, obj in enumerate(raw):
+        loc = f"{location}[{i}]"
+        _check_labelled(
+            obj, "stratum", ("label", "order", "rotation", "degree_bound"),
+            ("expected_poly",), loc,
+        )
+        for key in ("order", "degree_bound"):
+            if not _is_int(obj[key]):
+                raise DatasetError(f"{key} must be an integer", location=loc)
+        rotation = parse_rational(obj["rotation"], f"{loc}.rotation")
+        expected = None
+        if "expected_poly" in obj:
+            if not isinstance(obj["expected_poly"], list):
+                raise DatasetError("expected_poly must be a list", location=loc)
+            expected = tuple(
+                parse_rational(c, f"{loc}.expected_poly[{k}]")
+                for k, c in enumerate(obj["expected_poly"])
+            )
+        try:
+            out.append(
+                StratumPhaseDatum(
+                    obj["label"], obj["order"], rotation, obj["degree_bound"], expected
+                )
+            )
+        except BadStratum as exc:
+            raise DatasetError(str(exc), code="bad-stratum", location=loc) from None
+    return tuple(out)
+
+
+def parse_root_system(obj, rank, location) -> RootSystem:
     """Root system block; a rank of None is read off the first simple root."""
     if not isinstance(obj, dict):
         raise DatasetError("root_system must be an object", location=location)
@@ -256,10 +359,7 @@ def _parse_root_system(obj, rank, location) -> RootSystem:
 
 def load_dataset(text: str) -> LocalizationDataset:
     """Parse and validate a dataset document."""
-    try:
-        obj = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"malformed document: {exc.msg}") from None
+    obj = _parse_json(text, "document")
     if not isinstance(obj, dict):
         raise DatasetError("document root must be an object")
     _check_keys(
@@ -270,11 +370,7 @@ def load_dataset(text: str) -> LocalizationDataset:
     rank = _expect_int(obj["rank"], "rank")
     if rank < 1:
         raise DatasetError("rank must be a positive integer", location="rank")
-    if (
-        "fixed_points" not in obj
-        or not isinstance(obj["fixed_points"], list)
-        or not obj["fixed_points"]
-    ):
+    if not isinstance(obj.get("fixed_points"), list) or not obj["fixed_points"]:
         raise DatasetError("fixed_points must be a nonempty list")
     points = tuple(
         _parse_fixed_point(fp, rank, f"fixed_points[{i}]")
@@ -282,11 +378,9 @@ def load_dataset(text: str) -> LocalizationDataset:
     )
     rs = None
     if "root_system" in obj:
-        rs = _parse_root_system(obj["root_system"], rank, "root_system")
+        rs = parse_root_system(obj["root_system"], rank, "root_system")
     strata = None
     if "strata" in obj:
-        from .qrverify import parse_strata
-
         strata = parse_strata(obj["strata"], location="strata")
     metadata: dict[str, str] = {}
     if "metadata" in obj:
@@ -303,29 +397,72 @@ def load_dataset(text: str) -> LocalizationDataset:
 
 
 def load_dataset_file(path) -> LocalizationDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_dataset(fh.read())
+    return load_dataset(_read_text(path, "dataset"))
 
 
-def _weight_json(v: WeightVector) -> list[int]:
-    return [int(c) for c in v.coords]
+def load_strata_file(path) -> tuple[StratumPhaseDatum, ...]:
+    """A strata file: the bare strata array or an object with a `strata` key."""
+    doc = _parse_json(_read_text(path, "strata file"), "strata file", str(path))
+    if isinstance(doc, dict) and "strata" in doc:
+        doc = doc["strata"]
+    return parse_strata(doc, location=str(path))
+
+
+def load_root_system_file(path) -> RootSystem:
+    """A root-system file; the rank is read off the first simple root."""
+    what = "root system file"
+    doc = _parse_json(_read_text(path, what), what, str(path))
+    return parse_root_system(doc, None, str(path))
+
+
+def load_character_file(path) -> tuple[list[tuple[WeightVector, int]], Any]:
+    """A character file: its (weight, multiplicity) entries and its raw
+    root_system block, None when there is none, for parse_root_system."""
+    doc = _parse_json(_read_text(path, "character file"), "character file", str(path))
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+        raise DatasetError(
+            "character file must be an object with an 'entries' list",
+            location=str(path),
+        )
+    entries = []
+    for i, e in enumerate(doc["entries"]):
+        loc = f"entries[{i}]"
+        if not isinstance(e, dict) or "weight" not in e or "multiplicity" not in e:
+            raise DatasetError("entry needs 'weight' and 'multiplicity'", location=loc)
+        if not _is_int(e["multiplicity"]):
+            raise DatasetError("multiplicity must be an integer", location=loc)
+        if not isinstance(e["weight"], list) or not all(map(_is_int, e["weight"])):
+            raise DatasetError("weight must be a list of integers", location=loc)
+        entries.append((WeightVector(tuple(e["weight"])), e["multiplicity"]))
+    return entries, doc.get("root_system")
 
 
 def serialize_dataset(ds: LocalizationDataset) -> str:
-    """Canonical document text; load_dataset of the result round-trips."""
+    """Canonical document text; load_dataset of the result round-trips.
+
+    Documents hold integer weights only.  Fiber weights and simple roots
+    are lattice points by construction; a normal weight that is not
+    raises `non-integer-weight`."""
+    for fp in ds.fixed_points:
+        for a in fp.normal_weights:
+            if not a.is_integral():
+                raise DatasetError(
+                    f"fixed point {fp.label!r} has the non-lattice normal weight ({a})",
+                    code="non-integer-weight",
+                )
     doc: dict[str, Any] = {"rank": ds.rank}
     doc["fixed_points"] = [
         {
             "label": fp.label,
-            "fiber_weight": _weight_json(fp.fiber_weight),
-            "normal_weights": [_weight_json(a) for a in fp.normal_weights],
+            "fiber_weight": list(fp.fiber_weight.coords),
+            "normal_weights": [list(a.coords) for a in fp.normal_weights],
             "coefficient": [str(c) for c in (fp.coefficient or (Fraction(0),))],
         }
         for fp in ds.fixed_points
     ]
     if ds.root_system is not None:
         doc["root_system"] = {
-            "simple_roots": [_weight_json(a) for a in ds.root_system.simple_roots],
+            "simple_roots": [list(a.coords) for a in ds.root_system.simple_roots],
             "cartan_pairing": [list(row) for row in ds.root_system.cartan_pairing],
         }
     if ds.strata is not None:
@@ -360,32 +497,13 @@ def validate(ds: LocalizationDataset) -> ValidationReport:
         )
     for i, fp in enumerate(ds.fixed_points):
         loc = f"fixed_points[{i}]"
-        if len(fp.fiber_weight.coords) != ds.rank:
-            findings.append(
-                Finding(
-                    "error",
-                    f"{loc}.fiber_weight",
-                    f"rank {len(fp.fiber_weight.coords)} weight in a rank "
-                    f"{ds.rank} dataset",
-                )
-            )
-        if not fp.fiber_weight.is_integral():
-            findings.append(
-                Finding("error", f"{loc}.fiber_weight", "not a lattice point")
-            )
-        for j, a in enumerate(fp.normal_weights):
-            if len(a.coords) != ds.rank:
-                findings.append(
-                    Finding(
-                        "error",
-                        f"{loc}.normal_weights[{j}]",
-                        f"rank {len(a.coords)} weight in a rank {ds.rank} dataset",
-                    )
-                )
-            elif a.is_zero():
-                findings.append(
-                    Finding("error", f"{loc}.normal_weights[{j}]", "zero normal weight")
-                )
+        weights = [(f"{loc}.fiber_weight", fp.fiber_weight)] + [
+            (f"{loc}.normal_weights[{j}]", a) for j, a in enumerate(fp.normal_weights)
+        ]
+        for where, w in weights:
+            if w.rank != ds.rank:
+                message = f"rank {w.rank} weight in a rank {ds.rank} dataset"
+                findings.append(Finding("error", where, message))
     seen: dict[tuple, list[str]] = {}
     for fp in ds.fixed_points:
         seen.setdefault(fp.fiber_weight.coords, []).append(fp.label)

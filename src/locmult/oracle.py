@@ -29,12 +29,15 @@ class ProjectiveActionSpec:
     def __post_init__(self):
         object.__setattr__(self, "coord_weights", tuple(self.coord_weights))
         if not self.coord_weights:
-            raise LocmultError("need at least one coordinate weight")
-        rank = len(self.coord_weights[0].coords)
+            raise LocmultError(
+                "need at least one coordinate weight", code="missing-coord-weights"
+            )
+        rank = self.coord_weights[0].rank
         for w in self.coord_weights:
-            if len(w.coords) != rank or not w.is_integral():
+            if w.rank != rank or not w.is_integral():
                 raise LocmultError(
-                    f"coordinate weight {w} is not a rank-{rank} lattice point"
+                    f"coordinate weight {w} is not a rank-{rank} lattice point",
+                    code="rank-mismatch" if w.rank != rank else "non-integer-weight",
                 )
         if isinstance(self.degree, bool) or not isinstance(self.degree, int):
             raise LocmultError("degree must be an integer", code="bad-degree")

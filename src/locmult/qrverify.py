@@ -1,17 +1,18 @@
 """Verification that multiplicity series carry the arithmetic-polynomial
 structure declared by orbifold stratum data.
 
-Strata are input, never computed: each carries the order of its
-stabilizer element, the exact rotation phi (the stratum's m-th
-contribution is modulated by e^{2*pi*i*m*phi}), and a degree cap for
-its polynomial.  The verifier fits the series with period lcm(orders),
-locates the onset threshold realizing the "large m" clause, and splits
-the fit into phase polynomials that are checked degree-wise and
-value-wise against the declaration.  Only periods 1 and 2 have a phase
-split over the rationals; strata giving a larger period are refused
-rather than reported as an unchecked pass.  The onset
-is reported neutrally; an onset above 1 on an abelian dataset is a
-finding for the caller, not an error.
+Strata are input, never computed: `fpdata` reads them into
+`StratumPhaseDatum`s, each carrying the order of its stabilizer element,
+the exact rotation phi (the stratum's m-th contribution is modulated by
+e^{2*pi*i*m*phi}), and a degree cap for its polynomial.  The verifier
+fits the series with period lcm(orders), locates the onset threshold
+realizing the "large m" clause, and splits the fit into phase
+polynomials that are checked degree-wise and value-wise against the
+declaration.  Only periods 1 and 2 have a phase split over the
+rationals; strata giving a larger period are refused rather than
+reported as an unchecked pass.  The onset is reported neutrally; an
+onset above 1 on an abelian dataset is a finding for the caller, not an
+error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .ehrhart import (
     phase_decomposition,
 )
 from .errors import LocmultError
-from .fpdata import DatasetError, parse_rational
+from .fpdata import BadStratum
 from .lattice import WeightVector
 from .localize import multiplicity_series
 
@@ -42,87 +43,6 @@ class StructureViolated(LocmultError):
     def __init__(self, message, *, witnesses=()):
         super().__init__(message)
         self.witnesses = tuple(witnesses)
-
-
-class BadStratum(LocmultError):
-    code = "bad-stratum"
-
-
-@dataclass(frozen=True)
-class StratumPhaseDatum:
-    """Declared orbifold stratum: stabilizer order, phase rotation, and
-    the degree cap (half the stratum dimension) for its polynomial."""
-
-    label: str
-    order: int
-    rotation: Fraction
-    degree_bound: int
-    expected_poly: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        if isinstance(self.order, bool) or not isinstance(self.order, int):
-            raise BadStratum(f"stratum {self.label!r}: order must be an integer")
-        if self.order < 1:
-            raise BadStratum(f"stratum {self.label!r}: order must be positive")
-        rot = Fraction(self.rotation)
-        object.__setattr__(self, "rotation", rot)
-        if not 0 <= rot < 1:
-            raise BadStratum(f"stratum {self.label!r}: rotation must lie in [0,1)")
-        if (rot * self.order).denominator != 1:
-            raise BadStratum(
-                f"stratum {self.label!r}: rotation {rot} is not an order-"
-                f"{self.order} root of unity"
-            )
-        if self.degree_bound < 0:
-            raise BadStratum(f"stratum {self.label!r}: negative degree bound")
-        if self.expected_poly is not None:
-            object.__setattr__(
-                self, "expected_poly", poly.normalize(self.expected_poly)
-            )
-
-
-def parse_strata(raw, location="strata") -> tuple[StratumPhaseDatum, ...]:
-    """Parse the JSON strata block of a dataset or strata file."""
-    if not isinstance(raw, list) or not raw:
-        raise DatasetError("strata must be a nonempty list", location=location)
-    out = []
-    for i, obj in enumerate(raw):
-        loc = f"{location}[{i}]"
-        if not isinstance(obj, dict):
-            raise DatasetError("stratum must be an object", location=loc)
-        allowed = ("label", "order", "rotation", "degree_bound", "expected_poly")
-        extra = set(obj) - set(allowed)
-        if extra:
-            raise DatasetError(f"unknown field {sorted(extra)[0]!r}", location=loc)
-        for key in ("label", "order", "rotation", "degree_bound"):
-            if key not in obj:
-                raise DatasetError(f"missing field {key!r}", location=loc)
-        if not isinstance(obj["label"], str) or not obj["label"]:
-            raise DatasetError("label must be a nonempty string", location=loc)
-        if isinstance(obj["order"], bool) or not isinstance(obj["order"], int):
-            raise DatasetError("order must be an integer", location=loc)
-        if isinstance(obj["degree_bound"], bool) or not isinstance(
-            obj["degree_bound"], int
-        ):
-            raise DatasetError("degree_bound must be an integer", location=loc)
-        rotation = parse_rational(obj["rotation"], f"{loc}.rotation")
-        expected = None
-        if "expected_poly" in obj:
-            if not isinstance(obj["expected_poly"], list):
-                raise DatasetError("expected_poly must be a list", location=loc)
-            expected = tuple(
-                parse_rational(c, f"{loc}.expected_poly[{k}]")
-                for k, c in enumerate(obj["expected_poly"])
-            )
-        try:
-            out.append(
-                StratumPhaseDatum(
-                    obj["label"], obj["order"], rotation, obj["degree_bound"], expected
-                )
-            )
-        except BadStratum as exc:
-            raise DatasetError(str(exc), code="bad-stratum", location=loc) from None
-    return tuple(out)
 
 
 def onset_threshold(samples, qp: QuasiPolynomial) -> int | None:

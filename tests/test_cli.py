@@ -301,6 +301,37 @@ def test_oracle_check_detects_mutation(capsys, tmp_path):
     assert rows[-1]["dataset"] != rows[-1]["oracle"]
 
 
+def test_oracle_check_coordinate_weight_errors(capsys):
+    for dataset, weights, error in (
+        (CP2S, "1,0;1", "rank-mismatch"),
+        (CP2S, "1;0;-1", "rank-mismatch"),
+        (CP2, "1/2;0", "non-integer-weight"),
+    ):
+        code, out, err = run(capsys, "oracle-check", "--dataset", dataset,
+                             "--m-max", "2", "--coord-weights", weights)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {error}: coordinate weight")
+        assert err.count("\n") == 1
+
+
+def test_unreadable_documents_are_io_errors(capsys, tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    missing = str(tmp_path / "missing.json")
+    for argv, what in (
+        (("validate", "--dataset", str(binary)), "dataset"),
+        (("verify-qr", "--dataset", CP2, "--mu", "0", "--m-max", "12",
+          "--strata", missing), "strata file"),
+        (("weyl-decompose", "--character", missing), "character file"),
+        (("weyl-decompose", "--character", A1_TENSOR, "--root-system",
+          str(binary)), "root system file"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: io-error: cannot read {what} ")
+        assert err.count("\n") == 1
+
+
 def test_oracle_check_vacuous(capsys):
     code, out, err = run(capsys, "oracle-check", "--dataset", CP2,
                          "--m-max", "0")
@@ -348,6 +379,14 @@ def test_weyl_decompose_requires_root_system(capsys, tmp_path):
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {error}:")
         assert err.count("\n") == 1
+    path.write_text(json.dumps({
+        "entries": 3,
+        "root_system": {"simple_roots": [[2]], "cartan_pairing": [[1]]},
+    }))
+    code, out, err = run(capsys, "weyl-decompose", "--character", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: schema-violation: {path}: character file must be "
+                   f"an object with an 'entries' list\n")
 
 
 def test_weyl_decompose_flags_non_invariant(capsys, tmp_path):

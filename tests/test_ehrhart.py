@@ -213,6 +213,10 @@ def test_period_and_degree_errors_are_coded():
         (lambda: QuasiPolynomial(0, ()), "bad-period"),
         (lambda: fit_quasi_polynomial(samples, 0, 1), "bad-period"),
         (lambda: fit_quasi_polynomial(samples, 1, -1), "bad-degree"),
+        (lambda: fit_quasi_polynomial(samples, 1.5, 1), "bad-period"),
+        (lambda: fit_quasi_polynomial(samples, True, 1), "bad-period"),
+        (lambda: fit_quasi_polynomial(samples, 1, 1.5), "bad-degree"),
+        (lambda: fit_quasi_polynomial(samples, 1, True), "bad-degree"),
     ]:
         with pytest.raises(Exception) as err:
             call()

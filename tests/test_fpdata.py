@@ -14,7 +14,7 @@ from locmult import (
     wv,
 )
 from locmult.fpdata import DatasetError
-from locmult.qrverify import parse_strata
+from locmult.fpdata import parse_strata
 
 CP1_DOC = """
 {

@@ -58,6 +58,17 @@ def test_action_spec_validation():
         assert err.value.code == "bad-degree"
 
 
+def test_action_spec_errors_are_coded():
+    for weights, code in (
+        ((), "missing-coord-weights"),
+        ((wv(1), wv(1, 2)), "rank-mismatch"),
+        ((wv(1), wv("1/2")), "non-integer-weight"),
+    ):
+        with pytest.raises(LocmultError) as err:
+            ProjectiveActionSpec(weights, 2)
+        assert err.value.code == code
+
+
 def test_dimension_conservation():
     rng = random.Random(3)
     for _ in range(25):

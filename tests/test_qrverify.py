@@ -16,7 +16,8 @@ from locmult.ehrhart import PhaseFormUnavailable
 from locmult.errors import LocmultError
 from locmult.fpdata import DatasetError
 from locmult.poly import make
-from locmult.qrverify import BadStratum, StructureViolated, parse_strata
+from locmult.fpdata import BadStratum, parse_strata
+from locmult.qrverify import StructureViolated
 
 FREE = StratumPhaseDatum("free", 1, Fraction(0), 1)
 EVEN = StratumPhaseDatum("e", 1, Fraction(0), 1)
@@ -37,6 +38,9 @@ def test_stratum_validation():
     s = StratumPhaseDatum("s", 4, "3/4", 2, expected_poly=(1, 0))
     assert s.rotation == Fraction(3, 4)
     assert s.expected_poly == make([1])
+    for bound in ("1", True, 1.5):
+        with pytest.raises(BadStratum, match="degree_bound must be an integer"):
+            StratumPhaseDatum("s", 1, Fraction(0), bound)
 
 
 def test_parse_strata():
