@@ -39,6 +39,12 @@ class PhaseFormUnavailable(LocmultError):
     code = "phase-form-unavailable"
 
 
+def _check_period(period, what: str = "period") -> None:
+    """Raise bad-period unless period is a positive int (bools refused)."""
+    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
+        raise LocmultError(f"{what} must be a positive integer", code="bad-period")
+
+
 @dataclass(frozen=True)
 class QuasiPolynomial:
     """Residue-class polynomial family of a fixed period."""
@@ -47,8 +53,7 @@ class QuasiPolynomial:
     residue_polys: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if self.period < 1:
-            raise LocmultError("period must be a positive integer", code="bad-period")
+        _check_period(self.period)
         polys = tuple(poly.normalize(q) for q in self.residue_polys)
         if len(polys) != self.period:
             raise LocmultError("need exactly one residue polynomial per class")
@@ -73,8 +78,7 @@ def fit_quasi_polynomial(samples, period: int, degree: int) -> QuasiPolynomial:
     the polynomial down and the surplus cross-checks it.  Any sample
     the candidate fails to reproduce raises FitVerificationError.
     """
-    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
-        raise LocmultError("period must be a positive integer", code="bad-period")
+    _check_period(period)
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise LocmultError("degree must be an integer", code="bad-degree")
     if degree < 0:
@@ -119,8 +123,7 @@ def _divisors(n: int) -> list[int]:
 
 def minimal_period(samples, k_max: int, degree: int) -> tuple[int, QuasiPolynomial]:
     """Smallest divisor of k_max whose fit reproduces all samples."""
-    if k_max < 1:
-        raise LocmultError("k_max must be a positive integer")
+    _check_period(k_max, "k_max")
     samples = list(samples)
     for k in _divisors(k_max):
         try:

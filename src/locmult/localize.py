@@ -9,12 +9,15 @@ multiplicity is then a signed sum, over the fixed points, of
 coefficients of prod 1/(1 - t^a) over the polarized columns a.  One
 kernel, `_expand`, computes those coefficients: it truncates the
 product at an eta-level, which is exact because every polarized column
-pairs positively with eta.  A whole table (`character_table`) is read
-off one expansion per fixed point; a series in m (`multiplicity_series`)
-expands each fixed point once, up to the highest level its targets
-reach in the range, and reads each m off by lookup; `multiplicity` is
-the same at a single m, and `count_partitions` reads one coefficient.
-The results are independent of eta; tests exercise this.
+pairs positively with eta, and multiplies in one column at a time by
+sweeping each line v + k*a once from its lowest term (the coin-change
+recurrence), so every term of the expansion is stored once per column.
+A whole table (`character_table`) is read off one expansion per fixed
+point; a series in m (`multiplicity_series`) expands each fixed point
+once, up to the highest level its targets reach in the range, and
+reads each m off by lookup; `multiplicity` is the same at a single m,
+and `count_partitions` reads one coefficient.  The results are
+independent of eta; tests exercise this.
 
 The kernel reads WeightVector coordinates directly: lattice data gives
 int tuples, and a rational weight or eta gives Fraction entries, which
@@ -210,18 +213,31 @@ def count_partitions(problem: PartitionProblem) -> int:
 def _expand(cols: list[tuple], eta: tuple, level) -> dict[tuple, int]:
     """Terms t^v of prod_a 1/(1 - t^a) with <v, eta> <= level, as
     {v: coefficient}.  Every column pairs positively with eta, so the
-    truncated terms are exactly those with a larger eta-level."""
+    truncated terms are exactly those with a larger eta-level.
+
+    Multiplying by 1/(1 - t^a) is the coin-change recurrence
+    nxt[v] = terms[v] + nxt[v - a], so each line v + k*a is swept once,
+    upward from its lowest term, and every output term is stored once.
+    Terms are visited in increasing eta-level, so the first one met on
+    a line is its lowest; the levels ride along with the terms.
+    """
     terms = {(0,) * len(eta): 1} if level >= 0 else {}
+    levels = [(0, v) for v in terms]
     for a in cols:
         step = _dot(a, eta)
         nxt: dict[tuple, int] = {}
-        for v, c in terms.items():
-            lvl = _dot(v, eta)
+        swept = []
+        for lvl, v in sorted(levels):
+            if v in nxt:
+                continue
+            c = 0
             while lvl <= level:
-                nxt[v] = nxt.get(v, 0) + c
+                c += terms.get(v, 0)
+                nxt[v] = c
+                swept.append((lvl, v))
                 v = tuple(x + y for x, y in zip(v, a))
                 lvl += step
-        terms = nxt
+        terms, levels = nxt, swept
     return terms
 
 
@@ -236,10 +252,12 @@ class CharacterTable:
                 w = WeightVector(tuple(w))
             if not w.is_integral():
                 raise ComputationError(f"character weight {w} is not a lattice point")
-            c = Fraction(c)
-            if c.denominator != 1:
-                raise ComputationError(f"non-integer multiplicity {c} at {w}")
-            acc[w] = acc.get(w, 0) + int(c)
+            if type(c) is not int:
+                c = Fraction(c)
+                if c.denominator != 1:
+                    raise ComputationError(f"non-integer multiplicity {c} at {w}")
+                c = int(c)
+            acc[w] = acc.get(w, 0) + c
         self._table = {w: c for w, c in acc.items() if c != 0}
 
     def __getitem__(self, w: WeightVector) -> int:
@@ -299,7 +317,8 @@ def _check_power(m):
 def _check_rank(ds: LocalizationDataset, mu: WeightVector):
     if len(mu.coords) != ds.rank:
         raise ComputationError(
-            f"weight rank {len(mu.coords)} differs from dataset rank {ds.rank}"
+            f"weight rank {len(mu.coords)} differs from dataset rank {ds.rank}",
+            code="rank-mismatch",
         )
 
 

@@ -97,6 +97,15 @@ def test_mult_bad_mu(capsys):
     assert err.startswith("error: bad-flag:")
 
 
+def test_mu_of_wrong_rank_is_rank_mismatch(capsys):
+    for argv in (("mult", "--mu", "0", "--m", "2"),
+                 ("series", "--mu", "0", "--m-range", "1..3")):
+        code, out, err = run(capsys, argv[0], "--dataset", CP2S, *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == ("error: rank-mismatch: weight rank 1 differs from "
+                       "dataset rank 2\n")
+
+
 def test_character(capsys):
     code, out, err = run(capsys, "character", "--dataset", CP1, "--m", "2")
     assert code == 0

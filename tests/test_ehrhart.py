@@ -217,6 +217,10 @@ def test_period_and_degree_errors_are_coded():
         (lambda: fit_quasi_polynomial(samples, True, 1), "bad-period"),
         (lambda: fit_quasi_polynomial(samples, 1, 1.5), "bad-degree"),
         (lambda: fit_quasi_polynomial(samples, 1, True), "bad-degree"),
+        (lambda: minimal_period(samples, 1.5, 1), "bad-period"),
+        (lambda: minimal_period(samples, 0, 1), "bad-period"),
+        (lambda: QuasiPolynomial(1.5, ((1,),)), "bad-period"),
+        (lambda: QuasiPolynomial(True, ((1,),)), "bad-period"),
     ]:
         with pytest.raises(Exception) as err:
             call()

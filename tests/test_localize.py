@@ -145,6 +145,15 @@ def test_multiplicity_validates_input(cp1):
         multiplicity(cp1, wv(0, 0), 2)  # rank mismatch
 
 
+def test_rank_mismatch_is_coded(cp1):
+    for call in (lambda: multiplicity(cp1, wv(0, 0), 2),
+                 lambda: multiplicity_series(cp1, wv(0, 0), 1, 3)):
+        with pytest.raises(ComputationError) as err:
+            call()
+        assert err.value.code == "rank-mismatch"
+        assert str(err.value) == "weight rank 2 differs from dataset rank 1"
+
+
 def test_character_table_examples(cp1, cp2_weighted):
     assert character_table(cp1, 2) == CharacterTable(
         {wv(0): 1, wv(1): 1, wv(2): 1}
@@ -173,6 +182,15 @@ def test_character_table_type():
     assert t.scale(0) == CharacterTable()
     assert t.total() == 2
     assert t.support() == (wv(1),)
+
+
+def test_character_table_multiplicities_are_ints():
+    t = CharacterTable([(wv(0), 2), (wv(1), Fraction(4, 2)), (wv(2), "3")])
+    assert [type(c) for _, c in t.items()] == [int, int, int]
+    assert t == CharacterTable({wv(0): 2, wv(1): 2, wv(2): 3})
+    with pytest.raises(ComputationError) as err:
+        CharacterTable([(wv(1), Fraction(3, 2))])
+    assert str(err.value) == "non-integer multiplicity 3/2 at 1"
 
 
 def test_multiplicity_series_examples(cp1, cp2_weighted):
@@ -471,3 +489,68 @@ def test_series_expands_once_per_fixed_point(cp2_weighted, monkeypatch):
     series = multiplicity_series(cp2_weighted, wv(0), 1, 100)
     assert series[-1] == (100, 51)
     assert len(calls) == len(cp2_weighted.fixed_points) == 3
+
+
+def brute_expansion(cols, eta, level):
+    """Terms of prod 1/(1 - t^a) up to an eta-level, by enumerating every
+    multiplicity vector k of the columns."""
+    out = {}
+
+    def walk(j, v, lvl):
+        if j == len(cols):
+            out[v] = out.get(v, 0) + 1
+            return
+        step = sum(x * e for x, e in zip(cols[j], eta))
+        while lvl <= level:
+            walk(j + 1, v, lvl)
+            v = tuple(x + y for x, y in zip(v, cols[j]))
+            lvl += step
+
+    if level >= 0:
+        walk(0, (0,) * len(eta), 0)
+    return out
+
+
+def test_expand_matches_brute_enumeration():
+    from locmult.localize import _expand
+
+    rng = random.Random(8)
+    checked = 0
+    while checked < 300:
+        rank = rng.randint(1, 3)
+        eta = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(rank))
+        cols = []
+        for _ in range(rng.randint(1, rank + 3)):
+            a = tuple(rng.randint(-2, 3) for _ in range(rank))
+            p = sum(x * e for x, e in zip(a, eta))
+            if p:
+                cols.append(a if p > 0 else tuple(-x for x in a))
+        if not cols:
+            continue
+        step = min(sum(x * e for x, e in zip(a, eta)) for a in cols)
+        level = step * Fraction(rng.randint(-2, 24), rng.randint(2, 3))
+        assert _expand(cols, eta, level) == brute_expansion(cols, eta, level), (
+            cols, eta, level)
+        checked += 1
+    # lines of the last column start at gaps left by the earlier ones
+    for cols, eta, level in (
+        ([(2,), (3,), (1,)], (1,), 15),
+        ([(2,), (3,), (1,)], (Fraction(1, 3),), Fraction(11, 2)),
+        ([(3,), (2,), (5,)], (1,), 20),
+        ([(2, 0), (0, 3), (1, 1)], (Fraction(1, 2), 1), 9),
+    ):
+        assert _expand(cols, eta, level) == brute_expansion(cols, eta, level)
+
+
+def test_deep_rank_one_counts_match_closed_form(cp2_weighted):
+    # 1 + m//2 at weight 0; the expansion has O(m) terms, one store each
+    assert multiplicity(cp2_weighted, wv(0), 4000) == 1 + 4000 // 2
+    series = multiplicity_series(cp2_weighted, wv(0), 1, 2000)
+    assert series[-1] == (2000, 1 + 2000 // 2)
+
+
+def test_count_partitions_six_columns_rank_three():
+    e1, e2, e3 = wv(1, 0, 0), wv(0, 1, 0), wv(0, 0, 1)
+    cols = (e1, e2, e3, e1 + e2, e2 + e3, e1 + e3)
+    assert count_partitions(PartitionProblem(cols, wv(12, 12, 12))) == 616
