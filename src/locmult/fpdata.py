@@ -352,9 +352,10 @@ def parse_root_system(obj, rank, location) -> RootSystem:
     try:
         return generate_weyl_group(roots, table)
     except LocmultError as exc:
-        raise DatasetError(
-            str(exc), code="root-system-invalid", location=location
-        ) from None
+        code = exc.code
+        if code != "non-orthogonal-root-system":  # a valid group keeps its code
+            code = "root-system-invalid"
+        raise DatasetError(str(exc), code=code, location=location) from None
 
 
 def load_dataset(text: str) -> LocalizationDataset:

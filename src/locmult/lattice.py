@@ -6,8 +6,11 @@ an eta certificate), so lattice points are plain int tuples throughout.
 Systems are solved by Gaussian elimination over the rationals, and Weyl
 groups are generated as integer matrix groups.
 The pairing used throughout is the coordinate dot product, so root
-systems must be presented in a basis where that pairing cuts out the
-intended chambers (orthogonal realizations of the classical series do).
+systems must be presented in a basis where that pairing is Weyl
+invariant, as orthogonal realizations of the classical series are;
+`generate_weyl_group` refuses any other (non-orthogonal-root-system).
+Then 2*delta pairs nonzero with every root, and w(delta) - delta is a
+lattice point for every Weyl element w.
 """
 
 from __future__ import annotations
@@ -234,7 +237,8 @@ def generate_weyl_group(
 
     cartan_pairing row i is the coroot of simple root i as a lattice
     functional; reflection i sends v to v - <v, coroot_i> * root_i.
-    Raises NotReflectionGroup if closure exceeds element_cap.
+    Raises NotReflectionGroup if closure exceeds element_cap, and
+    non-orthogonal-root-system unless every row is 2 * root / <root, root>.
     """
     roots = tuple(simple_roots)
     if not roots:
@@ -290,6 +294,14 @@ def generate_weyl_group(
                             f"(closure exceeds {element_cap} elements)"
                         )
         frontier = nxt
+    for i, (a, row) in enumerate(zip(roots, table)):
+        norm = pairing(a, a)
+        if any(x * norm != 2 * c for x, c in zip(row, a.coords)):
+            raise LatticeError(
+                f"cartan row {i} is not 2 * root / <root, root>: the "
+                "coordinate pairing is not Weyl invariant",
+                code="non-orthogonal-root-system",
+            )
 
     orbit = {w.apply(a) for w in elements.values() for a in roots}
     root_matrix = [[a.coords[r] for a in roots] for r in range(p)]

@@ -13,10 +13,12 @@ pairs positively with eta, and multiplies in one column at a time by
 sweeping each line v + k*a once from its lowest term (the coin-change
 recurrence), so every term of the expansion is stored once per column.
 A whole table (`character_table`) is read off one expansion per fixed
-point; a series in m (`multiplicity_series`) expands each fixed point
-once, up to the highest level its targets reach in the range, and
-reads each m off by lookup; `multiplicity` is the same at a single m,
-and `count_partitions` reads one coefficient.  The results are
+point, truncated at the lowest eta-level of the weight polytope (the
+Weyl side truncates at the dominant chamber instead); a series in m
+(`multiplicity_series`) expands each fixed point once, up to the
+highest level its targets reach in the range, and reads each m off by
+lookup; `multiplicity` is the same at a single m, and
+`count_partitions` reads one coefficient.  The results are
 independent of eta; tests exercise this.
 
 The kernel reads WeightVector coordinates directly: lattice data gives
@@ -416,23 +418,44 @@ def character_table(
 ) -> CharacterTable:
     """Full character of the m-th power as a weight/multiplicity table.
 
-    The support lies in the convex hull of the scaled fiber weights, so
-    their integer bounding box holds every entry.  Each fixed point adds
-    its sign and coefficient times one expansion of prod 1/(1 - t^a')
-    over its polarized columns a', placed at the apex m*fiber - shift
-    and truncated at the lowest eta-level of the box; the sum is
-    clipped to the box.
+    Expanded along -eta, the term of a fixed point F starts at
+    eta-level <m*J_F, eta> or above, so no weight of the character lies
+    below the lowest vertex m*J_F of its weight polytope: the expansions
+    along eta are truncated at that level (see `_character_sums`).
     """
     _check_power(m)
     if eta is None:
         eta = generic_direction(ds)
+    floor = min(m * _dot(fp.fiber_weight.coords, eta.coords)
+                for fp in ds.fixed_points)
+    q, acc = _character_sums(ds, m, eta, floor)
+    entries = []
+    for key in sorted(acc):
+        w = WeightVector(key)
+        if w.is_integral():  # rational normal weights reach off-lattice points
+            entries.append((w, _exact(acc[key], q, w)))
+    return CharacterTable(entries)
+
+
+def _character_sums(
+    ds: LocalizationDataset, m: int, eta: WeightVector, floor
+) -> tuple[int, dict[tuple, int]]:
+    """q and q times the m-th power character at every weight of
+    eta-level floor or more, as {coords: value}; floor must be at most
+    the lowest level the caller reads.
+
+    The support lies in the convex hull of the scaled fiber weights, so
+    their integer bounding box holds every entry.  Each fixed point adds
+    its sign and coefficient times one expansion of prod 1/(1 - t^a')
+    over its polarized columns a', placed at the apex m*fiber - shift
+    and truncated at floor; the sum is clipped to the box.
+    """
     q, points = _polarized(ds, eta)
     e = eta.coords
     corners = [tuple(m * x for x in fiber) for _, fiber, _, _ in points]
     lo = [min(c[i] for c in corners) for i in range(ds.rank)]
     hi = [max(c[i] for c in corners) for i in range(ds.rank)]
-    floor = sum(min(a * x, b * x) for a, b, x in zip(lo, hi, e))
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[tuple, int] = {}
     for coef, fiber, shift, cols in points:
         scale = _at_power(coef, m)
         apex = tuple(m * j - s for j, s in zip(fiber, shift))
@@ -440,12 +463,7 @@ def character_table(
             mu = tuple(x - y for x, y in zip(apex, v))
             if all(a <= x <= b for a, x, b in zip(lo, mu, hi)):
                 acc[mu] = acc.get(mu, 0) + scale * n
-    entries = []
-    for key in sorted(acc):
-        w = WeightVector(key)
-        if w.is_integral():  # rational normal weights reach off-lattice points
-            entries.append((w, _exact(acc[key], q, w)))
-    return CharacterTable(entries)
+    return q, acc
 
 
 def multiplicity_series(

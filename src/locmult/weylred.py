@@ -4,10 +4,16 @@ decomposition of invariant characters.
 An irreducible character is the localization formula on the flag
 variety G/T (the Weyl character formula): one fixed point per Weyl
 element w, with fiber weight w(lam) and normal weights w(beta) over the
-positive roots beta.  `character_table` of that dataset at m = 1 is the
-character, so torus datasets and Weyl characters share one engine.
-Decomposition inverts it by the alternating sum over translated weights
-w(lam + delta) - delta, with delta half the sum of the positive roots.
+positive roots beta, so torus datasets and Weyl characters share one
+engine.  The character is W-invariant, so only its dominant chamber is
+computed: the dataset is expanded along 2*delta, the sum of the
+positive roots, which pairs nonzero with every root, truncated at
+level 0, below which no dominant weight lies, and each dominant entry
+is spread over its W-orbit.  Decomposition inverts it by the
+alternating sum over the dot action w(lam + delta) - delta, with delta
+half the sum of the positive roots.  That is w(lam) + (w(delta) -
+delta), and the offsets w(delta) - delta are lattice points, so the
+reduction runs on int coordinate tuples.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass
 
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
-from .lattice import RootSystem, WeightVector, is_dominant
-from .localize import CharacterTable, character_table
+from .lattice import LatticeError, RootSystem, WeightVector, is_dominant
+from .localize import CharacterTable, _character_sums, _dot
 
 
 class NonDominantWeight(LocmultError):
@@ -60,12 +66,42 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
         raise NonDominantWeight(f"highest weight {lam} is not a lattice point")
     if not is_dominant(lam, rs):
         raise NonDominantWeight(f"highest weight {lam} is not dominant")
-    return character_table(flag_dataset(rs, lam), 1)
+    positive = [b.coords for b in rs.positive_roots]
+    zero = (0,) * rs.rank
+    # flag data has unit coefficients, so the common denominator is 1
+    _, acc = _character_sums(flag_dataset(rs, lam), 1, 2 * rs.delta, 0)
+    entries = {}
+    for mu, n in acc.items():
+        if n and all(_dot(mu, b) >= 0 for b in positive):
+            for w in rs.weyl_elements:
+                entries[_apply(w.matrix, mu, zero)] = n
+    return CharacterTable(entries)
+
+
+def _apply(matrix, v: tuple, offset: tuple) -> tuple:
+    """matrix @ v + offset on int coordinate tuples."""
+    return tuple(_dot(row, v) + o for row, o in zip(matrix, offset))
+
+
+def _lattice_table(chi: CharacterTable, rs: RootSystem) -> dict[tuple, int]:
+    """chi as {coords: multiplicity}; every weight must have the rank of rs."""
+    table = {}
+    for mu, c in chi.items():
+        if mu.rank != rs.rank:
+            raise LatticeError(
+                f"element of rank {rs.rank} applied to rank {mu.rank}",
+                code="rank-mismatch",
+            )
+        table[mu.coords] = c
+    return table
 
 
 def is_w_invariant(chi: CharacterTable, rs: RootSystem) -> bool:
+    table = _lattice_table(chi, rs)
+    zero = (0,) * rs.rank
     return all(
-        chi[w.apply(mu)] == c for mu, c in chi.items() for w in rs.weyl_elements
+        table.get(_apply(w.matrix, mu, zero), 0) == c
+        for mu, c in table.items() for w in rs.weyl_elements
     )
 
 
@@ -77,22 +113,23 @@ def decompose_character(chi: CharacterTable, rs: RootSystem) -> DecompositionRes
     non-invariant input; both are reported, not raised.
     """
     invariant = is_w_invariant(chi, rs)
+    table = _lattice_table(chi, rs)
+    positive = [b.coords for b in rs.positive_roots]
     delta = rs.delta
+    elements = [(w.sign, w.matrix, (w.apply(delta) - delta).coords)
+                for w in rs.weyl_elements]
     candidates = set()
-    for mu, _ in chi.items():
-        for w in rs.weyl_elements:
-            cand = w.apply(mu + delta) - delta
-            if cand.is_integral() and is_dominant(cand, rs):
-                candidates.add(cand)
+    for mu in table:
+        for _, matrix, offset in elements:
+            lam = _apply(matrix, mu, offset)
+            if all(_dot(lam, b) >= 0 for b in positive):
+                candidates.add(lam)
     mults: dict[WeightVector, int] = {}
-    for lam in sorted(candidates, key=lambda v: v.coords):
-        n = 0
-        for w in rs.weyl_elements:
-            probe = w.apply(lam + delta) - delta
-            if probe.is_integral():
-                n += w.sign * chi[probe]
+    for lam in sorted(candidates):
+        n = sum(sign * table.get(_apply(matrix, lam, offset), 0)
+                for sign, matrix, offset in elements)
         if n:
-            mults[lam] = n
+            mults[WeightVector(lam)] = n
     residual = chi
     for lam, n in mults.items():
         residual = residual - irreducible_character(rs, lam).scale(n)

@@ -398,6 +398,34 @@ def test_weyl_decompose_requires_root_system(capsys, tmp_path):
                    f"an object with an 'entries' list\n")
 
 
+def test_weyl_decompose_refuses_non_orthogonal_root_system(capsys, tmp_path):
+    chi_path, rs_path = tmp_path / "chi.json", tmp_path / "rs.json"
+    chi_path.write_text(json.dumps(
+        {"entries": [{"weight": [2, 2], "multiplicity": 1}]}
+    ))
+    rs_path.write_text(json.dumps(
+        {"simple_roots": [[2, -1], [-1, 2]], "cartan_pairing": [[1, 0], [0, 1]]}
+    ))
+    code, out, err = run(capsys, "weyl-decompose", "--character", str(chi_path),
+                         "--root-system", str(rs_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: non-orthogonal-root-system:")
+    assert err.count("\n") == 1
+
+
+def test_weyl_decompose_weight_of_wrong_rank(capsys, tmp_path):
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps({
+        "entries": [{"weight": [], "multiplicity": 1}],
+        "root_system": {"simple_roots": [[1, -1], [0, 1]],
+                        "cartan_pairing": [[1, -1], [0, 2]]},
+    }))
+    code, out, err = run(capsys, "weyl-decompose", "--character", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: rank-mismatch:")
+    assert err.count("\n") == 1
+
+
 def test_weyl_decompose_flags_non_invariant(capsys, tmp_path):
     path = tmp_path / "chi.json"
     path.write_text(json.dumps({

@@ -188,6 +188,15 @@ def test_infinite_group_hits_cap():
         )
 
 
+def test_non_orthogonal_presentation_is_refused():
+    # A2 with the simple roots in the basis of fundamental weights: a
+    # finite group of order 6, but the coordinate pairing is not Weyl
+    # invariant, so it would cut out the wrong dominant chamber
+    with pytest.raises(LatticeError) as err:
+        generate_weyl_group((wv(2, -1), wv(-1, 2)), [[1, 0], [0, 1]])
+    assert err.value.code == "non-orthogonal-root-system"
+
+
 def test_weight_vector_hash_and_repr():
     assert len({wv(1, 2), wv(1, 2), wv(2, 1)}) == 2
     assert repr(wv(1, -2)) == "WeightVector(1, -2)"

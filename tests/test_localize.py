@@ -22,6 +22,7 @@ from locmult import (
     wv,
     zero_vector,
 )
+from locmult.fpdata import FixedPointDatum, LocalizationDataset
 from locmult.localize import ComputationError, EtaNotGeneric, NotPointed
 
 
@@ -489,6 +490,36 @@ def test_series_expands_once_per_fixed_point(cp2_weighted, monkeypatch):
     series = multiplicity_series(cp2_weighted, wv(0), 1, 100)
     assert series[-1] == (100, 51)
     assert len(calls) == len(cp2_weighted.fixed_points) == 3
+
+
+def test_character_table_expands_down_to_the_polytope(
+    cp2_standard, cp3_standard, monkeypatch
+):
+    """A deterministic work counter: the terms of every expansion that a
+    table makes, cut at the lowest vertex of the weight polytope.  With
+    every weight negated the character is the original one reflected."""
+    from locmult import localize
+
+    terms = []
+    original = localize._expand
+
+    def counting(*args):
+        result = original(*args)
+        terms.append(len(result))
+        return result
+
+    monkeypatch.setattr(localize, "_expand", counting)
+    for ds, m, work in ((cp3_standard, 6, 966), (cp2_standard, 10, 176)):
+        negated = LocalizationDataset(ds.rank, [
+            FixedPointDatum(fp.label, -fp.fiber_weight,
+                            tuple(-a for a in fp.normal_weights))
+            for fp in ds.fixed_points
+        ])
+        terms.clear()
+        table = character_table(negated, m)
+        assert sum(terms) == work
+        assert table == CharacterTable(
+            (-w, c) for w, c in character_table(ds, m).items())
 
 
 def brute_expansion(cols, eta, level):

@@ -19,6 +19,7 @@ from locmult import (
     tensor,
     wv,
 )
+from locmult.lattice import LatticeError
 from locmult.weylred import NonDominantWeight, is_w_invariant
 
 
@@ -222,3 +223,32 @@ def test_tensor_examples(a1):
     chi = CharacterTable({wv(3): 2, wv(-1): 5})
     assert tensor(chi, CharacterTable({wv(0): 1})) == chi
 
+
+
+def test_rank_mismatch_is_coded(b2):
+    for chi in (CharacterTable({wv(1): 1}), CharacterTable({wv(): 1}),
+                CharacterTable({wv(0, 0): 1, wv(5): 1})):
+        for call in (decompose_character, is_w_invariant):
+            with pytest.raises(LatticeError) as err:
+                call(chi, b2)
+            assert err.value.code == "rank-mismatch"
+
+
+def test_irreducible_expands_the_dominant_chamber_only(a2, b2, monkeypatch):
+    """A deterministic work counter: the terms of every expansion that
+    an irreducible character makes, cut at level 0 along 2*delta."""
+    from locmult import localize
+
+    terms = []
+    original = localize._expand
+
+    def counting(*args):
+        result = original(*args)
+        terms.append(len(result))
+        return result
+
+    monkeypatch.setattr(localize, "_expand", counting)
+    for rs, lam, dim, work in ((a2, wv(4, 2, 0), 27, 21), (b2, wv(3, 3), 84, 99)):
+        terms.clear()
+        assert irreducible_character(rs, lam).total() == dim
+        assert sum(terms) == work
