@@ -2,7 +2,8 @@
 
 Everything is exact: a WeightVector keeps an integral coordinate as an
 int and any other as a Fraction (weights may be rational, e.g. delta or
-an eta certificate), so lattice points are plain int tuples throughout.
+an eta certificate), so lattice points are plain int tuples throughout;
+a float is refused (inexact-number).
 Systems are solved by Gaussian elimination over the rationals, and Weyl
 groups are generated as integer matrix groups.
 The pairing used throughout is the coordinate dot product, so root
@@ -77,6 +78,11 @@ class WeightVector:
 def _coordinate(c) -> int | Fraction:
     if type(c) is int:
         return c
+    if isinstance(c, float):
+        raise LatticeError(
+            f"inexact number {c!r}: use an int, a Fraction or a 'p/q' string",
+            code="inexact-number",
+        )
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

@@ -14,10 +14,11 @@ sweeping each line v + k*a once from its lowest term (the coin-change
 recurrence), so every term of the expansion is stored once per column.
 A whole table (`character_table`) is read off one expansion per fixed
 point, truncated at the lowest eta-level of the weight polytope (the
-Weyl side truncates at the dominant chamber instead); a series in m
+Weyl side truncates at the dominant chamber instead), and the sums
+off the polytope are exact zeros, so nothing is clipped; a series in m
 (`multiplicity_series`) expands each fixed point once, up to the
 highest level its targets reach in the range, and reads each m off by
-lookup; `multiplicity` is the same at a single m, and
+lookup; `multiplicity` is the one-power fixed-mode series, and
 `count_partitions` reads one coefficient.  The results are
 independent of eta; tests exercise this.
 
@@ -35,7 +36,9 @@ from typing import Iterable, Mapping
 
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
-from .lattice import WeightVector, pairing, pick_generic_direction, zero_vector
+from .lattice import (
+    WeightVector, _coordinate, pairing, pick_generic_direction, zero_vector,
+)
 
 MODE_FIXED = "fixed"
 MODE_SCALED = "scaled"
@@ -255,10 +258,9 @@ class CharacterTable:
             if not w.is_integral():
                 raise ComputationError(f"character weight {w} is not a lattice point")
             if type(c) is not int:
-                c = Fraction(c)
-                if c.denominator != 1:
+                c = _coordinate(c)
+                if type(c) is not int:
                     raise ComputationError(f"non-integer multiplicity {c} at {w}")
-                c = int(c)
             acc[w] = acc.get(w, 0) + c
         self._table = {w: c for w, c in acc.items() if c != 0}
 
@@ -316,14 +318,6 @@ def _check_power(m):
         raise ComputationError(f"power m must be a positive integer, got {m!r}")
 
 
-def _check_rank(ds: LocalizationDataset, mu: WeightVector):
-    if len(mu.coords) != ds.rank:
-        raise ComputationError(
-            f"weight rank {len(mu.coords)} differs from dataset rank {ds.rank}",
-            code="rank-mismatch",
-        )
-
-
 def _polarized(ds: LocalizationDataset, eta: WeightVector):
     """Polarize every fixed point once.
 
@@ -335,6 +329,12 @@ def _polarized(ds: LocalizationDataset, eta: WeightVector):
     q = math.lcm(*(c.denominator for fp in ds.fixed_points for c in fp.coefficient))
     points = []
     for fp in ds.fixed_points:
+        if fp.fiber_weight.rank != ds.rank:
+            raise ComputationError(
+                f"fiber weight {fp.fiber_weight} at {fp.label!r} has rank "
+                f"{fp.fiber_weight.rank}, not the dataset rank {ds.rank}",
+                code="rank-mismatch",
+            )
         pol = polarize(fp, eta)
         points.append((
             [(-1) ** pol.sign_count * c.numerator * (q // c.denominator)
@@ -375,7 +375,6 @@ def _plan(
     of its levels at m_from and m_to, and each m is one lookup per
     fixed point.
     """
-    _check_rank(ds, mu)
     q, points = _polarized(ds, eta)
     e, base = eta.coords, mu.coords
 
@@ -403,14 +402,9 @@ def multiplicity(
     ds: LocalizationDataset, mu: WeightVector, m: int,
     eta: WeightVector | None = None,
 ) -> int:
-    """Multiplicity of the weight mu in the m-th power character."""
-    _check_power(m)
-    _check_rank(ds, mu)
-    if not mu.is_integral():
-        raise ComputationError(f"weight {mu} is not a lattice point")
-    if eta is None:
-        eta = generic_direction(ds)
-    return _plan(ds, mu, eta, m, m, scaled=False)(m)
+    """Multiplicity of the weight mu in the m-th power character: the
+    one-power fixed-mode series."""
+    return multiplicity_series(ds, mu, m, m, MODE_FIXED, eta)[0][1]
 
 
 def character_table(
@@ -430,7 +424,7 @@ def character_table(
                 for fp in ds.fixed_points)
     q, acc = _character_sums(ds, m, eta, floor)
     entries = []
-    for key in sorted(acc):
+    for key in sorted(key for key, n in acc.items() if n):
         w = WeightVector(key)
         if w.is_integral():  # rational normal weights reach off-lattice points
             entries.append((w, _exact(acc[key], q, w)))
@@ -444,25 +438,21 @@ def _character_sums(
     eta-level floor or more, as {coords: value}; floor must be at most
     the lowest level the caller reads.
 
-    The support lies in the convex hull of the scaled fiber weights, so
-    their integer bounding box holds every entry.  Each fixed point adds
-    its sign and coefficient times one expansion of prod 1/(1 - t^a')
-    over its polarized columns a', placed at the apex m*fiber - shift
-    and truncated at floor; the sum is clipped to the box.
+    Each fixed point adds its sign and coefficient times one expansion
+    of prod 1/(1 - t^a') over its polarized columns a', placed at the
+    apex m*fiber - shift and complete down to floor, so every value is
+    exact: off the convex hull of the scaled fiber weights (the weight
+    polytope) the values are exact zeros, which the callers skip.
     """
     q, points = _polarized(ds, eta)
     e = eta.coords
-    corners = [tuple(m * x for x in fiber) for _, fiber, _, _ in points]
-    lo = [min(c[i] for c in corners) for i in range(ds.rank)]
-    hi = [max(c[i] for c in corners) for i in range(ds.rank)]
     acc: dict[tuple, int] = {}
     for coef, fiber, shift, cols in points:
         scale = _at_power(coef, m)
         apex = tuple(m * j - s for j, s in zip(fiber, shift))
         for v, n in _expand(cols, e, _dot(apex, e) - floor).items():
             mu = tuple(x - y for x, y in zip(apex, v))
-            if all(a <= x <= b for a, x, b in zip(lo, mu, hi)):
-                acc[mu] = acc.get(mu, 0) + scale * n
+            acc[mu] = acc.get(mu, 0) + scale * n
     return q, acc
 
 
@@ -477,8 +467,10 @@ def multiplicity_series(
     """Multiplicities for m in [m_from, m_to], at mu (fixed mode) or at
     m*mu (scaled mode).
 
-    One plan serves the whole range: each fixed point is polarized and
-    expanded once, and each m is then one lookup per fixed point.
+    The rank of mu, then the lattice condition for the whole range, is
+    checked before anything is planned.  One plan serves the whole
+    range: each fixed point is polarized and expanded once, and each m
+    is then one lookup per fixed point.
     """
     if mode not in (MODE_FIXED, MODE_SCALED):
         raise ComputationError(f"unknown mode {mode!r}", code="bad-mode")
@@ -487,22 +479,23 @@ def multiplicity_series(
         raise ComputationError(f"power m_to must be an integer, got {m_to!r}")
     if m_to < m_from:
         raise ComputationError("empty power range")
+    if mu.rank != ds.rank:
+        raise ComputationError(
+            f"weight rank {mu.rank} differs from dataset rank {ds.rank}",
+            code="rank-mismatch",
+        )
+    scaled = mode == MODE_SCALED
+    # m*mu is a lattice point exactly when q divides m: with q > 1 only a
+    # single scaled power that q divides passes
+    q = math.lcm(*(c.denominator for c in mu.coords))
+    if q > 1 and not (scaled and m_from % q == 0 and m_to == m_from):
+        m = m_from + (m_from % q == 0)  # the first power that fails
+        raise ComputationError(
+            f"scaled weight {m}*({mu}) is not a lattice point" if scaled
+            else f"weight {mu} is not a lattice point",
+            code="non-lattice-weight",
+        )
     if eta is None:
         eta = generic_direction(ds)
-    scaled = mode == MODE_SCALED
-    # m*mu is a lattice point exactly when q divides m
-    q = math.lcm(*(c.denominator for c in mu.coords))
-    # with q > 1 the lattice check fails at m_from + 1: plan m_from only
-    last = m_to if q == 1 else m_from
-    at = None
-    out = []
-    for m in range(m_from, m_to + 1):
-        if q > 1 and not (scaled and m % q == 0):
-            raise ComputationError(
-                f"scaled weight {m}*({mu}) is not a lattice point",
-                code="non-lattice-weight",
-            )
-        # planned after the first lattice check, which must raise first
-        at = at or _plan(ds, mu, eta, m_from, last, scaled)
-        out.append((m, at(m)))
-    return out
+    at = _plan(ds, mu, eta, m_from, m_to, scaled)
+    return [(m, at(m)) for m in range(m_from, m_to + 1)]

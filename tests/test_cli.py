@@ -480,3 +480,19 @@ def test_missing_required_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mult", "--dataset", CP2, "--m", "4"])
     assert exc.value.code == 2
+
+
+def test_off_lattice_mu_is_one_refusal(capsys):
+    fixed = "error: non-lattice-weight: weight 1/2 is not a lattice point\n"
+    for argv in (("mult", "--m", "2"),
+                 ("series", "--m-range", "1..3", "--mode", "fixed")):
+        assert run(capsys, *argv, "--dataset", CP1, "--mu", "1/2") == (1, "", fixed)
+    assert run(capsys, "series", "--dataset", CP1, "--mu", "1/2",
+               "--m-range", "1..3") == (
+        1, "", "error: non-lattice-weight: scaled weight 1*(1/2) is not a lattice point\n")
+    # off the lattice and of the wrong rank: the rank is checked first
+    for argv in (("mult", "--m", "2"), ("series", "--m-range", "1..3"),
+                 ("series", "--m-range", "1..3", "--mode", "fixed")):
+        code, out, err = run(capsys, *argv, "--dataset", CP1, "--mu", "1/2,1/3")
+        assert (code, out) == (1, "")
+        assert err == "error: rank-mismatch: weight rank 2 differs from dataset rank 1\n"

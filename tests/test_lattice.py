@@ -63,12 +63,16 @@ def test_weight_vector_arithmetic():
 def test_integral_coordinates_are_ints(a2):
     """The constructor keeps an integral coordinate as int and any other
     as Fraction, with the value the input had."""
-    w = WeightVector((3, Fraction(4, 2), True, "6/3", 2.0))
-    assert w.coords == (3, 2, 1, 2, 2)
+    w = WeightVector((3, Fraction(4, 2), True, "6/3"))
+    assert w.coords == (3, 2, 1, 2)
     assert all(type(c) is int for c in w.coords)
-    r = WeightVector((Fraction(1, 2), "-2/6", 0.25))
-    assert r.coords == (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4))
+    r = WeightVector((Fraction(1, 2), "-2/6"))
+    assert r.coords == (Fraction(1, 2), Fraction(-1, 3))
     assert all(type(c) is Fraction for c in r.coords)
+    for inexact in (2.0, 0.25):
+        with pytest.raises(LatticeError) as err:
+            WeightVector((1, inexact))
+        assert err.value.code == "inexact-number"
     assert (Fraction(1, 2) * wv(2, 4)).coords == (1, 2)
     assert type((Fraction(1, 2) * wv(2, 4)).coords[0]) is int
     assert type(pairing(wv(1, 2), wv(3, 1))) is int

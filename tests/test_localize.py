@@ -585,3 +585,99 @@ def test_count_partitions_six_columns_rank_three():
     e1, e2, e3 = wv(1, 0, 0), wv(0, 1, 0), wv(0, 0, 1)
     cols = (e1, e2, e3, e1 + e2, e2 + e3, e1 + e3)
     assert count_partitions(PartitionProblem(cols, wv(12, 12, 12))) == 616
+
+
+def test_fiber_of_wrong_rank_is_refused(cp2_standard):
+    """A dataset built in code, which no loader checked, with one fiber
+    weight longer or shorter than the dataset rank."""
+    first, *rest = cp2_standard.fixed_points
+    for fiber in (wv(1, 0, 7), wv(1)):
+        bad = LocalizationDataset(cp2_standard.rank, [
+            FixedPointDatum(first.label, fiber, first.normal_weights), *rest
+        ])
+        for call in (lambda: character_table(bad, 2),
+                     lambda: multiplicity(bad, wv(1, 0), 2),
+                     lambda: multiplicity_series(bad, wv(1, 0), 1, 3)):
+            with pytest.raises(ComputationError) as err:
+                call()
+            assert err.value.code == "rank-mismatch"
+            assert str(err.value) == (
+                f"fiber weight {fiber} at 'P0' has rank {fiber.rank}, "
+                "not the dataset rank 2")
+
+
+def test_floats_are_refused():
+    from locmult.lattice import LatticeError
+
+    for call in (lambda: wv(0.1), lambda: 0.5 * wv(1),
+                 lambda: CharacterTable([(wv(1), 2.0)])):
+        with pytest.raises(LatticeError) as err:
+            call()
+        assert err.value.code == "inexact-number"
+
+
+def test_off_lattice_mu_is_one_refusal(cp1):
+    """multiplicity is the one-power fixed-mode series, so both refuse an
+    off-lattice weight alike; the rank is checked before the lattice."""
+    half = wv(Fraction(1, 2))
+    for call in (lambda: multiplicity(cp1, half, 2),
+                 lambda: multiplicity_series(cp1, half, 1, 3, mode="fixed")):
+        with pytest.raises(ComputationError) as err:
+            call()
+        assert err.value.code == "non-lattice-weight"
+        assert str(err.value) == "weight 1/2 is not a lattice point"
+    # scaled: 2*(1/2) is a lattice point, 3*(1/2) is the first that is not
+    assert multiplicity_series(cp1, half, 2, 2) == [(2, multiplicity(cp1, wv(1), 2))]
+    for m_from, m_to, first in ((1, 1, 1), (2, 4, 3), (3, 4, 3)):
+        with pytest.raises(ComputationError) as err:
+            multiplicity_series(cp1, half, m_from, m_to)
+        assert str(err.value) == f"scaled weight {first}*(1/2) is not a lattice point"
+    for mode in ("fixed", "scaled"):
+        with pytest.raises(ComputationError) as err:
+            multiplicity_series(cp1, wv(Fraction(1, 2), 0), 1, 3, mode=mode)
+        assert err.value.code == "rank-mismatch"
+
+
+def _box(points):
+    """The integer bounding box of some int tuples, as (lo, hi) pairs."""
+    return [(min(c), max(c)) for c in zip(*points)]
+
+
+def _in_box(mu, box):
+    return all(lo <= x <= hi for x, (lo, hi) in zip(mu, box))
+
+
+def test_character_sums_vanish_off_the_box(
+    cp1, cp2_weighted, cp2_standard, cp3_standard, a2
+):
+    """The table needs no box clip: each expansion is complete down to the
+    floor, so every sum off the weight polytope is an exact zero."""
+    from locmult import generate_weyl_group
+    from locmult.localize import _character_sums, _dot
+    from locmult.weylred import flag_dataset
+
+    q = Fraction
+    rational = {1: wv(q(3, 4)), 2: wv(q(1, 2), q(5, 3)),
+                3: wv(q(1, 2), q(4, 3), q(7, 2))}
+    for ds in (cp1, cp2_weighted, cp2_standard, cp3_standard):
+        coord_weights = tuple(wv(*map(int, w.split(",")))
+                              for w in ds.metadata["coord_weights"].split(";"))
+        for eta in (generic_direction(ds), rational[ds.rank]):
+            for m in (1, 2, 3, 4):
+                fibers = [tuple(m * x for x in fp.fiber_weight.coords)
+                          for fp in ds.fixed_points]
+                floor = min(_dot(f, eta.coords) for f in fibers)
+                _, acc = _character_sums(ds, m, eta, floor)
+                box = _box(fibers)
+                assert all(_in_box(mu, box) for mu, n in acc.items() if n)
+                assert character_table(ds, m, eta) == monomial_character(
+                    ProjectiveActionSpec(coord_weights, m))
+    b2 = generate_weyl_group((wv(1, -1), wv(0, 1)), [[1, -1], [0, 2]])
+    for rs, lam in ((a2, wv(1, 0, 0)), (a2, wv(2, 1, 0)), (a2, wv(4, 2, 0)),
+                    (a2, wv(1, 0, -1)), (b2, wv(1, 0)), (b2, wv(2, 1)),
+                    (b2, wv(3, 3))):
+        flags = flag_dataset(rs, lam)
+        _, acc = _character_sums(flags, 1, 2 * rs.delta, 0)
+        box = _box([fp.fiber_weight.coords for fp in flags.fixed_points])
+        assert any(acc.values())
+        assert all(_in_box(mu, box) for mu, n in acc.items() if n)
