@@ -24,10 +24,9 @@ from .fpdata import (
     load_root_system_file,
     load_strata_file,
     parse_root_system,
-    rational_from_text,
     validate,
 )
-from .lattice import WeightVector
+from .lattice import WeightVector, rational_from_text
 from .localize import (
     CharacterTable,
     character_table,

@@ -20,14 +20,15 @@ that cannot be read is an `io-error`.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
 from . import poly
 from .errors import LocmultError
-from .lattice import RootSystem, WeightVector, generate_weyl_group
+from .lattice import (
+    RootSystem, WeightVector, generate_weyl_group, rational_from_text,
+)
 
 
 def _is_int(value) -> bool:
@@ -207,20 +208,6 @@ def _parse_weight(value, rank, location) -> WeightVector:
             location=location,
         )
     return WeightVector(coords)
-
-
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def rational_from_text(text: str) -> Fraction | None:
-    """An integer or "p/q" string as a Fraction; None for anything else,
-    decimals, exponents and zero denominators included."""
-    if _RATIONAL.fullmatch(text):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            pass
-    return None
 
 
 def parse_rational(value, location) -> Fraction:

@@ -3,7 +3,9 @@
 Everything is exact: a WeightVector keeps an integral coordinate as an
 int and any other as a Fraction (weights may be rational, e.g. delta or
 an eta certificate), so lattice points are plain int tuples throughout;
-a float is refused (inexact-number).
+a float is refused (inexact-number), and so is any other value that
+is not an int, a Fraction or an integer-or-"p/q" string (bad-number),
+the grammar of the documents and the CLI.
 Systems are solved by Gaussian elimination over the rationals, and Weyl
 groups are generated as integer matrix groups.
 The pairing used throughout is the coordinate dot product, so root
@@ -16,6 +18,7 @@ lattice point for every Weyl element w.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -75,16 +78,33 @@ class WeightVector:
         return ",".join(str(c) for c in self.coords)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def rational_from_text(text: str) -> Fraction | None:
+    """An integer or "p/q" string as a Fraction; None for anything else,
+    decimals, exponents and zero denominators included."""
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    return None
+
+
 def _coordinate(c) -> int | Fraction:
+    """An int, a Fraction or an integer-or-"p/q" string as an exact
+    number: an int when integral, else a Fraction."""
     if type(c) is int:
         return c
-    if isinstance(c, float):
+    q = rational_from_text(c) if isinstance(c, str) else c
+    if not isinstance(q, (int, Fraction)):
+        kind = "inexact" if isinstance(c, float) else "bad"
         raise LatticeError(
-            f"inexact number {c!r}: use an int, a Fraction or a 'p/q' string",
-            code="inexact-number",
+            f"{kind} number {c!r}: use an int, a Fraction or a 'p/q' string",
+            code=f"{kind}-number",
         )
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    return q.numerator if q.denominator == 1 else q
 
 
 def wv(*coords) -> WeightVector:

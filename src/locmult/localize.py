@@ -13,9 +13,10 @@ pairs positively with eta, and multiplies in one column at a time by
 sweeping each line v + k*a once from its lowest term (the coin-change
 recurrence), so every term of the expansion is stored once per column.
 A whole table (`character_table`) is read off one expansion per fixed
-point, truncated at the lowest eta-level of the weight polytope (the
-Weyl side truncates at the dominant chamber instead), and the sums
-off the polytope are exact zeros, so nothing is clipped; a series in m
+point, truncated at the lowest eta-level of the weight polytope, and
+the sums off the polytope are exact zeros, so nothing is clipped (an
+irreducible Weyl character, in `weylred`, is one expansion over the
+positive roots read by Kostant's formula); a series in m
 (`multiplicity_series`) expands each fixed point once, up to the
 highest level its targets reach in the range, and reads each m off by
 lookup; `multiplicity` is the one-power fixed-mode series, and
@@ -412,40 +413,20 @@ def character_table(
 ) -> CharacterTable:
     """Full character of the m-th power as a weight/multiplicity table.
 
-    Expanded along -eta, the term of a fixed point F starts at
+    Each fixed point F adds its sign and coefficient times one expansion
+    of prod 1/(1 - t^a') over its polarized columns a', placed at the
+    apex m*J_F - shift_F.  Expanded along -eta, the term of F starts at
     eta-level <m*J_F, eta> or above, so no weight of the character lies
     below the lowest vertex m*J_F of its weight polytope: the expansions
-    along eta are truncated at that level (see `_character_sums`).
+    along eta are complete down to that level, so every sum is exact and
+    the sums off the polytope are exact zeros, which are skipped.
     """
     _check_power(m)
     if eta is None:
         eta = generic_direction(ds)
-    floor = min(m * _dot(fp.fiber_weight.coords, eta.coords)
-                for fp in ds.fixed_points)
-    q, acc = _character_sums(ds, m, eta, floor)
-    entries = []
-    for key in sorted(key for key, n in acc.items() if n):
-        w = WeightVector(key)
-        if w.is_integral():  # rational normal weights reach off-lattice points
-            entries.append((w, _exact(acc[key], q, w)))
-    return CharacterTable(entries)
-
-
-def _character_sums(
-    ds: LocalizationDataset, m: int, eta: WeightVector, floor
-) -> tuple[int, dict[tuple, int]]:
-    """q and q times the m-th power character at every weight of
-    eta-level floor or more, as {coords: value}; floor must be at most
-    the lowest level the caller reads.
-
-    Each fixed point adds its sign and coefficient times one expansion
-    of prod 1/(1 - t^a') over its polarized columns a', placed at the
-    apex m*fiber - shift and complete down to floor, so every value is
-    exact: off the convex hull of the scaled fiber weights (the weight
-    polytope) the values are exact zeros, which the callers skip.
-    """
-    q, points = _polarized(ds, eta)
     e = eta.coords
+    floor = min(m * _dot(fp.fiber_weight.coords, e) for fp in ds.fixed_points)
+    q, points = _polarized(ds, eta)
     acc: dict[tuple, int] = {}
     for coef, fiber, shift, cols in points:
         scale = _at_power(coef, m)
@@ -453,7 +434,12 @@ def _character_sums(
         for v, n in _expand(cols, e, _dot(apex, e) - floor).items():
             mu = tuple(x - y for x, y in zip(apex, v))
             acc[mu] = acc.get(mu, 0) + scale * n
-    return q, acc
+    entries = []
+    for key in sorted(key for key, n in acc.items() if n):
+        w = WeightVector(key)
+        if w.is_integral():  # rational normal weights reach off-lattice points
+            entries.append((w, _exact(acc[key], q, w)))
+    return CharacterTable(entries)
 
 
 def multiplicity_series(

@@ -2,18 +2,18 @@
 decomposition of invariant characters.
 
 An irreducible character is the localization formula on the flag
-variety G/T (the Weyl character formula): one fixed point per Weyl
-element w, with fiber weight w(lam) and normal weights w(beta) over the
-positive roots beta, so torus datasets and Weyl characters share one
-engine.  The character is W-invariant, so only its dominant chamber is
-computed: the dataset is expanded along 2*delta, the sum of the
-positive roots, which pairs nonzero with every root, truncated at
-level 0, below which no dominant weight lies, and each dominant entry
-is spread over its W-orbit.  Decomposition inverts it by the
-alternating sum over the dot action w(lam + delta) - delta, with delta
-half the sum of the positive roots.  That is w(lam) + (w(delta) -
-delta), and the offsets w(delta) - delta are lattice points, so the
-reduction runs on int coordinate tuples.
+variety G/T, whose fixed-point data `flag_dataset` gives.  Polarized
+along 2*delta, the sum of the positive roots, every fixed point w has
+the positive roots as its columns and its apex at the dot action
+w(lam + delta) - delta, so the formula is Kostant's: the multiplicity
+of mu is sum_w sign(w) P(w(lam + delta) - delta - mu), with P the
+partition function of the positive roots.  P is one expansion cut at
+the level of lam, which bounds every apex, while every dominant weight
+lies at level 0 or above; only dominant weights are read, and each is
+spread over its W-orbit.  Decomposition inverts the character by the
+same alternating sum.  The dot action is w(lam) + (w(delta) - delta),
+and the offsets w(delta) - delta are lattice points, so both run on
+int coordinate tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
 from .lattice import LatticeError, RootSystem, WeightVector, is_dominant
-from .localize import CharacterTable, _character_sums, _dot
+from .localize import CharacterTable, _dot, _expand
 
 
 class NonDominantWeight(LocmultError):
@@ -67,15 +67,28 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
     if not is_dominant(lam, rs):
         raise NonDominantWeight(f"highest weight {lam} is not dominant")
     positive = [b.coords for b in rs.positive_roots]
+    eta, top = (2 * rs.delta).coords, lam.coords
+    kostant = _expand(positive, eta, _dot(top, eta))
+    apexes = [(sign, _apply(matrix, top, offset))
+              for sign, matrix, offset in _dot_action(rs)]
     zero = (0,) * rs.rank
-    # flag data has unit coefficients, so the common denominator is 1
-    _, acc = _character_sums(flag_dataset(rs, lam), 1, 2 * rs.delta, 0)
     entries = {}
-    for mu, n in acc.items():
-        if n and all(_dot(mu, b) >= 0 for b in positive):
+    for v in kostant:
+        mu = tuple(x - y for x, y in zip(top, v))
+        # v is a sum of positive roots, so a dominant mu is a weight: n > 0
+        if all(_dot(mu, b) >= 0 for b in positive):
+            n = sum(sign * kostant.get(tuple(x - y for x, y in zip(apex, mu)), 0)
+                    for sign, apex in apexes)
             for w in rs.weyl_elements:
                 entries[_apply(w.matrix, mu, zero)] = n
     return CharacterTable(entries)
+
+
+def _dot_action(rs: RootSystem) -> list[tuple[int, tuple, tuple]]:
+    """(sign, matrix, w(delta) - delta) for every Weyl element w, so
+    that w(mu + delta) - delta is _apply(matrix, mu, offset)."""
+    return [(w.sign, w.matrix, (w.apply(rs.delta) - rs.delta).coords)
+            for w in rs.weyl_elements]
 
 
 def _apply(matrix, v: tuple, offset: tuple) -> tuple:
@@ -115,9 +128,7 @@ def decompose_character(chi: CharacterTable, rs: RootSystem) -> DecompositionRes
     invariant = is_w_invariant(chi, rs)
     table = _lattice_table(chi, rs)
     positive = [b.coords for b in rs.positive_roots]
-    delta = rs.delta
-    elements = [(w.sign, w.matrix, (w.apply(delta) - delta).coords)
-                for w in rs.weyl_elements]
+    elements = _dot_action(rs)
     candidates = set()
     for mu in table:
         for _, matrix, offset in elements:
@@ -130,9 +141,9 @@ def decompose_character(chi: CharacterTable, rs: RootSystem) -> DecompositionRes
                 for sign, matrix, offset in elements)
         if n:
             mults[WeightVector(lam)] = n
-    residual = chi
-    for lam, n in mults.items():
-        residual = residual - irreducible_character(rs, lam).scale(n)
+    residual = CharacterTable(chi.items() + [
+        (w, -n * c) for lam, n in mults.items()
+        for w, c in irreducible_character(rs, lam).items()])
     return DecompositionResult(mults, residual, invariant)
 
 

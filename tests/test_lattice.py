@@ -87,6 +87,20 @@ def test_integral_coordinates_are_ints(a2):
         assert all(type(c) is int for c in image.coords)
 
 
+def test_library_numbers_follow_the_document_grammar():
+    """A coordinate or multiplicity is an int, a Fraction or an
+    integer-or-"p/q" string, as in the documents and CLI flags; any
+    other value is one coded refusal."""
+    from locmult import CharacterTable
+
+    for call in (lambda: wv("0.25"), lambda: wv("1e1"),
+                 lambda: CharacterTable([(wv(1), "2.0")]),
+                 lambda: wv("abc"), lambda: wv("1/0"), lambda: wv(None)):
+        with pytest.raises(LatticeError) as err:
+            call()
+        assert err.value.code == "bad-number"
+
+
 def test_pick_generic_direction_examples():
     assert pick_generic_direction([wv(1), wv(-1)], 1) == wv(1)
     assert pick_generic_direction([wv(1, 0), wv(0, 1), wv(1, -1)], 2) == wv(1, 2)

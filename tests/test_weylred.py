@@ -10,17 +10,19 @@ import pytest
 from locmult import (
     CharacterTable,
     PartitionProblem,
+    character_table,
     count_partitions,
     decompose_character,
     find_certificate,
     generate_weyl_group,
     irreducible_character,
+    is_dominant,
     pairing,
     tensor,
     wv,
 )
 from locmult.lattice import LatticeError
-from locmult.weylred import NonDominantWeight, is_w_invariant
+from locmult.weylred import NonDominantWeight, flag_dataset, is_w_invariant
 
 
 def a1_irrep(a):
@@ -75,10 +77,31 @@ def weyl_dimension(rs, lam):
                      for b in rs.positive_roots)
 
 
+def type_a(n):
+    """A_n on Z^(n+1): simple roots e_i - e_(i+1)."""
+    roots = [wv(*(1 if k == i else -1 if k == i + 1 else 0
+                  for k in range(n + 1))) for i in range(n)]
+    return generate_weyl_group(roots, [r.coords for r in roots])
+
+
+def type_b(n):
+    """B_n on Z^n: simple roots e_i - e_(i+1) and the short root e_n."""
+    long = [wv(*(1 if k == i else -1 if k == i + 1 else 0 for k in range(n)))
+            for i in range(n - 1)]
+    short = wv(*(0,) * (n - 1), 1)
+    return generate_weyl_group(long + [short],
+                               [r.coords for r in long] + [(2 * short).coords])
+
+
 @pytest.fixture(scope="module")
 def b2():
     # the B2 realization of the benchmark generator: short root (0, 1)
     return generate_weyl_group((wv(1, -1), wv(0, 1)), [[1, -1], [0, 2]])
+
+
+@pytest.fixture(scope="module")
+def b4():
+    return type_b(4)
 
 
 def test_irreducible_matches_kostant_sum(a1, a1xa1, a2, b2):
@@ -91,12 +114,17 @@ def test_irreducible_matches_kostant_sum(a1, a1xa1, a2, b2):
         assert irreducible_character(rs, lam) == kostant_character(rs, lam), lam
 
 
-def test_irreducible_dimension_formula(a1xa1, a2, b2):
+def test_irreducible_dimension_formula(a1xa1, a2, b2, b4):
     assert irreducible_character(b2, wv(3, 1)).total() == 81
     assert irreducible_character(a2, 2 * a2.delta).total() == 27
     cases = [(a1xa1, wv(a, b)) for a in range(4) for b in range(4)]
     cases += [(a2, wv(a, b, 0)) for a in range(6) for b in range(a + 1)]
     cases += [(b2, wv(a, b)) for a in range(5) for b in range(a + 1)]
+    large = ((type_a(3), wv(10, 5, 2, 0), 5460), (type_b(3), wv(7, 4, 2), 175560),
+             (type_a(4), wv(4, 3, 2, 1, 0), 1024), (b4, wv(3, 2, 1, 0), 9009))
+    for rs, lam, dim in large:
+        assert weyl_dimension(rs, lam) == dim
+        cases.append((rs, lam))
     for rs, lam in cases:
         assert irreducible_character(rs, lam).total() == weyl_dimension(rs, lam)
 
@@ -234,21 +262,40 @@ def test_rank_mismatch_is_coded(b2):
             assert err.value.code == "rank-mismatch"
 
 
-def test_irreducible_expands_the_dominant_chamber_only(a2, b2, monkeypatch):
-    """A deterministic work counter: the terms of every expansion that
-    an irreducible character makes, cut at level 0 along 2*delta."""
-    from locmult import localize
+def test_irreducible_expands_the_dominant_chamber_only(a2, b2, b4, monkeypatch):
+    """A deterministic work counter: an irreducible character makes one
+    expansion, over the positive roots along 2*delta, cut at the level
+    of its highest weight."""
+    from locmult import weylred
 
     terms = []
-    original = localize._expand
+    original = weylred._expand
 
     def counting(*args):
         result = original(*args)
         terms.append(len(result))
         return result
 
-    monkeypatch.setattr(localize, "_expand", counting)
-    for rs, lam, dim, work in ((a2, wv(4, 2, 0), 27, 21), (b2, wv(3, 3), 84, 99)):
+    monkeypatch.setattr(weylred, "_expand", counting)
+    for rs, lam, dim, work in ((a2, wv(4, 2, 0), 27, 15), (b2, wv(3, 3), 84, 49),
+                               (b4, wv(3, 2, 1, 0), 9009, 10830)):
         terms.clear()
         assert irreducible_character(rs, lam).total() == dim
-        assert sum(terms) == work
+        assert len(terms) == 1
+        assert terms[0] == work
+
+
+def test_irreducible_matches_flag_variety_localization(a1, a1xa1, a2, b2):
+    """Kostant's formula against the torus engine on the G/T fixed-point
+    data at a generic eta, for every dominant weight with coordinates in
+    -1..5."""
+    c2 = generate_weyl_group((wv(1, -1), wv(0, 2)), [[1, -1], [0, 1]])
+    count = 0
+    for rs in (a1, a1xa1, a2, b2, c2):
+        for coords in itertools.product(range(-1, 6), repeat=rs.rank):
+            lam = wv(*coords)
+            if is_dominant(lam, rs):
+                count += 1
+                assert irreducible_character(rs, lam) == character_table(
+                    flag_dataset(rs, lam), 1), lam
+    assert count == 168
