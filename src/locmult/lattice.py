@@ -13,13 +13,20 @@ systems must be presented in a basis where that pairing is Weyl
 invariant, as orthogonal realizations of the classical series are;
 `generate_weyl_group` refuses any other (non-orthogonal-root-system).
 Then 2*delta pairs nonzero with every root, and w(delta) - delta is a
-lattice point for every Weyl element w.
+lattice point for every Weyl element w.  An integer matrix orthogonal
+for the coordinate pairing is a signed permutation, so
+`RootSystem.dot_action` keeps each w as its sign, the one nonzero
+(column, +-1) of each row and the offset w(delta) - delta, computed on
+ints as (w(2*delta) - 2*delta) / 2 once per root system; the dot
+action w(mu + delta) - delta is then one multiply and one add per
+coordinate.  `WeylElement.apply` stays the Fraction-path reference.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -237,6 +244,23 @@ class RootSystem:
     def order(self) -> int:
         return len(self.weyl_elements)
 
+    @cached_property
+    def dot_action(self) -> tuple[tuple[int, tuple, tuple], ...]:
+        """(sign, rows, offset) for every Weyl element w, in the order of
+        weyl_elements: rows holds the one nonzero (column, +-1) of each
+        row of w's matrix, a signed permutation, and offset is
+        w(delta) - delta, so w(mu + delta) - delta is
+        tuple(c * mu[k] + o for (k, c), o in zip(rows, offset))."""
+        two_delta = (2 * self.delta).coords
+        action = []
+        for w in self.weyl_elements:
+            rows = tuple(next((k, c) for k, c in enumerate(row) if c)
+                         for row in w.matrix)
+            offset = tuple((c * two_delta[k] - d) // 2
+                           for (k, c), d in zip(rows, two_delta))
+            action.append((w.sign, rows, offset))
+        return tuple(action)
+
 
 def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -262,7 +286,9 @@ def generate_weyl_group(
     """Close the simple reflections into a finite matrix group.
 
     cartan_pairing row i is the coroot of simple root i as a lattice
-    functional; reflection i sends v to v - <v, coroot_i> * root_i.
+    functional, with integer entries read like coordinates (cartan-pairing
+    for a non-integer one); reflection i sends v to
+    v - <v, coroot_i> * root_i.
     Raises NotReflectionGroup if closure exceeds element_cap, and
     non-orthogonal-root-system unless every row is 2 * root / <root, root>.
     """
@@ -279,7 +305,13 @@ def generate_weyl_group(
             )
         if a.is_zero():
             raise LatticeError("zero simple root", code="zero-weight")
-    table = tuple(tuple(int(x) for x in row) for row in cartan_pairing)
+    table = tuple(tuple(map(_coordinate, row)) for row in cartan_pairing)
+    rational = next((x for row in table for x in row if type(x) is not int), None)
+    if rational is not None:
+        raise LatticeError(
+            f"cartan pairing entry {rational} is not an integer",
+            code="cartan-pairing",
+        )
     if len(table) != len(roots) or any(len(row) != p for row in table):
         raise LatticeError(
             "cartan pairing table shape does not match the simple roots",

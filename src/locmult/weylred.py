@@ -11,9 +11,15 @@ partition function of the positive roots.  P is one expansion cut at
 the level of lam, which bounds every apex, while every dominant weight
 lies at level 0 or above; only dominant weights are read, and each is
 spread over its W-orbit.  Decomposition inverts the character by the
-same alternating sum.  The dot action is w(lam) + (w(delta) - delta),
-and the offsets w(delta) - delta are lattice points, so both run on
-int coordinate tuples.
+same alternating sum.  Both run on int coordinate tuples with the dot
+action w(mu + delta) - delta = w(mu) + (w(delta) - delta) that
+`RootSystem.dot_action` builds once per root system: every Weyl element
+is a signed permutation of the coordinates, so each coordinate of the
+image is one signed coordinate of mu plus the lattice offset, and the
+orbit spread and the invariance test use the same permutations without
+the offset.  A weight is dominant when it pairs nonnegatively with the
+simple roots, of which every positive root is a nonnegative
+combination, so r pairings decide it instead of |positive roots|.
 """
 
 from __future__ import annotations
@@ -67,33 +73,28 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
     if not is_dominant(lam, rs):
         raise NonDominantWeight(f"highest weight {lam} is not dominant")
     positive = [b.coords for b in rs.positive_roots]
+    simple = [a.coords for a in rs.simple_roots]
     eta, top = (2 * rs.delta).coords, lam.coords
     kostant = _expand(positive, eta, _dot(top, eta))
-    apexes = [(sign, _apply(matrix, top, offset))
-              for sign, matrix, offset in _dot_action(rs)]
+    action = rs.dot_action
+    apexes = [(sign, _apply(rows, top, offset)) for sign, rows, offset in action]
     zero = (0,) * rs.rank
     entries = {}
     for v in kostant:
         mu = tuple(x - y for x, y in zip(top, v))
         # v is a sum of positive roots, so a dominant mu is a weight: n > 0
-        if all(_dot(mu, b) >= 0 for b in positive):
+        if all(_dot(mu, a) >= 0 for a in simple):
             n = sum(sign * kostant.get(tuple(x - y for x, y in zip(apex, mu)), 0)
                     for sign, apex in apexes)
-            for w in rs.weyl_elements:
-                entries[_apply(w.matrix, mu, zero)] = n
+            for _, rows, _ in action:
+                entries[_apply(rows, mu, zero)] = n
     return CharacterTable(entries)
 
 
-def _dot_action(rs: RootSystem) -> list[tuple[int, tuple, tuple]]:
-    """(sign, matrix, w(delta) - delta) for every Weyl element w, so
-    that w(mu + delta) - delta is _apply(matrix, mu, offset)."""
-    return [(w.sign, w.matrix, (w.apply(rs.delta) - rs.delta).coords)
-            for w in rs.weyl_elements]
-
-
-def _apply(matrix, v: tuple, offset: tuple) -> tuple:
-    """matrix @ v + offset on int coordinate tuples."""
-    return tuple(_dot(row, v) + o for row, o in zip(matrix, offset))
+def _apply(rows, v: tuple, offset: tuple) -> tuple:
+    """The signed permutation rows of RootSystem.dot_action applied to
+    v, plus offset, on int coordinate tuples."""
+    return tuple(c * v[k] + o for (k, c), o in zip(rows, offset))
 
 
 def _lattice_table(chi: CharacterTable, rs: RootSystem) -> dict[tuple, int]:
@@ -110,11 +111,14 @@ def _lattice_table(chi: CharacterTable, rs: RootSystem) -> dict[tuple, int]:
 
 
 def is_w_invariant(chi: CharacterTable, rs: RootSystem) -> bool:
-    table = _lattice_table(chi, rs)
+    return _invariant(_lattice_table(chi, rs), rs)
+
+
+def _invariant(table: dict[tuple, int], rs: RootSystem) -> bool:
     zero = (0,) * rs.rank
     return all(
-        table.get(_apply(w.matrix, mu, zero), 0) == c
-        for mu, c in table.items() for w in rs.weyl_elements
+        table.get(_apply(rows, mu, zero), 0) == c
+        for mu, c in table.items() for _, rows, _ in rs.dot_action
     )
 
 
@@ -125,33 +129,39 @@ def decompose_character(chi: CharacterTable, rs: RootSystem) -> DecompositionRes
     The caller decides what to make of a nonempty residual or a
     non-invariant input; both are reported, not raised.
     """
-    invariant = is_w_invariant(chi, rs)
     table = _lattice_table(chi, rs)
-    positive = [b.coords for b in rs.positive_roots]
-    elements = _dot_action(rs)
+    simple = [a.coords for a in rs.simple_roots]
+    action = rs.dot_action
     candidates = set()
     for mu in table:
-        for _, matrix, offset in elements:
-            lam = _apply(matrix, mu, offset)
-            if all(_dot(lam, b) >= 0 for b in positive):
+        for _, rows, offset in action:
+            lam = _apply(rows, mu, offset)
+            if all(_dot(lam, a) >= 0 for a in simple):
                 candidates.add(lam)
     mults: dict[WeightVector, int] = {}
     for lam in sorted(candidates):
-        n = sum(sign * table.get(_apply(matrix, lam, offset), 0)
-                for sign, matrix, offset in elements)
+        n = sum(sign * table.get(_apply(rows, lam, offset), 0)
+                for sign, rows, offset in action)
         if n:
             mults[WeightVector(lam)] = n
     residual = CharacterTable(chi.items() + [
         (w, -n * c) for lam, n in mults.items()
         for w, c in irreducible_character(rs, lam).items()])
-    return DecompositionResult(mults, residual, invariant)
+    return DecompositionResult(mults, residual, _invariant(table, rs))
 
 
 def tensor(a: CharacterTable, b: CharacterTable) -> CharacterTable:
     """Pointwise product of characters: convolution of the tables."""
-    entries: dict[WeightVector, int] = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            key = w1 + w2
+    left = [(w.coords, c) for w, c in a.items()]
+    right = [(w.coords, c) for w, c in b.items()]
+    ranks = {len(w) for w, _ in left + right}
+    if left and right and len(ranks) > 1:
+        raise LatticeError(
+            f"rank mismatch: {min(ranks)} vs {max(ranks)}", code="rank-mismatch"
+        )
+    entries: dict[tuple, int] = {}
+    for w1, c1 in left:
+        for w2, c2 in right:
+            key = tuple(x + y for x, y in zip(w1, w2))
             entries[key] = entries.get(key, 0) + c1 * c2
     return CharacterTable(entries)

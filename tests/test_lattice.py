@@ -198,6 +198,20 @@ def test_cartan_validation():
         generate_weyl_group((wv(2, 0), wv(1, 0)), [[1, 0], [2, 0]])
 
 
+def test_cartan_entries_follow_the_library_grammar(a1):
+    """A cartan entry is read exactly, as a coordinate is: a float, an
+    unreadable value and a non-integer rational are coded refusals, not
+    truncations."""
+    for entry, code in ((1.9, "inexact-number"), (2.0, "inexact-number"),
+                        (Fraction(3, 2), "cartan-pairing"),
+                        ("1/2", "cartan-pairing"), (None, "bad-number")):
+        with pytest.raises(LatticeError) as err:
+            generate_weyl_group((wv(2),), [[entry]])
+        assert err.value.code == code, entry
+    # a bool is an int, taken exactly like wv(True)
+    assert generate_weyl_group((wv(2),), [[True]]) == a1
+
+
 def test_infinite_group_hits_cap():
     # two reflections whose product is a shear: infinite dihedral
     with pytest.raises(NotReflectionGroup):

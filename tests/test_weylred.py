@@ -21,8 +21,8 @@ from locmult import (
     tensor,
     wv,
 )
-from locmult.lattice import LatticeError
-from locmult.weylred import NonDominantWeight, flag_dataset, is_w_invariant
+from locmult.lattice import LatticeError, RootSystem, WeylElement
+from locmult.weylred import NonDominantWeight, _apply, flag_dataset, is_w_invariant
 
 
 def a1_irrep(a):
@@ -260,6 +260,60 @@ def test_rank_mismatch_is_coded(b2):
             with pytest.raises(LatticeError) as err:
                 call(chi, b2)
             assert err.value.code == "rank-mismatch"
+    rank2, rank1 = irreducible_character(b2, wv(1, 0)), CharacterTable({wv(1): 1})
+    for a, b in ((rank2, rank1), (rank1, rank2)):
+        with pytest.raises(LatticeError) as err:
+            tensor(a, b)
+        assert err.value.code == "rank-mismatch"
+
+
+def test_dot_action_matches_the_fraction_path(a1, a1xa1, a2, b2, b4):
+    """The int dot action of every root system against WeylElement.apply:
+    each Weyl matrix is a signed permutation, the stored action is
+    w(v + delta) - delta and the orbit map (zero offset) is w(v), for
+    every weight with coordinates in -2..3; on B4 (384 elements) in
+    -1..1, where the full grid takes half a minute on Fractions."""
+    c2 = generate_weyl_group((wv(1, -1), wv(0, 2)), [[1, -1], [0, 1]])
+    grid = range(-2, 4)
+    systems = ((a1, grid), (a1xa1, grid), (a2, grid), (b2, grid), (c2, grid),
+               (type_a(3), grid), (type_b(3), grid), (b4, range(-1, 2)))
+    for rs, coordinates in systems:
+        assert len(rs.dot_action) == rs.order
+        unit = [0] * (rs.rank - 1) + [1]
+        for w in rs.weyl_elements:
+            for row in itertools.chain(w.matrix, zip(*w.matrix)):
+                assert sorted(map(abs, row)) == unit
+        zero = (0,) * rs.rank
+        for coords in itertools.product(coordinates, repeat=rs.rank):
+            v = wv(*coords)
+            shifted = v + rs.delta
+            for w, (sign, rows, offset) in zip(rs.weyl_elements, rs.dot_action):
+                assert sign == w.sign
+                dot = (w.apply(shifted) - rs.delta).coords
+                assert _apply(rows, coords, offset) == dot
+                assert _apply(rows, coords, zero) == w.apply(v).coords
+
+
+def test_weyl_side_applies_no_matrix(monkeypatch):
+    """A deterministic work counter: once a root system is built, the
+    Weyl side makes no WeylElement.apply call, and it builds the dot
+    action once per root system."""
+    rank2 = generate_weyl_group((wv(1, -1), wv(0, 1)), [[1, -1], [0, 2]])
+    rank4 = type_b(4)
+    applies, builds = [], []
+    apply, build = WeylElement.apply, RootSystem.dot_action.func
+    monkeypatch.setattr(WeylElement, "apply",
+                        lambda w, v: applies.append(v) or apply(w, v))
+    monkeypatch.setattr(RootSystem.dot_action, "func",
+                        lambda rs: builds.append(rs) or build(rs))
+    for rs, lam, low in ((rank2, wv(3, 3), wv(1, 0)),
+                         (rank4, wv(3, 2, 1, 0), wv(1, 0, 0, 0))):
+        chi, small = irreducible_character(rs, lam), irreducible_character(rs, low)
+        assert tensor(chi, small).total() == chi.total() * small.total()
+        assert is_w_invariant(chi, rs)
+        assert decompose_character(tensor(small, small), rs).ok
+    assert applies == []
+    assert builds == [rank2, rank4]
 
 
 def test_irreducible_expands_the_dominant_chamber_only(a2, b2, b4, monkeypatch):
