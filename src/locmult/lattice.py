@@ -6,20 +6,21 @@ an eta certificate), so lattice points are plain int tuples throughout;
 a float is refused (inexact-number), and so is any other value that
 is not an int, a Fraction or an integer-or-"p/q" string (bad-number),
 the grammar of the documents and the CLI.
-Systems are solved by Gaussian elimination over the rationals, and Weyl
-groups are generated as integer matrix groups.
+Systems are solved by Gaussian elimination over the rationals.
 The pairing used throughout is the coordinate dot product, so root
 systems must be presented in a basis where that pairing is Weyl
 invariant, as orthogonal realizations of the classical series are;
-`generate_weyl_group` refuses any other (non-orthogonal-root-system).
+`generate_weyl_group` refuses any other (non-orthogonal-root-system)
+before any closure.  Each simple reflection is then an integer
+orthogonal matrix, a signed permutation, so the Weyl group is finite
+and is closed as signed permutations, as is the root orbit.
 Then 2*delta pairs nonzero with every root, and w(delta) - delta is a
-lattice point for every Weyl element w.  An integer matrix orthogonal
-for the coordinate pairing is a signed permutation, so
-`RootSystem.dot_action` keeps each w as its sign, the one nonzero
-(column, +-1) of each row and the offset w(delta) - delta, computed on
-ints as (w(2*delta) - 2*delta) / 2 once per root system; the dot
-action w(mu + delta) - delta is then one multiply and one add per
-coordinate.  `WeylElement.apply` stays the Fraction-path reference.
+lattice point for every Weyl element w, so `RootSystem.dot_action`
+keeps each w as its sign, its rows (column, +-1) and the offset
+w(delta) - delta, computed on ints as (w(2*delta) - 2*delta) / 2 once
+per root system; the dot action w(mu + delta) - delta is then one
+multiply and one add per coordinate.  `WeylElement.apply` stays the
+Fraction-path reference.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import starmap
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import LocmultError
@@ -213,18 +216,6 @@ class WeylElement:
             tuple(sum(a * c for a, c in zip(row, v.coords)) for row in self.matrix)
         )
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """Matrix product self @ other (apply other first)."""
-        n = len(self.matrix)
-        prod = tuple(
-            tuple(
-                sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return WeylElement(prod, self.sign * other.sign)
-
 
 @dataclass(frozen=True)
 class RootSystem:
@@ -262,35 +253,48 @@ class RootSystem:
         return tuple(action)
 
 
-def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+ELEMENT_CAP = 100_000
 
 
-def _reflection_matrix(root: WeightVector, coroot_row: Sequence[int]):
-    # s(e_k) = e_k - coroot[k] * root, columns assembled into rows.
-    n = len(root.coords)
-    return tuple(
-        tuple(
-            (1 if r == k else 0) - coroot_row[k] * root.coords[r]
-            for k in range(n)
-        )
-        for r in range(n)
-    )
+def _close(points, gens) -> dict[tuple, int]:
+    """{v: parity of a word in gens reaching v} over the orbit of the
+    int tuples points, where generator (cols, signs) sends v to
+    (c * v[k] for k, c in zip(cols, signs)); NotReflectionGroup past
+    ELEMENT_CAP points."""
+    orbit = dict.fromkeys(points, 1)
+    frontier = list(orbit)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            sign = -orbit[v]
+            for cols, signs in gens:
+                u = tuple(map(mul, signs, map(v.__getitem__, cols)))
+                if u not in orbit:
+                    orbit[u] = sign
+                    nxt.append(u)
+                    if len(orbit) > ELEMENT_CAP:
+                        raise NotReflectionGroup(
+                            f"Weyl group closure exceeds {ELEMENT_CAP} elements"
+                        )
+        frontier = nxt
+    return orbit
 
 
 def generate_weyl_group(
     simple_roots: Sequence[WeightVector],
     cartan_pairing: Sequence[Sequence[int]],
-    element_cap: int = 100_000,
 ) -> RootSystem:
-    """Close the simple reflections into a finite matrix group.
+    """Close the simple reflections into a finite group of signed
+    permutations.
 
-    cartan_pairing row i is the coroot of simple root i as a lattice
-    functional, with integer entries read like coordinates (cartan-pairing
-    for a non-integer one); reflection i sends v to
-    v - <v, coroot_i> * root_i.
-    Raises NotReflectionGroup if closure exceeds element_cap, and
-    non-orthogonal-root-system unless every row is 2 * root / <root, root>.
+    cartan_pairing is a list or tuple of rows, each a list or tuple
+    (cartan-shape otherwise); row i is the coroot of simple root i as a
+    lattice functional, with integer entries read like coordinates
+    (cartan-pairing for a non-integer one); reflection i sends v to
+    v - <v, coroot_i> * root_i.  Before any closure every row must be
+    2 * root / <root, root> (non-orthogonal-root-system), which makes
+    each reflection a signed permutation.  Raises NotReflectionGroup if
+    the closure exceeds ELEMENT_CAP elements (type B7 does).
     """
     roots = tuple(simple_roots)
     if not roots:
@@ -305,6 +309,10 @@ def generate_weyl_group(
             )
         if a.is_zero():
             raise LatticeError("zero simple root", code="zero-weight")
+    if not (isinstance(cartan_pairing, (list, tuple))
+            and all(isinstance(row, (list, tuple)) for row in cartan_pairing)):
+        raise LatticeError("cartan pairing rows must be lists or tuples",
+                           code="cartan-shape")
     table = tuple(tuple(map(_coordinate, row)) for row in cartan_pairing)
     rational = next((x for row in table for x in row if type(x) is not int), None)
     if rational is not None:
@@ -331,27 +339,6 @@ def generate_weyl_group(
         raise LatticeError(
             "simple roots are linearly dependent", code="dependent-roots"
         ) from None
-
-    gens = [
-        WeylElement(_reflection_matrix(a, row), -1) for a, row in zip(roots, table)
-    ]
-    ident = WeylElement(_identity_matrix(p), 1)
-    elements = {ident.matrix: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                cand = g.compose(w)
-                if cand.matrix not in elements:
-                    elements[cand.matrix] = cand
-                    nxt.append(cand)
-                    if len(elements) > element_cap:
-                        raise NotReflectionGroup(
-                            f"not a finite reflection group "
-                            f"(closure exceeds {element_cap} elements)"
-                        )
-        frontier = nxt
     for i, (a, row) in enumerate(zip(roots, table)):
         norm = pairing(a, a)
         if any(x * norm != 2 * c for x, c in zip(row, a.coords)):
@@ -361,34 +348,37 @@ def generate_weyl_group(
                 code="non-orthogonal-root-system",
             )
 
-    orbit = {w.apply(a) for w in elements.values() for a in roots}
-    root_matrix = [[a.coords[r] for a in roots] for r in range(p)]
-    positive = []
-    for b in orbit:
-        coeffs = solve_exact(root_matrix, list(b.coords))
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            positive.append(b)
-    positive.sort(key=lambda v: v.coords)
-    half = Fraction(1, 2)
-    delta = zero_vector(p)
-    for b in positive:
-        delta = delta + b
-    delta = delta * half
-    ordered = sorted(elements.values(), key=lambda w: w.matrix)
+    # w is kept as w(base): entry i is c * (k + 1) for the one nonzero
+    # (k, c) of row i of its matrix
+    base = tuple(range(1, p + 1))
+    gens = []
+    for a, row in zip(roots, table):
+        shift = sum(map(mul, base, row))
+        image = [x - shift * y for x, y in zip(base, a.coords)]
+        gens.append((tuple(abs(x) - 1 for x in image),
+                     tuple(1 if x > 0 else -1 for x in image)))
+    elements = _close([base], gens)
+    orbit = _close([a.coords for a in roots], gens)
+    # a root is an integer combination of the simple roots, all of one sign
+    positive = [b for b in sorted(orbit) if min(solve_exact(probe, b)) >= 0]
+    unit = {c * (k + 1): tuple(c if j == k else 0 for j in range(p))
+            for k in range(p) for c in (1, -1)}
+    ordered = sorted((tuple(map(unit.__getitem__, u)), sign)
+                     for u, sign in elements.items())
     return RootSystem(
         simple_roots=roots,
         cartan_pairing=table,
-        positive_roots=tuple(positive),
-        delta=delta,
-        weyl_elements=tuple(ordered),
+        positive_roots=tuple(map(WeightVector, positive)),
+        delta=WeightVector(tuple(Fraction(sum(x), 2) for x in zip(*positive))),
+        weyl_elements=tuple(starmap(WeylElement, ordered)),
     )
 
 
 def is_regular_dominant(mu: WeightVector, rs: RootSystem) -> bool:
-    """Strictly inside the dominant chamber cut out by the positive roots."""
-    return all(pairing(mu, b) > 0 for b in rs.positive_roots)
+    """Strictly inside the dominant chamber, decided on the simple roots."""
+    return all(pairing(mu, a) > 0 for a in rs.simple_roots)
 
 
 def is_dominant(mu: WeightVector, rs: RootSystem) -> bool:
-    """In the closed dominant chamber."""
-    return all(pairing(mu, b) >= 0 for b in rs.positive_roots)
+    """In the closed dominant chamber, decided on the simple roots."""
+    return all(pairing(mu, a) >= 0 for a in rs.simple_roots)

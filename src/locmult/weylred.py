@@ -11,7 +11,9 @@ partition function of the positive roots.  P is one expansion cut at
 the level of lam, which bounds every apex, while every dominant weight
 lies at level 0 or above; only dominant weights are read, and each is
 spread over its W-orbit.  Decomposition inverts the character by the
-same alternating sum.  Both run on int coordinate tuples with the dot
+same alternating sum, in one pass: each weight adds sign(w) times its
+multiplicity to its one dominant dot image w(mu + delta) - delta, if
+it has one.  Both run on int coordinate tuples with the dot
 action w(mu + delta) - delta = w(mu) + (w(delta) - delta) that
 `RootSystem.dot_action` builds once per root system: every Weyl element
 is a signed permutation of the coordinates, so each coordinate of the
@@ -132,18 +134,16 @@ def decompose_character(chi: CharacterTable, rs: RootSystem) -> DecompositionRes
     table = _lattice_table(chi, rs)
     simple = [a.coords for a in rs.simple_roots]
     action = rs.dot_action
-    candidates = set()
-    for mu in table:
-        for _, rows, offset in action:
+    # the dot image of mu is dominant for at most one w (dominant
+    # lam + delta is regular), so each mu adds to one coefficient
+    sums: dict[tuple, int] = {}
+    for mu, c in table.items():
+        for sign, rows, offset in action:
             lam = _apply(rows, mu, offset)
             if all(_dot(lam, a) >= 0 for a in simple):
-                candidates.add(lam)
-    mults: dict[WeightVector, int] = {}
-    for lam in sorted(candidates):
-        n = sum(sign * table.get(_apply(rows, lam, offset), 0)
-                for sign, rows, offset in action)
-        if n:
-            mults[WeightVector(lam)] = n
+                sums[lam] = sums.get(lam, 0) + sign * c
+                break
+    mults = {WeightVector(lam): n for lam, n in sorted(sums.items()) if n}
     residual = CharacterTable(chi.items() + [
         (w, -n * c) for lam, n in mults.items()
         for w, c in irreducible_character(rs, lam).items()])

@@ -413,6 +413,23 @@ def test_weyl_decompose_refuses_non_orthogonal_root_system(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_weyl_decompose_refuses_shear_before_closure(capsys, tmp_path):
+    # reflections in (2, 0) and (-2, 2) whose product is a shear: the
+    # group is infinite, and the presentation is refused as it stands
+    chi_path, rs_path = tmp_path / "chi.json", tmp_path / "rs.json"
+    chi_path.write_text(json.dumps(
+        {"entries": [{"weight": [2, 2], "multiplicity": 1}]}
+    ))
+    rs_path.write_text(json.dumps(
+        {"simple_roots": [[2, 0], [-2, 2]], "cartan_pairing": [[1, 0], [0, 1]]}
+    ))
+    code, out, err = run(capsys, "weyl-decompose", "--character", str(chi_path),
+                         "--root-system", str(rs_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: non-orthogonal-root-system:")
+    assert err.count("\n") == 1
+
+
 def test_weyl_decompose_weight_of_wrong_rank(capsys, tmp_path):
     path = tmp_path / "chi.json"
     path.write_text(json.dumps({

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,21 @@ def test_is_regular_dominant_examples(a1, a2):
     assert not is_regular_dominant(wv(0), a1)
     assert is_regular_dominant(a2.delta, a2)
     assert is_dominant(wv(0), a1)
+    # boundary weights of B2 (short root (0, 1)) and C2 (long root (0, 2))
+    b2 = generate_weyl_group((wv(1, -1), wv(0, 1)), [[1, -1], [0, 2]])
+    c2 = generate_weyl_group((wv(1, -1), wv(0, 2)), [[1, -1], [0, 1]])
+    for rs in (b2, c2):
+        assert is_regular_dominant(rs.delta, rs)
+        assert is_regular_dominant(wv(2, 1), rs)
+        for wall in (wv(1, 0), wv(1, 1), wv(0, 0), wv(Fraction(1, 2), 0)):
+            assert is_dominant(wall, rs) and not is_regular_dominant(wall, rs)
+        for outside in (wv(1, -1), wv(0, 1), wv(2, 3), wv(-1, -2)):
+            assert not is_dominant(outside, rs)
+        # the simple roots decide what all positive roots decide
+        for x, y in itertools.product(range(-3, 4), repeat=2):
+            pairs = [pairing(wv(x, y), b) for b in rs.positive_roots]
+            assert is_dominant(wv(x, y), rs) == all(n >= 0 for n in pairs)
+            assert is_regular_dominant(wv(x, y), rs) == all(n > 0 for n in pairs)
 
 
 def test_cartan_validation():
@@ -212,12 +228,33 @@ def test_cartan_entries_follow_the_library_grammar(a1):
     assert generate_weyl_group((wv(2),), [[True]]) == a1
 
 
+def test_cartan_rows_must_be_lists_or_tuples():
+    """A table or a row that is not a list or tuple is a cartan-shape
+    refusal, not a TypeError or a string read as its characters."""
+    for roots, table in (((wv(2),), [1]), ((wv(2),), [None]), ((wv(2),), 1),
+                         ((wv(2, 0), wv(0, 2)), ["10", "01"]),
+                         ((wv(2, 0), wv(0, 2)), "10")):
+        with pytest.raises(LatticeError) as err:
+            generate_weyl_group(roots, table)
+        assert err.value.code == "cartan-shape", table
+
+
 def test_infinite_group_hits_cap():
-    # two reflections whose product is a shear: infinite dihedral
-    with pytest.raises(NotReflectionGroup):
-        generate_weyl_group(
-            (wv(2, 0), wv(-2, 2)), [[1, 0], [0, 1]], element_cap=64
-        )
+    """Two reflections whose product is a shear generate an infinite
+    dihedral group; that presentation is not orthogonal, so it is
+    refused before any closure.  An orthogonal one is finite, and the
+    cap bounds only its size: type B7, of order 645120, is refused."""
+    with pytest.raises(LatticeError) as err:
+        generate_weyl_group((wv(2, 0), wv(-2, 2)), [[1, 0], [0, 1]])
+    assert err.value.code == "non-orthogonal-root-system"
+    long = [wv(*(1 if k == i else -1 if k == i + 1 else 0 for k in range(7)))
+            for i in range(6)]
+    start = time.perf_counter()
+    with pytest.raises(NotReflectionGroup) as err:
+        generate_weyl_group(long + [wv(0, 0, 0, 0, 0, 0, 1)],
+                            [r.coords for r in long] + [(0, 0, 0, 0, 0, 0, 2)])
+    assert time.perf_counter() - start < 2
+    assert str(err.value) == "Weyl group closure exceeds 100000 elements"
 
 
 def test_non_orthogonal_presentation_is_refused():

@@ -316,6 +316,17 @@ def test_weyl_side_applies_no_matrix(monkeypatch):
     assert builds == [rank2, rank4]
 
 
+def test_generation_applies_no_matrix(monkeypatch):
+    """A deterministic work counter: generating B4 closes the group and
+    the root orbit on signed permutations, with no WeylElement.apply."""
+    applies = []
+    apply = WeylElement.apply
+    monkeypatch.setattr(WeylElement, "apply",
+                        lambda w, v: applies.append(v) or apply(w, v))
+    assert type_b(4).order == 384
+    assert applies == []
+
+
 def test_irreducible_expands_the_dominant_chamber_only(a2, b2, b4, monkeypatch):
     """A deterministic work counter: an irreducible character makes one
     expansion, over the positive roots along 2*delta, cut at the level
