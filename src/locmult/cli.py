@@ -95,8 +95,12 @@ def _weight_json(w: WeightVector) -> list:
     return [_coord_json(c) for c in w.coords]
 
 
-def _emit(obj):
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _emit(*records):
+    """Each record as one JSON line, all in one write."""
+    sys.stdout.write("".join(_ENCODER.encode(r) + "\n" for r in records))
 
 
 def _eta(args):
@@ -156,16 +160,12 @@ def cmd_character(args) -> int:
     ds = load_dataset_file(args.dataset)
     table = character_table(ds, args.m, _eta(args))
     if args.format == "records":
-        for w, n in table.items():
-            _emit(
-                {
-                    "record": "character-entry",
-                    "m": args.m,
-                    "weight": _weight_json(w),
-                    "multiplicity": n,
-                }
-            )
-        _emit({"record": "character-total", "m": args.m, "dimension": table.total()})
+        _emit(
+            *({"record": "character-entry", "m": args.m,
+               "weight": _weight_json(w), "multiplicity": n}
+              for w, n in table.items()),
+            {"record": "character-total", "m": args.m, "dimension": table.total()},
+        )
     else:
         for w, n in table.items():
             print(f"{w}\t{n}")

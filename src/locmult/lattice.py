@@ -243,10 +243,13 @@ class RootSystem:
         w(delta) - delta, so w(mu + delta) - delta is
         tuple(c * mu[k] + o for (k, c), o in zip(rows, offset))."""
         two_delta = (2 * self.delta).coords
+        p = len(two_delta)
+        # a row of a signed permutation is one of 2p unit rows
+        unit = {tuple(c if j == k else 0 for j in range(p)): (k, c)
+                for k in range(p) for c in (1, -1)}
         action = []
         for w in self.weyl_elements:
-            rows = tuple(next((k, c) for k, c in enumerate(row) if c)
-                         for row in w.matrix)
+            rows = tuple(map(unit.__getitem__, w.matrix))
             offset = tuple((c * two_delta[k] - d) // 2
                            for (k, c), d in zip(rows, two_delta))
             action.append((w.sign, rows, offset))

@@ -12,14 +12,16 @@ product at an eta-level, which is exact because every polarized column
 pairs positively with eta, and multiplies in one column at a time by
 sweeping each line v + k*a once from its lowest term (the coin-change
 recurrence), so every term of the expansion is stored once per column.
-A whole table (`character_table`) is read off one expansion per fixed
-point, truncated at the lowest eta-level of the weight polytope, and
-the sums off the polytope are exact zeros, so nothing is clipped (an
-irreducible Weyl character, in `weylred`, is one expansion over the
-positive roots read by Kostant's formula); a series in m
-(`multiplicity_series`) expands each fixed point once, up to the
-highest level its targets reach in the range, and reads each m off by
-lookup; `multiplicity` is the one-power fixed-mode series, and
+A whole table (`character_table`) is read from both sides of the
+middle eta-level of the weight polytope: the sum over the fixed points
+does not depend on the direction of expansion, so each fixed point is
+expanded along eta down to that level and, on the same columns, along
+-eta up to just below it; the sums off the polytope are exact zeros,
+so nothing is clipped (an irreducible Weyl character, in `weylred`, is
+one expansion over the positive roots read by Kostant's formula); a
+series in m (`multiplicity_series`) expands each fixed point once, up
+to the highest level its targets reach in the range, and reads each m
+off by lookup; `multiplicity` is the one-power fixed-mode series, and
 `count_partitions` reads one coefficient.  The results are
 independent of eta; tests exercise this.
 
@@ -265,6 +267,14 @@ class CharacterTable:
             acc[w] = acc.get(w, 0) + c
         self._table = {w: c for w, c in acc.items() if c != 0}
 
+    @classmethod
+    def _unchecked(cls, table: dict[WeightVector, int]) -> "CharacterTable":
+        """The table of the dict itself, whose weights are lattice points
+        with nonzero int multiplicities; nothing is checked."""
+        self = cls.__new__(cls)
+        self._table = table
+        return self
+
     def __getitem__(self, w: WeightVector) -> int:
         return self._table.get(w, 0)
 
@@ -290,7 +300,7 @@ class CharacterTable:
         return tuple(sorted(self._table, key=lambda w: w.coords))
 
     def items(self) -> list[tuple[WeightVector, int]]:
-        return [(w, self._table[w]) for w in self.support()]
+        return sorted(self._table.items(), key=lambda item: item[0].coords)
 
     def total(self) -> int:
         return sum(self._table.values())
@@ -408,38 +418,59 @@ def multiplicity(
     return multiplicity_series(ds, mu, m, m, MODE_FIXED, eta)[0][1]
 
 
+def _below(gap, cols: list[tuple], eta: tuple):
+    """The largest eta-level strictly below gap that a term of
+    prod 1/(1 - t^a) over cols can have: a multiple of 1/D, where D is
+    the lcm of the denominators of the column steps <a, eta>.  An int
+    when D = 1, so that `_expand` compares ints."""
+    d = math.lcm(*(_dot(a, eta).denominator for a in cols))
+    n = -(-gap * d // 1) - 1
+    return n if d == 1 else Fraction(n, d)
+
+
 def character_table(
     ds: LocalizationDataset, m: int, eta: WeightVector | None = None
 ) -> CharacterTable:
     """Full character of the m-th power as a weight/multiplicity table.
 
-    Each fixed point F adds its sign and coefficient times one expansion
-    of prod 1/(1 - t^a') over its polarized columns a', placed at the
-    apex m*J_F - shift_F.  Expanded along -eta, the term of F starts at
-    eta-level <m*J_F, eta> or above, so no weight of the character lies
-    below the lowest vertex m*J_F of its weight polytope: the expansions
-    along eta are complete down to that level, so every sum is exact and
-    the sums off the polytope are exact zeros, which are skipped.
+    The term of fixed point F is sign * coefficient * t^apex / prod
+    (1 - t^-a') over its polarized columns a', with apex m*J_F - shift_F.
+    The sum over F does not depend on the direction of expansion, so the
+    table is read from both sides of `cut`, the middle eta-level of the
+    weight polytope, rounded down.  Along eta, the term is t^apex times
+    t^-v for each term t^v of prod 1/(1 - t^a'); read down to cut, it
+    gives every weight at level cut or above.  Along -eta, it is
+    (-1)^N t^(apex + sum a') / prod (1 - t^a'), the same columns read
+    upward; read up to just below cut, it gives every weight below.
+    Each side is complete on its half, so every sum is exact and the
+    sums off the polytope are exact zeros, which are skipped.
     """
     _check_power(m)
     if eta is None:
         eta = generic_direction(ds)
     e = eta.coords
-    floor = min(m * _dot(fp.fiber_weight.coords, e) for fp in ds.fixed_points)
+    levels = [m * _dot(fp.fiber_weight.coords, e) for fp in ds.fixed_points]
+    cut = (min(levels) + max(levels)) // 2
     q, points = _polarized(ds, eta)
     acc: dict[tuple, int] = {}
     for coef, fiber, shift, cols in points:
         scale = _at_power(coef, m)
         apex = tuple(m * j - s for j, s in zip(fiber, shift))
-        for v, n in _expand(cols, e, _dot(apex, e) - floor).items():
+        for v, n in _expand(cols, e, _dot(apex, e) - cut).items():
             mu = tuple(x - y for x, y in zip(apex, v))
             acc[mu] = acc.get(mu, 0) + scale * n
-    entries = []
-    for key in sorted(key for key, n in acc.items() if n):
-        w = WeightVector(key)
-        if w.is_integral():  # rational normal weights reach off-lattice points
-            entries.append((w, _exact(acc[key], q, w)))
-    return CharacterTable(entries)
+        low = tuple(map(sum, zip(apex, *cols)))
+        scale *= (-1) ** len(cols)
+        for v, n in _expand(cols, e, _below(cut - _dot(low, e), cols, e)).items():
+            mu = tuple(x + y for x, y in zip(low, v))
+            acc[mu] = acc.get(mu, 0) + scale * n
+    table = {}
+    for key in sorted(acc):
+        # rational normal weights reach off-lattice points
+        if acc[key] and all(x.denominator == 1 for x in key):
+            w = WeightVector(key)
+            table[w] = _exact(acc[key], q, w)
+    return CharacterTable._unchecked(table)
 
 
 def multiplicity_series(

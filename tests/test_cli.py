@@ -122,6 +122,51 @@ def test_character(capsys):
     assert rows[-1] == {"record": "character-total", "m": 2, "dimension": 3}
 
 
+def _lines(*recs):
+    return "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+                   for rec in recs)
+
+
+def test_record_bytes(capsys, tmp_path):
+    """Records are one json.dumps line each, keys sorted, no spaces; the
+    human table is one "weight<TAB>multiplicity" line per entry."""
+    from locmult import ProjectiveActionSpec, monomial_character, wv
+
+    doc = json.loads((DATASETS / "cp2_standard.json").read_text())
+    for fp in doc["fixed_points"]:
+        fp["fiber_weight"] = [-x for x in fp["fiber_weight"]]
+        fp["normal_weights"] = [[-x for x in a] for a in fp["normal_weights"]]
+    doc["metadata"]["coord_weights"] = "-1,0;0,-1;0,0"
+    path = tmp_path / "cp2_negated.json"
+    path.write_text(json.dumps(doc))
+    oracle = monomial_character(ProjectiveActionSpec(
+        (wv(-1, 0), wv(0, -1), wv(0, 0)), 3))
+    code, out, err = run(capsys, "character", "--dataset", str(path), "--m", "3",
+                         "--format", "records")
+    assert (code, err) == (0, "")
+    assert out == _lines(
+        *({"record": "character-entry", "m": 3, "weight": list(w.coords),
+           "multiplicity": n} for w, n in oracle.items()),
+        {"record": "character-total", "m": 3, "dimension": 10},
+    )
+    assert '"weight":[-3,0]' in out
+    code, out, err = run(capsys, "character", "--dataset", str(path), "--m", "3")
+    assert out == "".join(f"{w}\t{n}\n" for w, n in oracle.items())
+    assert out.startswith("-3,0\t1\n-2,-1\t1\n")
+
+    code, out, err = run(capsys, "series", "--dataset", CP1, "--mu", "1/2",
+                         "--m-range", "2..2", "--format", "records")
+    assert out == _lines({"record": "series-point", "weight": ["1/2"],
+                          "mode": "scaled", "m": 2, "value": 1})
+    code, out, err = run(capsys, "oracle-check", "--dataset", str(path),
+                         "--m-max", "2", "--format", "records")
+    assert (code, err) == (0, "")
+    assert out == _lines(
+        {"record": "oracle-check", "m": 1, "ok": True, "dimension": 3},
+        {"record": "oracle-check", "m": 2, "ok": True, "dimension": 6},
+    )
+
+
 def test_series(capsys):
     code, out, err = run(capsys, "series", "--dataset", CP2, "--mu", "0",
                          "--m-range", "1..6")

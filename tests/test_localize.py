@@ -496,8 +496,11 @@ def test_character_table_expands_down_to_the_polytope(
     cp2_standard, cp3_standard, monkeypatch
 ):
     """A deterministic work counter: the terms of every expansion that a
-    table makes, cut at the lowest vertex of the weight polytope.  With
-    every weight negated the character is the original one reflected."""
+    table makes, each fixed point read along eta down to the middle
+    eta-level of the weight polytope and along -eta up to just below it.
+    On cp2 at m = 10 that is exactly one term per entry: 36 from the
+    top vertex down, 30 from the bottom vertex up.  With every weight
+    negated the character is the original one reflected."""
     from locmult import localize
 
     terms = []
@@ -509,7 +512,7 @@ def test_character_table_expands_down_to_the_polytope(
         return result
 
     monkeypatch.setattr(localize, "_expand", counting)
-    for ds, m, work in ((cp3_standard, 6, 966), (cp2_standard, 10, 176)):
+    for ds, m, work in ((cp3_standard, 6, 138), (cp2_standard, 10, 66)):
         negated = LocalizationDataset(ds.rank, [
             FixedPointDatum(fp.label, -fp.fiber_weight,
                             tuple(-a for a in fp.normal_weights))
@@ -650,8 +653,9 @@ def _in_box(mu, box):
 def test_character_sums_vanish_off_the_box(
     cp1, cp2_weighted, cp2_standard, cp3_standard
 ):
-    """The table needs no box clip: each expansion is complete down to the
-    polytope floor, so every sum off the weight polytope is an exact zero
+    """The table needs no box clip: the expansions along eta are complete
+    down to the middle eta-level of the weight polytope and those along
+    -eta up to it, so every sum off the weight polytope is an exact zero
     and the table lies in the box of the scaled fiber weights."""
     q = Fraction
     rational = {1: wv(q(3, 4)), 2: wv(q(1, 2), q(5, 3)),
@@ -668,3 +672,62 @@ def test_character_sums_vanish_off_the_box(
                 assert all(_in_box(mu.coords, box) for mu in table.support())
                 assert table == monomial_character(
                     ProjectiveActionSpec(coord_weights, m))
+
+
+def test_character_table_cut_with_rational_steps(cp2_standard):
+    """A rational eta whose column steps have denominators above 1: the
+    lower side stops at the largest multiple of 1/D strictly below the
+    cut, so the weights exactly at the cut are read once, from above."""
+    from locmult.localize import _below
+
+    q = Fraction
+    eta = wv(q(1, 2), q(1, 3))
+    steps = {pairing(a, eta) for fp in cp2_standard.fixed_points
+             for a in fp.normal_weights}
+    assert {s.denominator for s in steps} == {2, 3, 6}
+    # m = 4: the vertices lie at levels 0, 4/3 and 2, so the cut is 1,
+    # where (2, 0) and (0, 3) lie
+    table = character_table(cp2_standard, 4, eta)
+    assert table[wv(2, 0)] == table[wv(0, 3)] == 1
+    assert table == monomial_character(ProjectiveActionSpec(
+        (wv(1, 0), wv(0, 1), wv(0, 0)), 4))
+    cols = [(1, 0), (0, 1)]
+    assert _below(1, cols, eta.coords) == q(5, 6)
+    assert _below(q(1, 2), cols, eta.coords) == q(1, 3)
+    # an int eta keeps the bound an int, even below a rational gap
+    assert type(_below(3, cols, (1, 2))) is int and _below(3, cols, (1, 2)) == 2
+    assert _below(q(5, 2), cols, (1, 2)) == 2
+
+
+def test_character_table_signed_permutation_sweep(cp2_standard, cp3_standard):
+    """Every signed coordinate permutation of cp2 (m <= 6) and cp3
+    (m <= 4), read along the generic eta, its negation and a seeded
+    rational eta, equals the monomial oracle."""
+    rng = random.Random(14)
+    q = Fraction
+    for ds, m_max in ((cp2_standard, 6), (cp3_standard, 4)):
+        coord_weights = [tuple(map(int, w.split(",")))
+                         for w in ds.metadata["coord_weights"].split(";")]
+        normals = [a for fp in ds.fixed_points for a in fp.normal_weights]
+        for perm in itertools.permutations(range(ds.rank)):
+            for signs in itertools.product((1, -1), repeat=ds.rank):
+                def act(v):
+                    return wv(*(s * v.coords[p] for s, p in zip(signs, perm)))
+
+                moved = LocalizationDataset(ds.rank, [
+                    FixedPointDatum(fp.label, act(fp.fiber_weight),
+                                    tuple(map(act, fp.normal_weights)))
+                    for fp in ds.fixed_points
+                ])
+                weights = tuple(act(wv(*w)) for w in coord_weights)
+                generic = generic_direction(moved)
+                while True:
+                    rational = wv(*(q(rng.randint(-9, 9), rng.randint(1, 5))
+                                    for _ in range(ds.rank)))
+                    if all(pairing(act(a), rational) for a in normals):
+                        break
+                for m in range(1, m_max + 1):
+                    oracle = monomial_character(ProjectiveActionSpec(weights, m))
+                    for eta in (generic, -generic, rational):
+                        assert character_table(moved, m, eta) == oracle, (
+                            perm, signs, m, eta)
