@@ -1,9 +1,14 @@
 """Command-line surface.
 
-Human output is compact text; `--format records` emits one JSON object
-per line with exact-rational strings, sorted keys, and no floats, so
-identical invocations are byte-identical.  Every failure path prints
-one line `error: <code>: <message>` to stderr and exits nonzero.
+Each command computes its results once and appends them to one output
+list: a record dict per result, and a plain string for the few lines
+only human output has.  `main` reads `--format` and renders the list in
+one write, after the command returns or raises, so the lines of the
+powers checked before a failure are kept.  `--format records` writes
+each record as one JSON line with exact-rational strings, sorted keys,
+and no floats, so identical invocations are byte-identical; human
+output is each record's line by its record type.  Every failure path
+prints one line `error: <code>: <message>` to stderr and exits nonzero.
 """
 
 from __future__ import annotations
@@ -81,26 +86,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _parse_coord_weights(text: str) -> tuple[WeightVector, ...]:
-    return tuple(
-        _parse_vector(part, "coordinate weight") for part in text.split(";")
-    )
-
-
-def _coord_json(c: int | Fraction):
-    return c if isinstance(c, int) else str(c)
-
-
 def _weight_json(w: WeightVector) -> list:
-    return [_coord_json(c) for c in w.coords]
+    return [c if type(c) is int else str(c) for c in w.coords]
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _emit(*records):
-    """Each record as one JSON line, all in one write."""
-    sys.stdout.write("".join(_ENCODER.encode(r) + "\n" for r in records))
 
 
 def _eta(args):
@@ -109,87 +99,50 @@ def _eta(args):
     return None
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, out) -> int:
     ds = load_dataset_file(args.dataset)
     report = validate(ds)
-    if args.format == "records":
-        for f in report.findings:
-            _emit(
-                {
-                    "record": "finding",
-                    "severity": f.severity,
-                    "location": f.location,
-                    "message": f.message,
-                }
-            )
-        _emit(
-            {
-                "record": "validation",
-                "ok": report.ok,
-                "rank": ds.rank,
-                "fixed_points": len(ds.fixed_points),
-            }
-        )
-    else:
-        for f in report.findings:
-            print(f"{f.severity}: {f.location}: {f.message}")
-        status = "ok" if report.ok else "invalid"
-        print(f"{status}: rank {ds.rank}, {len(ds.fixed_points)} fixed points")
+    for f in report.findings:
+        out.append({"record": "finding", "severity": f.severity,
+                    "location": f.location, "message": f.message})
+    out.append({"record": "validation", "ok": report.ok, "rank": ds.rank,
+                "fixed_points": len(ds.fixed_points)})
     return 0 if report.ok else 1
 
 
-def cmd_mult(args) -> int:
+def cmd_mult(args, out) -> int:
     ds = load_dataset_file(args.dataset)
     mu = _parse_vector(args.mu, "mu")
-    value = multiplicity(ds, mu, args.m, _eta(args))
-    if args.format == "records":
-        _emit(
-            {
-                "record": "multiplicity",
-                "weight": _weight_json(mu),
-                "m": args.m,
-                "value": value,
-            }
-        )
-    else:
-        print(value)
+    out.append({"record": "multiplicity", "weight": _weight_json(mu), "m": args.m,
+                "value": multiplicity(ds, mu, args.m, _eta(args))})
     return 0
 
 
-def cmd_character(args) -> int:
+def cmd_character(args, out) -> int:
     ds = load_dataset_file(args.dataset)
     table = character_table(ds, args.m, _eta(args))
-    if args.format == "records":
-        _emit(
-            *({"record": "character-entry", "m": args.m,
-               "weight": _weight_json(w), "multiplicity": n}
-              for w, n in table.items()),
-            {"record": "character-total", "m": args.m, "dimension": table.total()},
-        )
-    else:
-        for w, n in table.items():
-            print(f"{w}\t{n}")
+    for w, n in table.items():
+        out.append({"record": "character-entry", "m": args.m,
+                    "weight": _weight_json(w), "multiplicity": n})
+    out.append({"record": "character-total", "m": args.m,
+                "dimension": table.total()})
     return 0
 
 
-def cmd_series(args) -> int:
+def _series(args):
+    """--mu and the multiplicity series of --dataset over --m-range."""
     ds = load_dataset_file(args.dataset)
     mu = _parse_vector(args.mu, "mu")
     m_from, m_to = _parse_range(args.m_range)
-    series = multiplicity_series(ds, mu, m_from, m_to, args.mode, _eta(args))
-    if args.format == "records":
-        for m, v in series:
-            _emit(
-                {
-                    "record": "series-point",
-                    "weight": _weight_json(mu),
-                    "mode": args.mode,
-                    "m": m,
-                    "value": v,
-                }
-            )
-    else:
-        print(",".join(str(v) for _, v in series))
+    return mu, multiplicity_series(ds, mu, m_from, m_to, args.mode, _eta(args))
+
+
+def cmd_series(args, out) -> int:
+    mu, series = _series(args)
+    for m, v in series:
+        out.append({"record": "series-point", "weight": _weight_json(mu),
+                    "mode": args.mode, "m": m, "value": v})
+    out.append(",".join(str(v) for _, v in series))
     return 0
 
 
@@ -202,54 +155,24 @@ def _fit_samples(args):
             "fit needs either --series or --dataset with --mu and --m-range",
             code="bad-flag",
         )
-    ds = load_dataset_file(args.dataset)
-    mu = _parse_vector(args.mu, "mu")
-    m_from, m_to = _parse_range(args.m_range)
-    return multiplicity_series(ds, mu, m_from, m_to, args.mode, _eta(args))
+    return _series(args)[1]
 
 
-def _print_fit(args, qp, header=None):
-    if args.format == "records":
-        if header:
-            _emit(header)
-        _emit(
-            {
-                "record": "quasi-polynomial",
-                "period": qp.period,
-                "degree": qp.degree,
-            }
-        )
-        for j, q in enumerate(qp.residue_polys):
-            _emit(
-                {
-                    "record": "residue-poly",
-                    "class": j,
-                    "coefficients": poly.to_strings(q),
-                }
-            )
-        if qp.period <= 2:
-            for phase, p in phase_decomposition(qp):
-                _emit(
-                    {
-                        "record": "phase-poly",
-                        "phase": phase,
-                        "coefficients": poly.to_strings(p),
-                    }
-                )
-    else:
-        print(f"period: {qp.period}")
-        for j, q in enumerate(qp.residue_polys):
-            print(f"class {j}: {poly.render(q, 'n')}")
-        if qp.period <= 2:
-            for phase, p in phase_decomposition(qp):
-                label = "+1" if phase == 1 else "-1"
-                print(f"phase {label}: {poly.render(p, 'm')}")
+def _fit_records(qp, out):
+    out.append({"record": "quasi-polynomial", "period": qp.period,
+                "degree": qp.degree})
+    for j, q in enumerate(qp.residue_polys):
+        out.append({"record": "residue-poly", "class": j,
+                    "coefficients": poly.to_strings(q)})
+    if qp.period <= 2:
+        for phase, p in phase_decomposition(qp):
+            out.append({"record": "phase-poly", "phase": phase,
+                        "coefficients": poly.to_strings(p)})
 
 
-def cmd_fit(args) -> int:
-    samples = _fit_samples(args)
-    qp = fit_quasi_polynomial(samples, args.period, args.degree)
-    _print_fit(args, qp)
+def cmd_fit(args, out) -> int:
+    qp = fit_quasi_polynomial(_fit_samples(args), args.period, args.degree)
+    _fit_records(qp, out)
     return 0
 
 
@@ -264,7 +187,7 @@ def _resolve_strata(args, ds):
     )
 
 
-def cmd_verify_qr(args) -> int:
+def cmd_verify_qr(args, out) -> int:
     ds = load_dataset_file(args.dataset)
     mu = _parse_vector(args.mu, "mu")
     strata = _resolve_strata(args, ds)
@@ -275,77 +198,33 @@ def cmd_verify_qr(args) -> int:
         raise StructureViolated(
             f"{exc} (witnesses m={witness})" if witness else str(exc)
         ) from None
-    ok = report.phases_ok
-    if args.format == "records":
-        _emit(
-            {
-                "record": "qr-verdict",
-                "ok": ok,
-                "onset": report.onset,
-                "period": report.period_used,
-                "minimal_period": report.minimal_period_found,
-            }
-        )
-        _print_fit(args, report.fitted)
-        for c in report.phase_checks:
-            _emit(
-                {
-                    "record": "phase-check",
-                    "phase": c.phase,
+    out.append({"record": "qr-verdict", "ok": report.phases_ok,
+                "onset": report.onset, "period": report.period_used,
+                "minimal_period": report.minimal_period_found})
+    _fit_records(report.fitted, out)
+    for c in report.phase_checks:
+        out.append({"record": "phase-check", "phase": c.phase,
                     "degree": poly.degree(c.fitted),
-                    "declared_bound": c.declared_bound,
-                    "ok": c.ok,
-                }
-            )
-        for c in report.expected_comparisons:
-            _emit(
-                {
-                    "record": "phase-expected",
-                    "phase": c.phase,
+                    "declared_bound": c.declared_bound, "ok": c.ok})
+    for c in report.expected_comparisons:
+        out.append({"record": "phase-expected", "phase": c.phase,
                     "labels": list(c.labels),
-                    "expected": None if c.expected is None else poly.to_strings(c.expected),
-                    "fitted": poly.to_strings(c.fitted),
-                    "equal": c.equal,
-                }
-            )
-    else:
-        print(f"onset: {report.onset}")
-        print(f"period: {report.period_used}")
-        diag = report.minimal_period_found
-        print(f"minimal period: {'unknown' if diag is None else diag}")
-        _print_fit(args, report.fitted)
-        for c in report.phase_checks:
-            label = "+1" if c.phase == 1 else "-1"
-            if c.declared_bound is None:
-                verdict = "ok" if c.ok else "undeclared nonzero phase"
-                print(f"check phase {label}: {verdict}")
-            else:
-                verdict = "ok" if c.ok else "degree exceeds bound"
-                print(
-                    f"check phase {label}: degree {poly.degree(c.fitted)} "
-                    f"<= {c.declared_bound}: {verdict}"
-                )
-        for c in report.expected_comparisons:
-            label = "+1" if c.phase == 1 else "-1"
-            if c.equal is None:
-                print(f"expected phase {label}: not declared")
-            else:
-                print(f"expected phase {label}: {'match' if c.equal else 'MISMATCH'}")
-    return 0 if ok else 1
+                    "expected": (None if c.expected is None
+                                 else poly.to_strings(c.expected)),
+                    "fitted": poly.to_strings(c.fitted), "equal": c.equal})
+    return 0 if report.phases_ok else 1
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args, out) -> int:
     ds = load_dataset_file(args.dataset)
-    if args.coord_weights:
-        weights = _parse_coord_weights(args.coord_weights)
-    elif "coord_weights" in ds.metadata:
-        weights = _parse_coord_weights(ds.metadata["coord_weights"])
-    else:
+    text = args.coord_weights or ds.metadata.get("coord_weights")
+    if text is None:
         raise LocmultError(
             "no coordinate weights: pass --coord-weights or add a "
             "coord_weights metadata entry",
             code="missing-coord-weights",
         )
+    weights = [_parse_vector(part, "coordinate weight") for part in text.split(";")]
     if any(w.rank != ds.rank for w in weights):
         raise LocmultError(
             f"coordinate weights must have the dataset rank {ds.rank}",
@@ -358,48 +237,29 @@ def cmd_oracle_check(args) -> int:
     for m in range(1, args.m_max + 1):
         table = character_table(ds, m, eta)
         expected = monomial_character(ProjectiveActionSpec(weights, m))
-        if table == expected:
-            if args.format == "records":
-                _emit({"record": "oracle-check", "m": m, "ok": True,
-                       "dimension": table.total()})
-            else:
-                print(f"m={m}: ok ({table.total()} sections)")
-            continue
-        support = sorted(
-            set(table.support()) | set(expected.support()), key=lambda w: w.coords
-        )
-        bad = next(w for w in support if table[w] != expected[w])
-        if args.format == "records":
-            _emit(
-                {
-                    "record": "oracle-mismatch",
-                    "m": m,
-                    "weight": _weight_json(bad),
-                    "dataset": table[bad],
-                    "oracle": expected[bad],
-                }
-            )
-        else:
-            print(
-                f"m={m}: mismatch at weight ({bad}): dataset {table[bad]}, "
-                f"oracle {expected[bad]}"
-            )
-        return 1
+        if table != expected:
+            bad = min((w for w in set(table.support()) | set(expected.support())
+                       if table[w] != expected[w]), key=lambda w: w.coords)
+            out.append({"record": "oracle-mismatch", "m": m,
+                        "weight": _weight_json(bad), "dataset": table[bad],
+                        "oracle": expected[bad]})
+            return 1
+        out.append({"record": "oracle-check", "m": m, "ok": True,
+                    "dimension": table.total()})
     return 0
 
 
-def cmd_weyl_decompose(args) -> int:
+def cmd_weyl_decompose(args, out) -> int:
     entries, embedded_rs = load_character_file(args.character)
     chi = CharacterTable(entries)
     if args.root_system:
         rs = load_root_system_file(args.root_system)
     elif args.dataset:
-        ds = load_dataset_file(args.dataset)
-        if ds.root_system is None:
+        rs = load_dataset_file(args.dataset).root_system
+        if rs is None:
             raise LocmultError(
                 "dataset carries no root system", code="missing-root-system"
             )
-        rs = ds.root_system
     elif embedded_rs is not None:
         rs = parse_root_system(embedded_rs, None, str(args.character))
     else:
@@ -409,32 +269,69 @@ def cmd_weyl_decompose(args) -> int:
             code="missing-root-system",
         )
     result = decompose_character(chi, rs)
-    if args.format == "records":
-        for lam in sorted(result.multiplicities, key=lambda w: w.coords):
-            _emit(
-                {
-                    "record": "irreducible-multiplicity",
-                    "weight": _weight_json(lam),
-                    "value": result.multiplicities[lam],
-                }
-            )
-        _emit(
-            {
-                "record": "decomposition",
-                "ok": result.ok,
+    for lam, n in sorted(result.multiplicities.items(), key=lambda i: i[0].coords):
+        out.append({"record": "irreducible-multiplicity",
+                    "weight": _weight_json(lam), "value": n})
+    out.append({"record": "decomposition", "ok": result.ok,
                 "w_invariant": result.w_invariant,
-                "residual_size": len(result.residual),
-            }
-        )
-    else:
-        for lam in sorted(result.multiplicities, key=lambda w: w.coords):
-            print(f"{lam}\t{result.multiplicities[lam]}")
-        if not result.w_invariant:
-            print("warning: character is not Weyl invariant")
-        if result.residual:
-            for w, n in result.residual.items():
-                print(f"residual {w}\t{n}")
+                "residual_size": len(result.residual)})
+    for w, n in result.residual.items():
+        out.append(f"residual {w}\t{n}")
     return 0 if result.ok else 1
+
+
+def _human_line(r) -> str | None:
+    """The human line of a record, by its type; None for no line."""
+    match r["record"]:
+        case "finding":
+            return f"{r['severity']}: {r['location']}: {r['message']}"
+        case "validation":
+            return (f"{'ok' if r['ok'] else 'invalid'}: rank {r['rank']}, "
+                    f"{r['fixed_points']} fixed points")
+        case "multiplicity":
+            return str(r["value"])
+        case "character-entry":
+            return f"{','.join(map(str, r['weight']))}\t{r['multiplicity']}"
+        case "quasi-polynomial":
+            return f"period: {r['period']}"
+        case "residue-poly":
+            return f"class {r['class']}: {poly.render(r['coefficients'], 'n')}"
+        case "phase-poly":
+            return f"phase {r['phase']:+d}: {poly.render(r['coefficients'], 'm')}"
+        case "qr-verdict":
+            return (f"onset: {r['onset']}\nperiod: {r['period']}\n"
+                    f"minimal period: {r['minimal_period']}")
+        case "phase-check" if r["declared_bound"] is None:
+            verdict = "ok" if r["ok"] else "undeclared nonzero phase"
+            return f"check phase {r['phase']:+d}: {verdict}"
+        case "phase-check":
+            verdict = "ok" if r["ok"] else "degree exceeds bound"
+            return (f"check phase {r['phase']:+d}: degree {r['degree']} <= "
+                    f"{r['declared_bound']}: {verdict}")
+        case "phase-expected":
+            verdict = {None: "not declared", True: "match", False: "MISMATCH"}
+            return f"expected phase {r['phase']:+d}: {verdict[r['equal']]}"
+        case "oracle-check":
+            return f"m={r['m']}: ok ({r['dimension']} sections)"
+        case "oracle-mismatch":
+            return (f"m={r['m']}: mismatch at weight "
+                    f"({','.join(map(str, r['weight']))}): "
+                    f"dataset {r['dataset']}, oracle {r['oracle']}")
+        case "irreducible-multiplicity":
+            return f"{','.join(map(str, r['weight']))}\t{r['value']}"
+        case "decomposition" if not r["w_invariant"]:
+            return "warning: character is not Weyl invariant"
+    # character-total, series-point and an invariant decomposition have none
+    return None
+
+
+def _render(out: list, fmt: str) -> str:
+    """records: each record dict as one JSON line, plain strings skipped;
+    human: each record's line from its type, plain strings as they are."""
+    if fmt == "records":
+        return "".join(_ENCODER.encode(r) + "\n" for r in out if type(r) is dict)
+    lines = (r if type(r) is str else _human_line(r) for r in out)
+    return "".join(line + "\n" for line in lines if line is not None)
 
 
 @functools.cache
@@ -525,11 +422,14 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
+    out = []
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args, out)
+        finally:
+            sys.stdout.write(_render(out, args.format))
     except LocmultError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1

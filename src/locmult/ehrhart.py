@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import poly
 from .errors import LocmultError
-from .lattice import solve_exact
+from .lattice import LatticeError, solve_exact
 from .localize import PartitionProblem, count_partitions
 
 
@@ -64,6 +64,19 @@ class QuasiPolynomial:
         return max((poly.degree(q) for q in self.residue_polys), default=-1)
 
 
+def _read_samples(samples) -> list[tuple[int, Fraction]]:
+    """Samples (m, value): m an int, the value read like a coordinate
+    (a float is inexact-number, as a float m is)."""
+    out = []
+    for m, v in samples:
+        if type(m) is not int:
+            kind = "inexact" if isinstance(m, float) else "bad"
+            raise LatticeError(f"{kind} number {m!r}: a power m must be an int",
+                               code=f"{kind}-number")
+        out.append((m, poly._exact(v)))
+    return out
+
+
 def evaluate(qp: QuasiPolynomial, m: int) -> Fraction:
     """Value at the integer m."""
     j = (-m) % qp.period
@@ -84,9 +97,7 @@ def fit_quasi_polynomial(samples, period: int, degree: int) -> QuasiPolynomial:
     if degree < 0:
         raise LocmultError("degree must be nonnegative", code="bad-degree")
     seen: dict[int, Fraction] = {}
-    for m, v in samples:
-        m = int(m)
-        v = Fraction(v)
+    for m, v in _read_samples(samples):
         if seen.setdefault(m, v) != v:
             raise FitVerificationError(
                 f"verification failure at m={m}", failed_m=m

@@ -95,7 +95,7 @@ class StratumPhaseDatum:
                 raise BadStratum(f"stratum {self.label!r}: {name} must be an integer")
         if self.order < 1:
             raise BadStratum(f"stratum {self.label!r}: order must be positive")
-        rot = Fraction(self.rotation)
+        rot = poly._exact(self.rotation)
         object.__setattr__(self, "rotation", rot)
         if not 0 <= rot < 1:
             raise BadStratum(f"stratum {self.label!r}: rotation must lie in [0,1)")

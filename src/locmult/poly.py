@@ -3,12 +3,16 @@
 A polynomial is a tuple of Fractions, constant term first.  The zero
 polynomial is the empty tuple.  All helpers return normalized tuples
 (no trailing zero coefficients), so equality of tuples is equality of
-polynomials.
+polynomials.  Coefficients and scalars are read like lattice
+coordinates: an int, a Fraction or an integer-or-"p/q" string; a float
+is refused (inexact-number) and anything else is bad-number.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .lattice import _coordinate
 
 Poly = tuple[Fraction, ...]
 
@@ -16,8 +20,12 @@ ZERO: Poly = ()
 ONE: Poly = (Fraction(1),)
 
 
+def _exact(c) -> Fraction:
+    return c if type(c) is Fraction else Fraction(_coordinate(c))
+
+
 def normalize(coeffs) -> Poly:
-    coeffs = tuple(Fraction(c) for c in coeffs)
+    coeffs = tuple(map(_exact, coeffs))
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     return coeffs
@@ -25,7 +33,7 @@ def normalize(coeffs) -> Poly:
 
 def make(values) -> Poly:
     """Build a polynomial from ints, Fractions, or 'p/q' strings."""
-    return normalize(Fraction(v) for v in values)
+    return normalize(values)
 
 
 def degree(coeffs) -> int:
@@ -52,25 +60,25 @@ def sub(a, b) -> Poly:
 
 
 def scale(a, c) -> Poly:
-    c = Fraction(c)
+    c = _exact(c)
     return normalize(x * c for x in a)
 
 
 def compose_affine(coeffs, a, b) -> Poly:
     """p(a*x + b) expanded in x, via Horner over polynomial arithmetic."""
-    a = Fraction(a)
-    b = Fraction(b)
+    a = _exact(a)
+    b = _exact(b)
     acc: Poly = ZERO
     for c in reversed(coeffs):
         # acc <- acc*(a*x + b) + c
         shifted = (Fraction(0),) + tuple(x * a for x in acc)
-        acc = add(add(scale(acc, b), shifted), (Fraction(c),))
+        acc = add(add(scale(acc, b), shifted), (_exact(c),))
     return normalize(acc)
 
 
 def to_strings(coeffs) -> list[str]:
     """Coefficients as exact 'p/q' strings, constant first."""
-    return [str(Fraction(c)) for c in coeffs]
+    return [str(_exact(c)) for c in coeffs]
 
 
 def render(coeffs, var: str = "m") -> str:

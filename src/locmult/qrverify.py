@@ -26,9 +26,9 @@ from .ehrhart import (
     FitVerificationError,
     PhaseFormUnavailable,
     QuasiPolynomial,
+    _read_samples,
     evaluate,
     fit_quasi_polynomial,
-    minimal_period,
     phase_decomposition,
 )
 from .errors import LocmultError
@@ -48,7 +48,7 @@ class StructureViolated(LocmultError):
 def onset_threshold(samples, qp: QuasiPolynomial) -> int | None:
     """Smallest m0 such that the fit reproduces every sample with
     m >= m0; None when even the largest sample disagrees ("never")."""
-    pts = sorted((int(m), Fraction(v)) for m, v in samples)
+    pts = sorted(_read_samples(samples))
     if not pts:
         return None
     mismatch = [m for m, v in pts if evaluate(qp, m) != v]
@@ -92,7 +92,7 @@ class QRReport:
     phase_polys: dict
     phase_checks: tuple[PhaseCheck, ...]
     expected_comparisons: tuple[ExpectedComparison, ...]
-    minimal_period_found: int | None
+    minimal_period_found: int
 
     @property
     def phases_ok(self) -> bool:
@@ -120,7 +120,9 @@ def verify_structure(
     interpolating on the top k*(d+2) samples so that early pre-onset
     values cannot poison it; the onset is then scanned on the full
     series.  Raises StructureViolated when no onset at or below
-    m_max/2 exists, with the mismatching m values as witnesses.
+    m_max/2 exists, with the mismatching m values as witnesses.  The
+    minimal period is read off the one fit: 1 when k = 1 or the -1
+    phase polynomial is zero, else 2.
     """
     strata = tuple(strata)
     if not strata:
@@ -159,12 +161,6 @@ def verify_structure(
             f"structure violated: fit fails for every onset <= {m_max}/2",
             witnesses=witnesses,
         )
-
-    diag = None
-    try:
-        diag, _ = minimal_period([(m, v) for m, v in series if m >= onset], k, d)
-    except LocmultError:
-        pass
 
     phase_polys = dict(phase_decomposition(qp))
     checks: list[PhaseCheck] = []
@@ -206,5 +202,5 @@ def verify_structure(
         phase_polys=phase_polys,
         phase_checks=tuple(checks),
         expected_comparisons=tuple(comparisons),
-        minimal_period_found=diag,
+        minimal_period_found=1 if k == 1 or not phase_polys[-1] else 2,
     )

@@ -10,18 +10,20 @@ of mu is sum_w sign(w) P(w(lam + delta) - delta - mu), with P the
 partition function of the positive roots.  P is one expansion cut at
 the level of lam, which bounds every apex, while every dominant weight
 lies at level 0 or above; only dominant weights are read, and each is
-spread over its W-orbit.  Decomposition inverts the character by the
-same alternating sum, in one pass: each weight adds sign(w) times its
-multiplicity to its one dominant dot image w(mu + delta) - delta, if
-it has one.  Both run on int coordinate tuples with the dot
+spread over its W-orbit.  It runs on int coordinate tuples with the dot
 action w(mu + delta) - delta = w(mu) + (w(delta) - delta) that
 `RootSystem.dot_action` builds once per root system: every Weyl element
-is a signed permutation of the coordinates, so each coordinate of the
-image is one signed coordinate of mu plus the lattice offset, and the
-orbit spread and the invariance test use the same permutations without
-the offset.  A weight is dominant when it pairs nonnegatively with the
-simple roots, of which every positive root is a nonnegative
-combination, so r pairings decide it instead of |positive roots|.
+is a signed permutation, so each coordinate of the image is one signed
+coordinate of mu plus the lattice offset, and the orbit spread uses the
+same permutations without the offset.  Decomposition inverts the
+character by the same alternating sum, in one pass: each weight adds
+sign(w) times its multiplicity to its one dominant dot image, if it has
+one, and w is found without scanning W, by reflecting the int vector
+2(mu + delta) in any simple reflection s_i(v) = v - <v, coroot_i> *
+alpha_i it pairs negatively with until it is dominant.  A character is
+W-invariant when it is invariant under every s_i.  A weight is dominant
+when it pairs nonnegatively with the simple roots, so r pairings decide
+it instead of |positive roots|.
 """
 
 from __future__ import annotations
@@ -116,11 +118,22 @@ def is_w_invariant(chi: CharacterTable, rs: RootSystem) -> bool:
     return _invariant(_lattice_table(chi, rs), rs)
 
 
+def _reflections(rs: RootSystem) -> list[tuple[tuple, tuple]]:
+    # (alpha_i, coroot_i) as int tuples; coroot_i is row i of the Cartan pairing
+    return [(a.coords, row) for a, row in zip(rs.simple_roots, rs.cartan_pairing)]
+
+
+def _reflect(v: tuple, alpha: tuple, p: int) -> tuple:
+    # the simple reflection of v, with p = <v, coroot>
+    return tuple(x - p * y for x, y in zip(v, alpha))
+
+
 def _invariant(table: dict[tuple, int], rs: RootSystem) -> bool:
-    zero = (0,) * rs.rank
+    # W is generated by the simple reflections
+    reflections = _reflections(rs)
     return all(
-        table.get(_apply(rows, mu, zero), 0) == c
-        for mu, c in table.items() for _, rows, _ in rs.dot_action
+        table.get(_reflect(mu, a, _dot(mu, row)), 0) == c
+        for mu, c in table.items() for a, row in reflections
     )
 
 
@@ -132,17 +145,25 @@ def decompose_character(chi: CharacterTable, rs: RootSystem) -> DecompositionRes
     non-invariant input; both are reported, not raised.
     """
     table = _lattice_table(chi, rs)
-    simple = [a.coords for a in rs.simple_roots]
-    action = rs.dot_action
-    # the dot image of mu is dominant for at most one w (dominant
-    # lam + delta is regular), so each mu adds to one coefficient
+    reflections = _reflections(rs)
+    two_delta = (2 * rs.delta).coords
     sums: dict[tuple, int] = {}
     for mu, c in table.items():
-        for sign, rows, offset in action:
-            lam = _apply(rows, mu, offset)
-            if all(_dot(lam, a) >= 0 for a in simple):
-                sums[lam] = sums.get(lam, 0) + sign * c
+        # reflect the int vector 2(mu + delta) into the dominant chamber,
+        # each time in a simple reflection it pairs negatively with
+        v, n = tuple(2 * x + t for x, t in zip(mu, two_delta)), c
+        while True:
+            pairs = [_dot(v, row) for _, row in reflections]
+            p = min(pairs)
+            if p >= 0:
                 break
+            v = _reflect(v, reflections[pairs.index(p)][0], p)
+            n = -n
+        # <v/2 - delta, coroot_i> = <v, coroot_i>/2 - 1 with <v, coroot_i>
+        # even, so v/2 - delta is dominant exactly when v is regular
+        if 0 not in pairs:
+            lam = tuple((x - t) // 2 for x, t in zip(v, two_delta))
+            sums[lam] = sums.get(lam, 0) + n
     mults = {WeightVector(lam): n for lam, n in sorted(sums.items()) if n}
     residual = CharacterTable(chi.items() + [
         (w, -n * c) for lam, n in mults.items()

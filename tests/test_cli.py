@@ -129,7 +129,8 @@ def _lines(*recs):
 
 def test_record_bytes(capsys, tmp_path):
     """Records are one json.dumps line each, keys sorted, no spaces; the
-    human table is one "weight<TAB>multiplicity" line per entry."""
+    human table is one "weight<TAB>multiplicity" line per entry; every
+    command's output is pinned byte for byte in both formats."""
     from locmult import ProjectiveActionSpec, monomial_character, wv
 
     doc = json.loads((DATASETS / "cp2_standard.json").read_text())
@@ -165,6 +166,83 @@ def test_record_bytes(capsys, tmp_path):
         {"record": "oracle-check", "m": 1, "ok": True, "dimension": 3},
         {"record": "oracle-check", "m": 2, "ok": True, "dimension": 6},
     )
+
+    # every command in both formats, byte for byte
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"rank": 1, "fixed_points": [
+        {"label": "P0", "fiber_weight": [1], "normal_weights": [[1]]},
+        {"label": "P1", "fiber_weight": [1], "normal_weights": [[-1]]}]}))
+    dup = str(path)
+    doc = json.loads((DATASETS / "cp1.json").read_text())
+    doc["fixed_points"][0]["coefficient"] = ["1/2", "1/2"]
+    path = tmp_path / "cp1_half.json"
+    path.write_text(json.dumps(doc))
+    half = str(path)
+    doc = json.loads((DATASETS / "char_a1_tensor.json").read_text())
+    del doc["entries"][1]
+    path = tmp_path / "a1_dropped.json"
+    path.write_text(json.dumps(doc))
+    dropped = str(path)
+    fit_human = ("period: 2\nclass 0: 1 + n\nclass 1: n\n"
+                 "phase +1: 3/4 + 1/2*m\nphase -1: 1/4\n")
+    fit_records = ('{"degree":1,"period":2,"record":"quasi-polynomial"}\n'
+           '{"class":0,"coefficients":["1","1"],"record":"residue-poly"}\n'
+                   '{"class":1,"coefficients":["0","1"],"record":"residue-poly"}\n'
+                   '{"coefficients":["3/4","1/2"],"phase":1,"record":"phase-poly"}\n'
+                   '{"coefficients":["1/4"],"phase":-1,"record":"phase-poly"}\n')
+    non_integer = ("error: non-integer-multiplicity: multiplicity at 1 is not "
+                   "an integer: 3/2\n")
+    cases = (
+        (("validate", "--dataset", dup), 0,
+         "warning: fixed_points: fiber weight (1) shared by P0, P1\n"
+         "ok: rank 1, 2 fixed points\n",
+         '{"location":"fixed_points","message":"fiber weight (1) shared by P0, '
+         'P1","record":"finding","severity":"warning"}\n'
+         '{"fixed_points":2,"ok":true,"rank":1,"record":"validation"}\n', ""),
+        (("mult", "--dataset", CP2, "--mu", "0", "--m", "4"), 0, "3\n",
+         '{"m":4,"record":"multiplicity","value":3,"weight":[0]}\n', ""),
+        (("character", "--dataset", CP1, "--m", "2"), 0, "0\t1\n1\t1\n2\t1\n",
+         '{"m":2,"multiplicity":1,"record":"character-entry","weight":[0]}\n'
+         '{"m":2,"multiplicity":1,"record":"character-entry","weight":[1]}\n'
+         '{"m":2,"multiplicity":1,"record":"character-entry","weight":[2]}\n'
+         '{"dimension":3,"m":2,"record":"character-total"}\n', ""),
+        (("series", "--dataset", CP2, "--mu", "1", "--m-range", "1..4",
+          "--mode", "fixed"), 0, "1,1,2,2\n",
+         '{"m":1,"mode":"fixed","record":"series-point","value":1,"weight":[1]}\n'
+         '{"m":2,"mode":"fixed","record":"series-point","value":1,"weight":[1]}\n'
+         '{"m":3,"mode":"fixed","record":"series-point","value":2,"weight":[1]}\n'
+         '{"m":4,"mode":"fixed","record":"series-point","value":2,"weight":[1]}\n',
+         ""),
+        (("fit", "--series", "1,2,2,3,3,4", "--period", "2", "--degree", "1"), 0,
+         fit_human, fit_records, ""),
+        (("verify-qr", "--dataset", CP2, "--mu", "0", "--m-max", "12"), 0,
+         "onset: 1\nperiod: 2\nminimal period: 2\n" + fit_human
+         + "check phase +1: degree 1 <= 1: ok\ncheck phase -1: degree 0 <= 0: ok\n"
+         "expected phase +1: match\nexpected phase -1: match\n",
+         '{"minimal_period":2,"ok":true,"onset":1,"period":2,"record":"qr-verdict"}\n'
+         + fit_records
+         + '{"declared_bound":1,"degree":1,"ok":true,"phase":1,"record":"phase-check"}\n'
+         '{"declared_bound":0,"degree":0,"ok":true,"phase":-1,"record":"phase-check"}\n'
+         '{"equal":true,"expected":["3/4","1/2"],"fitted":["3/4","1/2"],'
+         '"labels":["e"],"phase":1,"record":"phase-expected"}\n'
+         '{"equal":true,"expected":["1/4"],"fitted":["1/4"],"labels":["g"],'
+         '"phase":-1,"record":"phase-expected"}\n', ""),
+        # the power checked before the failing one keeps its line
+        (("oracle-check", "--dataset", half, "--m-max", "2"), 1,
+         "m=1: ok (2 sections)\n",
+         '{"dimension":2,"m":1,"ok":true,"record":"oracle-check"}\n', non_integer),
+        (("weyl-decompose", "--character", dropped), 1,
+         "1\t-1\n3\t1\nwarning: character is not Weyl invariant\n"
+         "residual -1\t2\n",
+         '{"record":"irreducible-multiplicity","value":-1,"weight":[1]}\n'
+         '{"record":"irreducible-multiplicity","value":1,"weight":[3]}\n'
+         '{"ok":false,"record":"decomposition","residual_size":1,'
+         '"w_invariant":false}\n', ""),
+    )
+    for argv, want_code, human, recs, want_err in cases:
+        assert run(capsys, *argv) == (want_code, human, want_err), argv
+        assert run(capsys, *argv, "--format", "records") == (
+            want_code, recs, want_err), argv
 
 
 def test_series(capsys):

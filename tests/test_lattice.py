@@ -90,8 +90,14 @@ def test_integral_coordinates_are_ints(a2):
 def test_library_numbers_follow_the_document_grammar():
     """A coordinate or multiplicity is an int, a Fraction or an
     integer-or-"p/q" string, as in the documents and CLI flags; any
-    other value is one coded refusal."""
-    from locmult import CharacterTable
+    other value is one coded refusal.  Polynomial coefficients,
+    rotations and sample values are read the same way, and a sample's
+    power m only as an int: a decimal string or a float is refused,
+    never rounded or read in binary."""
+    from locmult import CharacterTable, poly
+    from locmult.ehrhart import QuasiPolynomial, fit_quasi_polynomial
+    from locmult.fpdata import FixedPointDatum, StratumPhaseDatum
+    from locmult.qrverify import onset_threshold
 
     for call in (lambda: wv("0.25"), lambda: wv("1e1"),
                  lambda: CharacterTable([(wv(1), "2.0")]),
@@ -99,6 +105,41 @@ def test_library_numbers_follow_the_document_grammar():
         with pytest.raises(LatticeError) as err:
             call()
         assert err.value.code == "bad-number"
+
+    qp = QuasiPolynomial(1, ((1,),))
+    cases = {
+        "bad-number": (
+            lambda: poly.make(["0.5", "1e1"]),
+            lambda: poly.make(["1e1"]),
+            lambda: poly.normalize(["1/0"]),
+            lambda: FixedPointDatum("P", wv(0), (wv(1),), ("0.1",)),
+            lambda: StratumPhaseDatum("s", 2, "0.5", 0),
+            lambda: fit_quasi_polynomial([(1, 1), (2, "1.0")], 1, 0),
+            lambda: fit_quasi_polynomial([(Fraction(1), 1), (2, 1)], 1, 0),
+            lambda: fit_quasi_polynomial([("1", 1), (2, 1)], 1, 0),
+            lambda: onset_threshold([(True, 1), (2, 1)], qp),
+        ),
+        "inexact-number": (
+            lambda: poly.normalize((0.5,)),
+            lambda: FixedPointDatum("P", wv(0), (wv(1),), (0.1,)),
+            lambda: StratumPhaseDatum("s", 1, 0.0, 0),
+            lambda: StratumPhaseDatum("s", 1, 0, 0, (0.25,)),
+            lambda: fit_quasi_polynomial([(1.9, 1), (2, 1), (3, 1)], 1, 0),
+            lambda: fit_quasi_polynomial([(1, 1), (2, 1.0)], 1, 0),
+            lambda: onset_threshold([(0.5, 1.0), (2.9, 1)], qp),
+            lambda: onset_threshold([(1, 1.0), (2, 1)], qp),
+        ),
+    }
+    for code, calls in cases.items():
+        for call in calls:
+            with pytest.raises(LatticeError) as err:
+                call()
+            assert err.value.code == code
+    assert poly.make([0, "1/2", Fraction(3, 4), 0]) == (0, Fraction(1, 2), Fraction(3, 4))
+    stratum = StratumPhaseDatum("s", 2, "1/2", 0, ("1/4",))
+    assert (stratum.rotation, stratum.expected_poly) == (Fraction(1, 2), (Fraction(1, 4),))
+    assert fit_quasi_polynomial([(1, "1"), (2, 1)], 1, 0) == qp
+    assert onset_threshold([(1, 0), (2, 1), (3, 1)], qp) == 2
 
 
 def test_pick_generic_direction_examples():

@@ -316,6 +316,37 @@ def test_weyl_side_applies_no_matrix(monkeypatch):
     assert builds == [rank2, rank4]
 
 
+def test_decomposition_reflects_instead_of_scanning_w(b2, monkeypatch):
+    """A deterministic work counter: decomposition reaches each weight's
+    dominant dot image by simple reflections and tests invariance on
+    the r simple reflections, never scanning the |W| elements.  For the
+    B2 irreducible V(2,1) (21 weights, dimension 35, r = 2, |W| = 8),
+    the weights need L(mu) = 0, 1, 2, 3 reflections for 8, 9, 3 and 1 of
+    them, sum L = 18, L(mu) being the number of positive roots pairing
+    negatively with mu + delta.  Each weight pairs with the r coroots
+    once per reflection and once at the end, 2 * (18 + 21) = 78 `_dot`
+    calls, and the invariance test pairs each weight once per coroot,
+    2 * 21 = 42: 120 in all."""
+    from locmult import weylred
+
+    chi = irreducible_character(b2, wv(2, 1))
+    lengths = [sum(pairing(mu + b2.delta, b) < 0 for b in b2.positive_roots)
+               for mu in chi.support()]
+    assert (len(chi), chi.total(), sum(lengths)) == (21, 35, 18)
+    assert sorted(lengths) == [0] * 8 + [1] * 9 + [2] * 3 + [3]
+    calls = []
+    dot = weylred._dot
+    monkeypatch.setattr(weylred, "_dot", lambda a, b: calls.append(a) or dot(a, b))
+    # the residual's irreducible is Kostant's formula, counted elsewhere
+    monkeypatch.setattr(weylred, "irreducible_character", lambda rs, lam: chi)
+    result = decompose_character(chi, b2)
+    assert result.multiplicities == {wv(2, 1): 1} and result.ok
+    assert len(calls) == 2 * (sum(lengths) + len(chi)) + 2 * len(chi) == 120
+    calls.clear()
+    assert is_w_invariant(chi, b2)
+    assert len(calls) == 2 * len(chi)
+
+
 def test_generation_applies_no_matrix(monkeypatch):
     """A deterministic work counter: generating B4 closes the group and
     the root orbit on signed permutations, with no WeylElement.apply."""
