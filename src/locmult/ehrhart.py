@@ -1,8 +1,11 @@
 """Arithmetic polynomials: period-k quasi-polynomial values on integers.
 
 A value f(m) is stored through residue polynomials q_j for j in
-0..k-1, indexed so that q_j(n) = f(k*n - j).  Evaluation at m uses the
-class j = (-m) mod k and n = (m + j) / k.  For periods 1 and 2 the
+0..k-1, indexed so that q_j(n) = f(k*n - j).  The value at m is
+q_j((m + j) / k) for the class j = (-m) mod k.  Each quasi-polynomial
+rewrites every q_j once as a polynomial in m itself, with int
+coefficients over one denominator, so evaluation at an int m is an int
+Horner sum and one Fraction at the end.  For periods 1 and 2 the
 same data can be rewritten in phase form
 f(m) = p_plus(m) + (-1)^m * p_minus(m); larger periods would need
 cyclotomic coefficients, which this module does not carry.
@@ -10,13 +13,15 @@ cyclotomic coefficients, which this module does not carry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from . import poly
 from .errors import LocmultError
 from .lattice import LatticeError, solve_exact
-from .localize import PartitionProblem, count_partitions
+from .localize import PartitionProblem, _at_power, count_partitions
 
 
 class InsufficientSamples(LocmultError):
@@ -63,25 +68,46 @@ class QuasiPolynomial:
     def degree(self) -> int:
         return max((poly.degree(q) for q in self.residue_polys), default=-1)
 
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(coefficients, denominator) for every residue class j: the
+        polynomial q_j((m + j) / k) in m is the int coefficients, constant
+        first, over the denominator."""
+        k = self.period
+        form = []
+        for j, q in enumerate(self.residue_polys):
+            coeffs = poly.compose_affine(q, Fraction(1, k), Fraction(j, k))
+            d = math.lcm(*(c.denominator for c in coeffs))
+            form.append((tuple(c.numerator * (d // c.denominator) for c in coeffs), d))
+        return tuple(form)
+
+
+def _check_power(m) -> None:
+    """Refuse a power m that is not an int: a float is inexact-number,
+    anything else (a bool, a string, a Fraction) is bad-number."""
+    if type(m) is not int:
+        kind = "inexact" if isinstance(m, float) else "bad"
+        raise LatticeError(f"{kind} number {m!r}: a power m must be an int",
+                           code=f"{kind}-number")
+
 
 def _read_samples(samples) -> list[tuple[int, Fraction]]:
     """Samples (m, value): m an int, the value read like a coordinate
     (a float is inexact-number, as a float m is)."""
     out = []
     for m, v in samples:
-        if type(m) is not int:
-            kind = "inexact" if isinstance(m, float) else "bad"
-            raise LatticeError(f"{kind} number {m!r}: a power m must be an int",
-                               code=f"{kind}-number")
+        _check_power(m)
         out.append((m, poly._exact(v)))
     return out
 
 
 def evaluate(qp: QuasiPolynomial, m: int) -> Fraction:
-    """Value at the integer m."""
-    j = (-m) % qp.period
-    n = Fraction(m + j, qp.period)
-    return poly.evaluate(qp.residue_polys[j], n)
+    """Value at the int m (any other m is refused as in `_read_samples`):
+    an int Horner sum over the integer form of m's residue class, divided
+    once by its denominator."""
+    _check_power(m)
+    coeffs, d = qp._integer_form[(-m) % qp.period]
+    return Fraction(_at_power(coeffs, m), d)
 
 
 def fit_quasi_polynomial(samples, period: int, degree: int) -> QuasiPolynomial:

@@ -170,10 +170,11 @@ def solve_exact(
 ) -> list[Fraction] | None:
     """Solve a full-column-rank rational system exactly.
 
+    Every entry is read like a coordinate (a float is inexact-number).
     Returns the unique solution, or None if the system is inconsistent.
     Raises if the columns are linearly dependent (no unique solution).
     """
-    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
+    m = [[Fraction(_coordinate(x)) for x in (*row, v)] for row, v in zip(rows, rhs)]
     nrows = len(m)
     ncols = len(m[0]) - 1 if m else 0
     pivot_rows = []

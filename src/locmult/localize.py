@@ -20,8 +20,9 @@ expanded along eta down to that level and, on the same columns, along
 so nothing is clipped (an irreducible Weyl character, in `weylred`, is
 one expansion over the positive roots read by Kostant's formula); a
 series in m (`multiplicity_series`) expands each fixed point once, up
-to the highest level its targets reach in the range, and reads each m
-off by lookup; `multiplicity` is the one-power fixed-mode series, and
+to the highest level its targets reach in the range, and walks the
+line those targets lie on, which is affine in m, one step and one
+lookup per power; `multiplicity` is the one-power fixed-mode series, and
 `count_partitions` reads one coefficient.  The results are
 independent of eta; tests exercise this.
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import LocmultError
@@ -243,7 +245,7 @@ def _expand(cols: list[tuple], eta: tuple, level) -> dict[tuple, int]:
                 c += terms.get(v, 0)
                 nxt[v] = c
                 swept.append((lvl, v))
-                v = tuple(x + y for x, y in zip(v, a))
+                v = tuple(map(add, v, a))
                 lvl += step
         terms, levels = nxt, swept
     return terms
@@ -357,8 +359,11 @@ def _polarized(ds: LocalizationDataset, eta: WeightVector):
 
 
 def _at_power(coef: list[int], m: int) -> int:
-    """The polynomial coef (constant first) at m."""
-    return sum(c * m**k for k, c in enumerate(coef))
+    """The polynomial coef (constant first) at m, by Horner's rule."""
+    value = 0
+    for c in reversed(coef):
+        value = value * m + c
+    return value
 
 
 def _exact(total: int, q: int, mu: WeightVector, k: int = 1) -> int:
@@ -375,38 +380,38 @@ def _exact(total: int, q: int, mu: WeightVector, k: int = 1) -> int:
 def _plan(
     ds: LocalizationDataset, mu: WeightVector, eta: WeightVector,
     m_from: int, m_to: int, scaled: bool,
-):
-    """at(m): the multiplicity at mu, or at m*mu when scaled, for m in
-    [m_from, m_to].
+) -> list[tuple[int, int]]:
+    """The series (m, multiplicity at mu, or at m*mu when scaled) for m
+    in [m_from, m_to].
 
     At a power m, fixed point F adds sign * coefficient_at(m) times the
-    coefficient of t^(m*J_F - shift_F - target) in prod 1/(1 - t^a')
-    over its polarized columns a'.  The eta-level of that exponent is
-    affine in m, so each fixed point is expanded once, up to the larger
-    of its levels at m_from and m_to, and each m is one lookup per
-    fixed point.
+    coefficient of t^x in prod 1/(1 - t^a') over its polarized columns
+    a', at x = m*(J_F - k*mu) - shift_F - (1 - k)*mu, with k = 1 when
+    scaled and 0 when not.  The exponent x is affine in m, so each fixed
+    point is expanded once, up to the larger of its eta-levels at m_from
+    and m_to, and its line is walked once: one step and one lookup per
+    power, with the coefficient polynomial evaluated only where the
+    lookup finds a term.  The totals are then checked in increasing m,
+    so the first power with a non-integer multiplicity is the one named.
     """
     q, points = _polarized(ds, eta)
     e, base = eta.coords, mu.coords
-
-    def exponent(m, fiber, shift):
-        k = m if scaled else 1
-        return tuple(m * j - s - k * t for j, s, t in zip(fiber, shift, base))
-
-    expansions = [
-        _expand(cols, e, max(_dot(exponent(m, fiber, shift), e)
-                             for m in (m_from, m_to)))
-        for _, fiber, shift, cols in points
-    ]
-
-    def at(m: int) -> int:
-        total = sum(
-            _at_power(coef, m) * terms.get(exponent(m, fiber, shift), 0)
-            for (coef, fiber, shift, _), terms in zip(points, expansions)
-        )
-        return _exact(total, q, mu, m if scaled else 1)
-
-    return at
+    k = 1 if scaled else 0
+    powers = range(m_from, m_to + 1)
+    totals = [0] * len(powers)
+    for coef, fiber, shift, cols in points:
+        step = tuple(j - k * t for j, t in zip(fiber, base))
+        x = tuple(m_from * d - s - (1 - k) * t
+                  for d, s, t in zip(step, shift, base))
+        level = _dot(x, e)
+        terms = _expand(cols, e, max(level, level + (m_to - m_from) * _dot(step, e)))
+        for i, m in enumerate(powers):
+            n = terms.get(x)
+            if n:
+                totals[i] += _at_power(coef, m) * n
+            x = tuple(map(add, x, step))
+    return [(m, _exact(total, q, mu, m if scaled else 1))
+            for m, total in zip(powers, totals)]
 
 
 def multiplicity(
@@ -457,12 +462,12 @@ def character_table(
         scale = _at_power(coef, m)
         apex = tuple(m * j - s for j, s in zip(fiber, shift))
         for v, n in _expand(cols, e, _dot(apex, e) - cut).items():
-            mu = tuple(x - y for x, y in zip(apex, v))
+            mu = tuple(map(sub, apex, v))
             acc[mu] = acc.get(mu, 0) + scale * n
         low = tuple(map(sum, zip(apex, *cols)))
         scale *= (-1) ** len(cols)
         for v, n in _expand(cols, e, _below(cut - _dot(low, e), cols, e)).items():
-            mu = tuple(x + y for x, y in zip(low, v))
+            mu = tuple(map(add, low, v))
             acc[mu] = acc.get(mu, 0) + scale * n
     table = {}
     for key in sorted(acc):
@@ -486,8 +491,8 @@ def multiplicity_series(
 
     The rank of mu, then the lattice condition for the whole range, is
     checked before anything is planned.  One plan serves the whole
-    range: each fixed point is polarized and expanded once, and each m
-    is then one lookup per fixed point.
+    range: each fixed point is polarized and expanded once, and its
+    line of targets is then walked once, one step per m.
     """
     if mode not in (MODE_FIXED, MODE_SCALED):
         raise ComputationError(f"unknown mode {mode!r}", code="bad-mode")
@@ -514,5 +519,4 @@ def multiplicity_series(
         )
     if eta is None:
         eta = generic_direction(ds)
-    at = _plan(ds, mu, eta, m_from, m_to, scaled)
-    return [(m, at(m)) for m in range(m_from, m_to + 1)]
+    return _plan(ds, mu, eta, m_from, m_to, scaled)

@@ -189,6 +189,26 @@ def test_fit_round_trip_random():
             assert evaluate(fitted, m) == evaluate(target, m)
 
 
+def test_evaluate_matches_residue_polynomials():
+    """The integer form against the residue polynomials themselves: the
+    value at m is q_j((m + j) / k) for j = (-m) mod k, at every residue
+    class and at negative m."""
+    rng = random.Random(16)
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        polys = tuple(
+            make([Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 12]))
+                  for _ in range(rng.randint(0, 5))])  # degree -1 (zero) to 4
+            for _ in range(k)
+        )
+        qp = QuasiPolynomial(k, polys)
+        for m in range(-60, 61):
+            j = (-m) % k
+            assert evaluate(qp, m) == poly_eval(polys[j], Fraction(m + j, k)), (
+                polys, m)
+    assert evaluate(QuasiPolynomial(3, ((), (), ())), -7) == 0
+
+
 def test_phase_and_residue_forms_agree():
     rng = random.Random(12)
     for _ in range(30):

@@ -91,11 +91,12 @@ def test_library_numbers_follow_the_document_grammar():
     """A coordinate or multiplicity is an int, a Fraction or an
     integer-or-"p/q" string, as in the documents and CLI flags; any
     other value is one coded refusal.  Polynomial coefficients,
-    rotations and sample values are read the same way, and a sample's
-    power m only as an int: a decimal string or a float is refused,
-    never rounded or read in binary."""
+    rotations, sample values and exact-solve entries are read the same
+    way, and a power m, of a sample or given to evaluate, only as an
+    int: a decimal string or a float is refused, never rounded or read
+    in binary."""
     from locmult import CharacterTable, poly
-    from locmult.ehrhart import QuasiPolynomial, fit_quasi_polynomial
+    from locmult.ehrhart import QuasiPolynomial, evaluate, fit_quasi_polynomial
     from locmult.fpdata import FixedPointDatum, StratumPhaseDatum
     from locmult.qrverify import onset_threshold
 
@@ -118,6 +119,11 @@ def test_library_numbers_follow_the_document_grammar():
             lambda: fit_quasi_polynomial([(Fraction(1), 1), (2, 1)], 1, 0),
             lambda: fit_quasi_polynomial([("1", 1), (2, 1)], 1, 0),
             lambda: onset_threshold([(True, 1), (2, 1)], qp),
+            lambda: evaluate(qp, True),
+            lambda: evaluate(qp, "1"),
+            lambda: evaluate(qp, Fraction(1)),
+            lambda: solve_exact([["0.5"]], [1]),
+            lambda: solve_exact([[1]], [None]),
         ),
         "inexact-number": (
             lambda: poly.normalize((0.5,)),
@@ -128,6 +134,10 @@ def test_library_numbers_follow_the_document_grammar():
             lambda: fit_quasi_polynomial([(1, 1), (2, 1.0)], 1, 0),
             lambda: onset_threshold([(0.5, 1.0), (2.9, 1)], qp),
             lambda: onset_threshold([(1, 1.0), (2, 1)], qp),
+            lambda: evaluate(qp, 1.5),
+            lambda: evaluate(qp, 2.0),
+            lambda: solve_exact([[0.1]], [1]),
+            lambda: solve_exact([[1]], [0.5]),
         ),
     }
     for code, calls in cases.items():
@@ -140,6 +150,8 @@ def test_library_numbers_follow_the_document_grammar():
     assert (stratum.rotation, stratum.expected_poly) == (Fraction(1, 2), (Fraction(1, 4),))
     assert fit_quasi_polynomial([(1, "1"), (2, 1)], 1, 0) == qp
     assert onset_threshold([(1, 0), (2, 1), (3, 1)], qp) == 2
+    assert evaluate(qp, 3) == 1
+    assert solve_exact([["1/2"]], [Fraction(3, 4)]) == [Fraction(3, 2)]
 
 
 def test_pick_generic_direction_examples():

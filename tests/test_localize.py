@@ -429,6 +429,31 @@ def test_series_closed_form_to_m_100(cp2_weighted):
         ]
 
 
+def test_series_starting_above_one(cp2_weighted, cp3_standard):
+    """The line of targets is walked from m_from, so a series starting
+    above m = 1 checks the start point: every value must be the one the
+    same power gets in a series from 1."""
+    def closed(weight, m):
+        return 1 + (m - abs(weight)) // 2 if abs(weight) <= m else 0
+
+    for m_from, m_to in ((37, 140), (2, 2), (2, 9), (100, 101)):
+        for mu in (0, 1, -1, 5, -5):
+            for mode, k in (("fixed", 0), ("scaled", 1)):
+                assert multiplicity_series(
+                    cp2_weighted, wv(mu), m_from, m_to, mode
+                ) == [(m, closed(m * mu if k else mu, m))
+                      for m in range(m_from, m_to + 1)], (m_from, m_to, mu, mode)
+
+    eta = wv(Fraction(1, 2), Fraction(4, 3), Fraction(7, 2))
+    tables = {m: character_table(cp3_standard, m, eta) for m in range(3, 7)}
+    for mu in (wv(0, 0, 0), wv(1, 0, 0), wv(1, 1, 0), wv(2, -1, 1)):
+        for mode in ("fixed", "scaled"):
+            assert multiplicity_series(cp3_standard, mu, 3, 6, mode, eta) == [
+                (m, tables[m][mu if mode == "fixed" else m * mu])
+                for m in range(3, 7)
+            ], (mu, mode)
+
+
 def test_non_integer_multiplicity_text():
     from locmult.fpdata import FixedPointDatum, LocalizationDataset
 
