@@ -121,9 +121,9 @@ def cmd_mult(args, out) -> int:
 def cmd_character(args, out) -> int:
     ds = load_dataset_file(args.dataset)
     table = character_table(ds, args.m, _eta(args))
-    for w, n in table.items():
+    for key, n in sorted(table._table.items()):
         out.append({"record": "character-entry", "m": args.m,
-                    "weight": _weight_json(w), "multiplicity": n})
+                    "weight": list(key), "multiplicity": n})
     out.append({"record": "character-total", "m": args.m,
                 "dimension": table.total()})
     return 0
@@ -238,11 +238,9 @@ def cmd_oracle_check(args, out) -> int:
         table = character_table(ds, m, eta)
         expected = monomial_character(ProjectiveActionSpec(weights, m))
         if table != expected:
-            bad = min((w for w in set(table.support()) | set(expected.support())
-                       if table[w] != expected[w]), key=lambda w: w.coords)
-            out.append({"record": "oracle-mismatch", "m": m,
-                        "weight": _weight_json(bad), "dataset": table[bad],
-                        "oracle": expected[bad]})
+            bad = min((table - expected)._table)
+            out.append({"record": "oracle-mismatch", "m": m, "weight": list(bad),
+                        "dataset": table[bad], "oracle": expected[bad]})
             return 1
         out.append({"record": "oracle-check", "m": m, "ok": True,
                     "dimension": table.total()})
@@ -275,8 +273,8 @@ def cmd_weyl_decompose(args, out) -> int:
     out.append({"record": "decomposition", "ok": result.ok,
                 "w_invariant": result.w_invariant,
                 "residual_size": len(result.residual)})
-    for w, n in result.residual.items():
-        out.append(f"residual {w}\t{n}")
+    for key, n in sorted(result.residual._table.items()):
+        out.append(f"residual {','.join(map(str, key))}\t{n}")
     return 0 if result.ok else 1
 
 

@@ -193,14 +193,20 @@ def _expect_int(value, location) -> int:
     return value
 
 
+def _int_tuple(values: list, location) -> tuple[int, ...]:
+    """A list of ints as a tuple; an entry's location is built only on failure."""
+    for i, x in enumerate(values):
+        if not _is_int(x):
+            _expect_int(x, f"{location}[{i}]")
+    return tuple(values)
+
+
 def _parse_weight(value, rank, location) -> WeightVector:
     if not isinstance(value, list):
         raise DatasetError(
             f"expected a coordinate list, got {value!r}", location=location
         )
-    coords = tuple(
-        _expect_int(x, f"{location}[{i}]") for i, x in enumerate(value)
-    )
+    coords = _int_tuple(value, location)
     if len(coords) != rank:
         raise DatasetError(
             f"weight has {len(coords)} coordinates, dataset rank is {rank}",
@@ -325,17 +331,10 @@ def parse_root_system(obj, rank, location) -> RootSystem:
     )
     table = []
     for i, row in enumerate(obj["cartan_pairing"]):
+        loc = f"{location}.cartan_pairing[{i}]"
         if not isinstance(row, list):
-            raise DatasetError(
-                "cartan_pairing rows must be lists",
-                location=f"{location}.cartan_pairing[{i}]",
-            )
-        table.append(
-            tuple(
-                _expect_int(x, f"{location}.cartan_pairing[{i}][{j}]")
-                for j, x in enumerate(row)
-            )
-        )
+            raise DatasetError("cartan_pairing rows must be lists", location=loc)
+        table.append(_int_tuple(row, loc))
     try:
         return generate_weyl_group(roots, table)
     except LocmultError as exc:

@@ -159,9 +159,9 @@ def pick_generic_direction(weights: Iterable[WeightVector], rank: int) -> Weight
             )
     t = 1
     while True:
-        cand = WeightVector(tuple(t**i for i in range(rank)))
-        if all(pairing(w, cand) != 0 for w in weights):
-            return cand
+        cand = tuple(t**i for i in range(rank))
+        if all(sum(map(mul, w.coords, cand)) != 0 for w in weights):
+            return WeightVector(cand)
         t += 1
 
 

@@ -28,7 +28,8 @@ independent of eta; tests exercise this.
 
 The kernel reads WeightVector coordinates directly: lattice data gives
 int tuples, and a rational weight or eta gives Fraction entries, which
-the same code handles exactly.
+the same code handles exactly.  A CharacterTable is keyed by int tuples
+too, and makes WeightVectors only where it hands weights out.
 """
 
 from __future__ import annotations
@@ -75,28 +76,23 @@ class PolarizedFixedPoint:
 
 
 def polarize(fp: FixedPointDatum, eta: WeightVector) -> PolarizedFixedPoint:
-    polarized = []
-    flags = []
-    shift = zero_vector(len(eta.coords))
+    polarized, flags, shift = [], [], (0,) * eta.rank
     for a in fp.normal_weights:
         p = pairing(a, eta)
         if p == 0:
             raise EtaNotGeneric(
                 f"eta not generic: orthogonal to normal weight {a} at {fp.label!r}"
             )
+        polarized.append(-a if p < 0 else a)
+        flags.append(p < 0)
         if p < 0:
-            polarized.append(-a)
-            flags.append(True)
-            shift = shift + (-a)
-        else:
-            polarized.append(a)
-            flags.append(False)
+            shift = tuple(map(sub, shift, a.coords))
     return PolarizedFixedPoint(
         source_label=fp.label,
         polarized_weights=tuple(polarized),
         flip_flags=tuple(flags),
         sign_count=sum(flags),
-        shift=shift,
+        shift=WeightVector(shift),
     )
 
 
@@ -251,37 +247,41 @@ def _expand(cols: list[tuple], eta: tuple, level) -> dict[tuple, int]:
     return terms
 
 
+def _weight(w) -> WeightVector:
+    """A table key as a WeightVector: as it is, or from its coordinates."""
+    return w if isinstance(w, WeightVector) else WeightVector(tuple(w))
+
+
 class CharacterTable:
-    """Finitely supported integer-multiplicity function on the lattice."""
+    """Finitely supported int multiplicities, keyed by int coordinate tuples."""
 
     def __init__(self, entries=()):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        acc: dict[WeightVector, int] = {}
+        acc: dict[tuple, int] = {}
         for w, c in items:
-            if not isinstance(w, WeightVector):
-                w = WeightVector(tuple(w))
+            w = _weight(w)
             if not w.is_integral():
                 raise ComputationError(f"character weight {w} is not a lattice point")
             if type(c) is not int:
                 c = _coordinate(c)
                 if type(c) is not int:
                     raise ComputationError(f"non-integer multiplicity {c} at {w}")
-            acc[w] = acc.get(w, 0) + c
+            acc[w.coords] = acc.get(w.coords, 0) + c
         self._table = {w: c for w, c in acc.items() if c != 0}
 
     @classmethod
-    def _unchecked(cls, table: dict[WeightVector, int]) -> "CharacterTable":
-        """The table of the dict itself, whose weights are lattice points
-        with nonzero int multiplicities; nothing is checked."""
+    def _unchecked(cls, table: dict[tuple, int]) -> "CharacterTable":
+        """The table of the dict itself, whose keys are int coordinate
+        tuples with nonzero int multiplicities; nothing is checked."""
         self = cls.__new__(cls)
         self._table = table
         return self
 
-    def __getitem__(self, w: WeightVector) -> int:
-        return self._table.get(w, 0)
+    def __getitem__(self, w) -> int:
+        return self._table.get(_weight(w).coords, 0)
 
-    def __contains__(self, w: WeightVector) -> bool:
-        return w in self._table
+    def __contains__(self, w) -> bool:
+        return _weight(w).coords in self._table
 
     def __len__(self) -> int:
         return len(self._table)
@@ -293,25 +293,34 @@ class CharacterTable:
         return isinstance(other, CharacterTable) and self._table == other._table
 
     def __hash__(self) -> int:
-        return hash(tuple(self.items()))
+        return hash(frozenset(self._table.items()))
 
     def __iter__(self):
         return iter(self.support())
 
     def support(self) -> tuple[WeightVector, ...]:
-        return tuple(sorted(self._table, key=lambda w: w.coords))
+        return tuple(map(WeightVector, sorted(self._table)))
 
     def items(self) -> list[tuple[WeightVector, int]]:
-        return sorted(self._table.items(), key=lambda item: item[0].coords)
+        return [(WeightVector(w), c) for w, c in sorted(self._table.items())]
 
     def total(self) -> int:
         return sum(self._table.values())
 
+    def _plus(self, other, n: int) -> "CharacterTable":
+        """self + n * other, for an int n."""
+        if not isinstance(other, CharacterTable):
+            raise ComputationError(f"{type(other).__name__} is not a CharacterTable",
+                                   code="not-a-character")
+        a, b = self._table, other._table
+        return CharacterTable._unchecked({
+            w: c for w in a.keys() | b.keys() if (c := a.get(w, 0) + n * b.get(w, 0))})
+
     def __add__(self, other: "CharacterTable") -> "CharacterTable":
-        return CharacterTable(list(self._table.items()) + list(other._table.items()))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "CharacterTable") -> "CharacterTable":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def scale(self, c: int) -> "CharacterTable":
         return CharacterTable([(w, v * c) for w, v in self._table.items()])
@@ -366,12 +375,13 @@ def _at_power(coef: list[int], m: int) -> int:
     return value
 
 
-def _exact(total: int, q: int, mu: WeightVector, k: int = 1) -> int:
-    """The multiplicity total / q at k*mu, which must be an integer."""
+def _exact(total: int, q: int, mu: tuple, k: int = 1) -> int:
+    """The multiplicity total / q at k*mu (coordinates): an integer."""
     value, rest = divmod(total, q)
     if rest:
         raise ComputationError(
-            f"multiplicity at {k * mu} is not an integer: {Fraction(total, q)}",
+            f"multiplicity at {k * WeightVector(mu)} is not an integer: "
+            f"{Fraction(total, q)}",
             code="non-integer-multiplicity",
         )
     return value
@@ -410,7 +420,7 @@ def _plan(
             if n:
                 totals[i] += _at_power(coef, m) * n
             x = tuple(map(add, x, step))
-    return [(m, _exact(total, q, mu, m if scaled else 1))
+    return [(m, _exact(total, q, base, m if scaled else 1))
             for m, total in zip(powers, totals)]
 
 
@@ -469,12 +479,11 @@ def character_table(
         for v, n in _expand(cols, e, _below(cut - _dot(low, e), cols, e)).items():
             mu = tuple(map(add, low, v))
             acc[mu] = acc.get(mu, 0) + scale * n
-    table = {}
-    for key in sorted(acc):
-        # rational normal weights reach off-lattice points
-        if acc[key] and all(x.denominator == 1 for x in key):
-            w = WeightVector(key)
-            table[w] = _exact(acc[key], q, w)
+    # rational data reach off-lattice points, and give Fraction(n, 1) coordinates
+    table = {tuple(map(int, key)): total for key, total in acc.items()
+             if total and all(x.denominator == 1 for x in key)}
+    if q > 1:  # the lowest weight with a non-integer multiplicity is named
+        table = {key: _exact(table[key], q, key) for key in sorted(table)}
     return CharacterTable._unchecked(table)
 
 

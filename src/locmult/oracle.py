@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .errors import LocmultError
-from .lattice import WeightVector, zero_vector
+from .lattice import WeightVector
 from .localize import CharacterTable
 
 
@@ -44,10 +45,6 @@ class ProjectiveActionSpec:
         if self.degree < 0:
             raise LocmultError("degree must be nonnegative", code="bad-degree")
 
-    @property
-    def rank(self) -> int:
-        return len(self.coord_weights[0].coords)
-
 
 def _exponents(total: int, parts: int):
     if parts == 1:
@@ -60,14 +57,12 @@ def _exponents(total: int, parts: int):
 
 def monomial_character(spec: ProjectiveActionSpec) -> CharacterTable:
     """Weight multiplicities of the degree-m monomial space."""
-    entries: dict[WeightVector, int] = {}
+    columns = list(zip(*(w.coords for w in spec.coord_weights)))
+    entries: dict[tuple, int] = {}
     for e in _exponents(spec.degree, len(spec.coord_weights)):
-        w = zero_vector(spec.rank)
-        for k, cw in zip(e, spec.coord_weights):
-            if k:
-                w = w + k * cw
+        w = tuple(sum(map(mul, e, column)) for column in columns)
         entries[w] = entries.get(w, 0) + 1
-    return CharacterTable(entries)
+    return CharacterTable._unchecked(entries)
 
 
 def total_dimension(spec: ProjectiveActionSpec) -> int:

@@ -23,12 +23,15 @@ one, and w is found without scanning W, by reflecting the int vector
 alpha_i it pairs negatively with until it is dominant.  A character is
 W-invariant when it is invariant under every s_i.  A weight is dominant
 when it pairs nonnegatively with the simple roots, so r pairings decide
-it instead of |positive roots|.
+it instead of |positive roots|.  Characters are built and read as the
+int coordinate tuples a CharacterTable stores; a decomposition makes
+WeightVectors only of the highest weights it reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
@@ -78,7 +81,7 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
         raise NonDominantWeight(f"highest weight {lam} is not dominant")
     positive = [b.coords for b in rs.positive_roots]
     simple = [a.coords for a in rs.simple_roots]
-    eta, top = (2 * rs.delta).coords, lam.coords
+    eta, top = tuple(map(sum, zip(*positive))), lam.coords  # 2 * delta
     kostant = _expand(positive, eta, _dot(top, eta))
     action = rs.dot_action
     apexes = [(sign, _apply(rows, top, offset)) for sign, rows, offset in action]
@@ -92,7 +95,7 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
                     for sign, apex in apexes)
             for _, rows, _ in action:
                 entries[_apply(rows, mu, zero)] = n
-    return CharacterTable(entries)
+    return CharacterTable._unchecked(entries)
 
 
 def _apply(rows, v: tuple, offset: tuple) -> tuple:
@@ -102,16 +105,12 @@ def _apply(rows, v: tuple, offset: tuple) -> tuple:
 
 
 def _lattice_table(chi: CharacterTable, rs: RootSystem) -> dict[tuple, int]:
-    """chi as {coords: multiplicity}; every weight must have the rank of rs."""
-    table = {}
-    for mu, c in chi.items():
-        if mu.rank != rs.rank:
-            raise LatticeError(
-                f"element of rank {rs.rank} applied to rank {mu.rank}",
-                code="rank-mismatch",
-            )
-        table[mu.coords] = c
-    return table
+    """chi's own {coords: multiplicity}, read only; every rank is rs.rank."""
+    bad = min((mu for mu in chi._table if len(mu) != rs.rank), default=None)
+    if bad is not None:
+        raise LatticeError(f"element of rank {rs.rank} applied to rank {len(bad)}",
+                           code="rank-mismatch")
+    return chi._table
 
 
 def is_w_invariant(chi: CharacterTable, rs: RootSystem) -> bool:
@@ -165,24 +164,23 @@ def decompose_character(chi: CharacterTable, rs: RootSystem) -> DecompositionRes
             lam = tuple((x - t) // 2 for x, t in zip(v, two_delta))
             sums[lam] = sums.get(lam, 0) + n
     mults = {WeightVector(lam): n for lam, n in sorted(sums.items()) if n}
-    residual = CharacterTable(chi.items() + [
-        (w, -n * c) for lam, n in mults.items()
-        for w, c in irreducible_character(rs, lam).items()])
+    residual = chi
+    for lam, n in mults.items():
+        residual = residual._plus(irreducible_character(rs, lam), -n)
     return DecompositionResult(mults, residual, _invariant(table, rs))
 
 
 def tensor(a: CharacterTable, b: CharacterTable) -> CharacterTable:
     """Pointwise product of characters: convolution of the tables."""
-    left = [(w.coords, c) for w, c in a.items()]
-    right = [(w.coords, c) for w, c in b.items()]
-    ranks = {len(w) for w, _ in left + right}
+    left, right = a._table, b._table
+    ranks = {len(w) for w in left.keys() | right.keys()}
     if left and right and len(ranks) > 1:
         raise LatticeError(
             f"rank mismatch: {min(ranks)} vs {max(ranks)}", code="rank-mismatch"
         )
     entries: dict[tuple, int] = {}
-    for w1, c1 in left:
-        for w2, c2 in right:
-            key = tuple(x + y for x, y in zip(w1, w2))
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            key = tuple(map(add, w1, w2))
             entries[key] = entries.get(key, 0) + c1 * c2
-    return CharacterTable(entries)
+    return CharacterTable._unchecked({w: c for w, c in entries.items() if c})

@@ -14,7 +14,7 @@ from locmult import (
     wv,
 )
 from locmult.fpdata import DatasetError
-from locmult.fpdata import parse_strata
+from locmult.fpdata import parse_root_system, parse_strata
 
 CP1_DOC = """
 {
@@ -156,6 +156,21 @@ def test_bad_root_system():
         load_dataset(_doc(root_system={"simple_roots": [[2]],
                                        "cartan_pairing": [[3]]}))
     assert err.value.code == "root-system-invalid"
+
+
+def test_root_system_entries_are_located():
+    """A bad simple-root coordinate or Cartan entry is named by its
+    place in the block."""
+    cases = (
+        ({"simple_roots": [[1, -1], [0, True]], "cartan_pairing": [[1, -1], [0, 2]]},
+         "root_system.simple_roots[1][1]: expected an integer, got True"),
+        ({"simple_roots": [[1, -1], [0, 1]], "cartan_pairing": [[1, -1], [0, "2"]]},
+         "root_system.cartan_pairing[1][1]: expected an integer, got '2'"),
+    )
+    for block, message in cases:
+        with pytest.raises(DatasetError) as err:
+            parse_root_system(block, None, "root_system")
+        assert (err.value.code, str(err.value)) == ("non-integer-weight", message)
 
 
 def test_root_system_block_loads():

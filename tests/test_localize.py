@@ -185,6 +185,33 @@ def test_character_table_type():
     assert t.support() == (wv(1),)
 
 
+def test_character_table_reads_both_key_forms():
+    """The constructor takes a weight as a WeightVector or as its
+    coordinates, and lookups read a key by the same rule."""
+    for t in (CharacterTable({wv(1): 1, wv(-2): 3}),
+              CharacterTable({(1,): 1, (-2,): 3}),
+              CharacterTable([([Fraction(2, 2)], 1), (wv(-2), 3)])):
+        assert t[wv(1)] == t[(1,)] == t[[1]] == 1
+        assert t[wv(-2)] == t[(-2,)] == 3
+        assert wv(1) in t and (1,) in t and (-2,) in t
+        assert t[(0,)] == 0 and (0,) not in t and wv(0) not in t
+        # an off-lattice weight is never in the table
+        assert t[wv(Fraction(1, 2))] == 0 and (Fraction(1, 2),) not in t
+        assert t.support() == (wv(-2), wv(1))
+        assert t.items() == [(wv(-2), 3), (wv(1), 1)]
+        assert list(t) == [wv(-2), wv(1)]
+
+
+def test_character_table_refuses_other_operands():
+    t = CharacterTable({wv(1): 2})
+    for combine in (lambda: t + 1, lambda: t - 1, lambda: t + {wv(1): 2}):
+        with pytest.raises(ComputationError) as err:
+            combine()
+        assert err.value.code == "not-a-character"
+    assert str(err.value) == "dict is not a CharacterTable"
+    assert t != 1 and t != {wv(1): 2} and not t == {(1,): 2}
+
+
 def test_character_table_multiplicities_are_ints():
     t = CharacterTable([(wv(0), 2), (wv(1), Fraction(4, 2)), (wv(2), "3")])
     assert [type(c) for _, c in t.items()] == [int, int, int]

@@ -395,3 +395,72 @@ def test_irreducible_matches_flag_variety_localization(a1, a1xa1, a2, b2):
                 assert irreducible_character(rs, lam) == character_table(
                     flag_dataset(rs, lam), 1), lam
     assert count == 168
+
+
+@pytest.mark.parametrize("call, built", [
+    ("irreducible", 0), ("tensor", 0), ("decompose", 4), ("table", 7),
+    ("direction", 1),
+])
+def test_weight_vectors_are_made_only_at_the_public_edges(
+    call, built, b2, cp2_standard, monkeypatch
+):
+    """An exact work counter: the WeightVectors each call builds.  The
+    characters live on int coordinate tuples, so an irreducible
+    character and a tensor product build none, a decomposition one for
+    2*delta and one per highest weight it reports (3 here), a character
+    table one for its direction and, per fixed point, one for its shift
+    and one per flipped normal weight, and the direction search one for
+    its answer."""
+    from locmult import lattice
+    from locmult.lattice import pick_generic_direction
+
+    lam, vector = wv(3, 3), wv(1, 0)
+    chi = irreducible_character(b2, lam)
+    product = tensor(chi, irreducible_character(b2, vector))
+    # (1, t) misses (1, -1) and (2, -1) only from t = 3 on
+    weights = [wv(1, -1), wv(2, -1)]
+    calls = {
+        "irreducible": (lambda: irreducible_character(b2, lam), chi),
+        "tensor": (lambda: tensor(chi, irreducible_character(b2, vector)), product),
+        "decompose": (lambda: decompose_character(product, b2).multiplicities,
+                      {wv(3, 2): 1, wv(3, 3): 1, wv(4, 3): 1}),
+        "table": (lambda: character_table(cp2_standard, 10).total(), 66),
+        "direction": (lambda: pick_generic_direction(weights, 2), wv(1, 3)),
+    }
+    run, expected = calls[call]
+    counted = []
+    original = lattice.WeightVector.__post_init__
+
+    def counting(self):
+        counted.append(self)
+        original(self)
+
+    monkeypatch.setattr(lattice.WeightVector, "__post_init__", counting)
+    result = run()
+    monkeypatch.undo()
+    assert result == expected
+    assert len(counted) == built
+
+
+def test_library_tables_compare_by_content(a1, b2):
+    """The tables the library builds directly equal and hash like tables
+    built through the constructor in any order, with either key form."""
+    chi = irreducible_character(b2, wv(2, 1))
+    vector = irreducible_character(b2, wv(1, 0))
+    forward, backward = tensor(chi, vector), tensor(vector, chi)
+    assert forward == backward and hash(forward) == hash(backward)
+    entries = [(w.coords, c) for w, c in forward.items()]
+    for rebuilt in (CharacterTable(entries), CharacterTable(entries[::-1]),
+                    CharacterTable([(wv(*w), c) for w, c in reversed(entries)])):
+        assert rebuilt == forward and hash(rebuilt) == hash(forward)
+    irreducible = irreducible_character(b2, wv(3, 1))
+    localized = character_table(flag_dataset(b2, wv(3, 1)), 1)
+    assert irreducible == localized and hash(irreducible) == hash(localized)
+    # an empty residual equals the empty table
+    residual = decompose_character(forward, b2).residual
+    assert residual == CharacterTable() and hash(residual) == hash(CharacterTable())
+    # the highest weight 3 alone: its irreducible's other weights are left over
+    residual = decompose_character(CharacterTable({wv(3): 1}), a1).residual
+    expected = CharacterTable({(-3,): -1, (-1,): -1, (1,): -1})
+    assert residual == expected == CharacterTable({wv(1): -1, wv(-1): -1, wv(-3): -1})
+    assert hash(residual) == hash(expected)
