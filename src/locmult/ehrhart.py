@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from . import poly
+from . import localize, poly
 from .errors import LocmultError
 from .lattice import LatticeError, solve_exact
-from .localize import PartitionProblem, _at_power, count_partitions
+from .localize import PartitionProblem, count_partitions
 
 
 class InsufficientSamples(LocmultError):
@@ -61,7 +61,8 @@ class QuasiPolynomial:
         _check_period(self.period)
         polys = tuple(poly.normalize(q) for q in self.residue_polys)
         if len(polys) != self.period:
-            raise LocmultError("need exactly one residue polynomial per class")
+            raise LocmultError("need exactly one residue polynomial per class",
+                               code="bad-period")
         object.__setattr__(self, "residue_polys", polys)
 
     @property
@@ -107,7 +108,7 @@ def evaluate(qp: QuasiPolynomial, m: int) -> Fraction:
     once by its denominator."""
     _check_power(m)
     coeffs, d = qp._integer_form[(-m) % qp.period]
-    return Fraction(_at_power(coeffs, m), d)
+    return Fraction(poly.evaluate(coeffs, m), d)
 
 
 def fit_quasi_polynomial(samples, period: int, degree: int) -> QuasiPolynomial:
@@ -195,8 +196,7 @@ def count_dilated(problem: PartitionProblem, m: int) -> int:
     target m*target.
 
     Only the target scales with m; the shift is subtracted once, as in
-    `PartitionProblem`.
+    `PartitionProblem`.  m is checked as `character_table` checks a power.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise LocmultError(f"dilation factor must be a positive integer, got {m!r}")
+    localize._check_power(m)
     return count_partitions(replace(problem, target=m * problem.target))

@@ -6,8 +6,8 @@ root-system file (one root_system block) and a character file
 
 A dataset lists the isolated fixed points of a torus action together
 with, per point, the fiber weight of the quantizing line bundle and the
-normal weights of the action.  Weights are recorded in the convention
-under which the character of the m-th power sums
+normal weights of the action, all lattice points.  Weights are recorded
+in the convention under which the character of the m-th power sums
 t^(m*fiber) / prod_j (1 - t^(-alpha_j)) over the fixed points; the
 monomial oracle in `oracle` pins this convention down operationally.
 
@@ -51,8 +51,8 @@ class BadStratum(LocmultError):
 
 @dataclass(frozen=True)
 class FixedPointDatum:
-    """One isolated fixed point: fiber weight, normal weights, and an
-    optional polynomial coefficient in the power m (constant first)."""
+    """One isolated fixed point: lattice-point fiber and normal weights,
+    and an optional polynomial coefficient in the power m (constant first)."""
 
     label: str
     fiber_weight: WeightVector
@@ -62,11 +62,12 @@ class FixedPointDatum:
     def __post_init__(self):
         object.__setattr__(self, "normal_weights", tuple(self.normal_weights))
         object.__setattr__(self, "coefficient", poly.normalize(self.coefficient))
-        if not self.fiber_weight.is_integral():
-            raise DatasetError(
-                f"fiber weight of {self.label!r} is not a lattice point",
-                code="non-integer-weight",
-            )
+        for w in (self.fiber_weight, *self.normal_weights):
+            if not w.is_integral():
+                raise DatasetError(
+                    f"weight {w} of {self.label!r} is not a lattice point",
+                    code="non-integer-weight",
+                )
         for a in self.normal_weights:
             if a.is_zero():
                 raise DatasetError(
@@ -427,16 +428,8 @@ def load_character_file(path) -> tuple[list[tuple[WeightVector, int]], Any]:
 def serialize_dataset(ds: LocalizationDataset) -> str:
     """Canonical document text; load_dataset of the result round-trips.
 
-    Documents hold integer weights only.  Fiber weights and simple roots
-    are lattice points by construction; a normal weight that is not
-    raises `non-integer-weight`."""
-    for fp in ds.fixed_points:
-        for a in fp.normal_weights:
-            if not a.is_integral():
-                raise DatasetError(
-                    f"fixed point {fp.label!r} has the non-lattice normal weight ({a})",
-                    code="non-integer-weight",
-                )
+    Every weight of a dataset is a lattice point by construction, as a
+    document's are, so every dataset serializes."""
     doc: dict[str, Any] = {"rank": ds.rank}
     doc["fixed_points"] = [
         {

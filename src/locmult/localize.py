@@ -26,10 +26,11 @@ lookup per power; `multiplicity` is the one-power fixed-mode series, and
 `count_partitions` reads one coefficient.  The results are
 independent of eta; tests exercise this.
 
-The kernel reads WeightVector coordinates directly: lattice data gives
-int tuples, and a rational weight or eta gives Fraction entries, which
-the same code handles exactly.  A CharacterTable is keyed by int tuples
-too, and makes WeightVectors only where it hands weights out.
+Dataset weights are lattice points and eta is read as its integer ray
+(`_ray`), the only thing polarization and every truncation depend on,
+so the kernel compares ints; only a `PartitionProblem` may have
+rational columns.  A CharacterTable is keyed by int tuples too, and
+makes WeightVectors only where it hands weights out.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .fpdata import FixedPointDatum, LocalizationDataset
 from .lattice import (
     WeightVector, _coordinate, pairing, pick_generic_direction, zero_vector,
 )
+from .poly import evaluate
 
 MODE_FIXED = "fixed"
 MODE_SCALED = "scaled"
@@ -202,9 +204,16 @@ def _dot(a: tuple, b: tuple):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _ray(eta: WeightVector) -> tuple[int, ...]:
+    """eta's integer ray: its coordinates times their common denominator."""
+    d = math.lcm(*[c.denominator for c in eta.coords])
+    return eta.coords if d == 1 else tuple(
+        c.numerator * (d // c.denominator) for c in eta.coords)
+
+
 def count_partitions(problem: PartitionProblem) -> int:
     """Exact number of solutions: the effective target's coefficient in
-    one expansion truncated at the target's eta-level."""
+    one expansion truncated at the target's level on the ray of eta."""
     eff = problem.target - problem.shift
     for lb, a in zip(problem.lower_bounds, problem.columns):
         if lb:
@@ -212,7 +221,7 @@ def count_partitions(problem: PartitionProblem) -> int:
     if not problem.columns:
         return 1 if eff.is_zero() else 0
     cols = [a.coords for a in problem.columns]
-    eta, target = problem.eta.coords, eff.coords
+    eta, target = _ray(problem.eta), eff.coords
     return _expand(cols, eta, _dot(target, eta)).get(target, 0)
 
 
@@ -309,10 +318,7 @@ class CharacterTable:
 
     def _plus(self, other, n: int) -> "CharacterTable":
         """self + n * other, for an int n."""
-        if not isinstance(other, CharacterTable):
-            raise ComputationError(f"{type(other).__name__} is not a CharacterTable",
-                                   code="not-a-character")
-        a, b = self._table, other._table
+        a, b = self._table, _table_of(other)
         return CharacterTable._unchecked({
             w: c for w in a.keys() | b.keys() if (c := a.get(w, 0) + n * b.get(w, 0))})
 
@@ -328,6 +334,14 @@ class CharacterTable:
     def __repr__(self):
         inner = ", ".join(f"({w}): {c}" for w, c in self.items())
         return "CharacterTable{%s}" % inner
+
+
+def _table_of(chi) -> dict[tuple, int]:
+    """chi's own {coords: multiplicity}; a non-table is not-a-character."""
+    if not isinstance(chi, CharacterTable):
+        raise ComputationError(f"{type(chi).__name__} is not a CharacterTable",
+                               code="not-a-character")
+    return chi._table
 
 
 def generic_direction(ds: LocalizationDataset) -> WeightVector:
@@ -367,14 +381,6 @@ def _polarized(ds: LocalizationDataset, eta: WeightVector):
     return q, points
 
 
-def _at_power(coef: list[int], m: int) -> int:
-    """The polynomial coef (constant first) at m, by Horner's rule."""
-    value = 0
-    for c in reversed(coef):
-        value = value * m + c
-    return value
-
-
 def _exact(total: int, q: int, mu: tuple, k: int = 1) -> int:
     """The multiplicity total / q at k*mu (coordinates): an integer."""
     value, rest = divmod(total, q)
@@ -405,7 +411,7 @@ def _plan(
     so the first power with a non-integer multiplicity is the one named.
     """
     q, points = _polarized(ds, eta)
-    e, base = eta.coords, mu.coords
+    e, base = _ray(eta), mu.coords
     k = 1 if scaled else 0
     powers = range(m_from, m_to + 1)
     totals = [0] * len(powers)
@@ -418,7 +424,7 @@ def _plan(
         for i, m in enumerate(powers):
             n = terms.get(x)
             if n:
-                totals[i] += _at_power(coef, m) * n
+                totals[i] += evaluate(coef, m) * n
             x = tuple(map(add, x, step))
     return [(m, _exact(total, q, base, m if scaled else 1))
             for m, total in zip(powers, totals)]
@@ -433,16 +439,6 @@ def multiplicity(
     return multiplicity_series(ds, mu, m, m, MODE_FIXED, eta)[0][1]
 
 
-def _below(gap, cols: list[tuple], eta: tuple):
-    """The largest eta-level strictly below gap that a term of
-    prod 1/(1 - t^a) over cols can have: a multiple of 1/D, where D is
-    the lcm of the denominators of the column steps <a, eta>.  An int
-    when D = 1, so that `_expand` compares ints."""
-    d = math.lcm(*(_dot(a, eta).denominator for a in cols))
-    n = -(-gap * d // 1) - 1
-    return n if d == 1 else Fraction(n, d)
-
-
 def character_table(
     ds: LocalizationDataset, m: int, eta: WeightVector | None = None
 ) -> CharacterTable:
@@ -451,37 +447,35 @@ def character_table(
     The term of fixed point F is sign * coefficient * t^apex / prod
     (1 - t^-a') over its polarized columns a', with apex m*J_F - shift_F.
     The sum over F does not depend on the direction of expansion, so the
-    table is read from both sides of `cut`, the middle eta-level of the
-    weight polytope, rounded down.  Along eta, the term is t^apex times
-    t^-v for each term t^v of prod 1/(1 - t^a'); read down to cut, it
-    gives every weight at level cut or above.  Along -eta, it is
-    (-1)^N t^(apex + sum a') / prod (1 - t^a'), the same columns read
-    upward; read up to just below cut, it gives every weight below.
+    table is read from both sides of `cut`, the middle level of the
+    weight polytope on the integer ray of eta, rounded down.  Along eta,
+    the term is t^apex times t^-v for each term t^v of prod 1/(1 - t^a');
+    read down to cut, it gives every weight at level cut or above.  Along
+    -eta, it is (-1)^N t^(apex + sum a') / prod (1 - t^a'), the same
+    columns read upward; read up to cut - 1, it gives every weight below.
     Each side is complete on its half, so every sum is exact and the
     sums off the polytope are exact zeros, which are skipped.
     """
     _check_power(m)
     if eta is None:
         eta = generic_direction(ds)
-    e = eta.coords
+    e = _ray(eta)
     levels = [m * _dot(fp.fiber_weight.coords, e) for fp in ds.fixed_points]
     cut = (min(levels) + max(levels)) // 2
     q, points = _polarized(ds, eta)
     acc: dict[tuple, int] = {}
     for coef, fiber, shift, cols in points:
-        scale = _at_power(coef, m)
+        scale = evaluate(coef, m)
         apex = tuple(m * j - s for j, s in zip(fiber, shift))
         for v, n in _expand(cols, e, _dot(apex, e) - cut).items():
             mu = tuple(map(sub, apex, v))
             acc[mu] = acc.get(mu, 0) + scale * n
         low = tuple(map(sum, zip(apex, *cols)))
         scale *= (-1) ** len(cols)
-        for v, n in _expand(cols, e, _below(cut - _dot(low, e), cols, e)).items():
+        for v, n in _expand(cols, e, cut - _dot(low, e) - 1).items():
             mu = tuple(map(add, low, v))
             acc[mu] = acc.get(mu, 0) + scale * n
-    # rational data reach off-lattice points, and give Fraction(n, 1) coordinates
-    table = {tuple(map(int, key)): total for key, total in acc.items()
-             if total and all(x.denominator == 1 for x in key)}
+    table = {key: total for key, total in acc.items() if total}
     if q > 1:  # the lowest weight with a non-integer multiplicity is named
         table = {key: _exact(table[key], q, key) for key in sorted(table)}
     return CharacterTable._unchecked(table)
@@ -517,7 +511,7 @@ def multiplicity_series(
         )
     scaled = mode == MODE_SCALED
     # m*mu is a lattice point exactly when q divides m: with q > 1 only a
-    # single scaled power that q divides passes
+    # single scaled power that q divides passes, read as the fixed m*mu
     q = math.lcm(*(c.denominator for c in mu.coords))
     if q > 1 and not (scaled and m_from % q == 0 and m_to == m_from):
         m = m_from + (m_from % q == 0)  # the first power that fails
@@ -526,6 +520,8 @@ def multiplicity_series(
             else f"weight {mu} is not a lattice point",
             code="non-lattice-weight",
         )
+    if q > 1:
+        mu, scaled = m_from * mu, False
     if eta is None:
         eta = generic_direction(ds)
     return _plan(ds, mu, eta, m_from, m_to, scaled)

@@ -41,8 +41,9 @@ def degree(coeffs) -> int:
     return len(normalize(coeffs)) - 1
 
 
-def evaluate(coeffs, x) -> Fraction:
-    acc = Fraction(0)
+def evaluate(coeffs, x):
+    """Horner's rule; int coefficients at an int x give an int."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc

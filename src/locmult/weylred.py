@@ -36,7 +36,7 @@ from operator import add
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
 from .lattice import LatticeError, RootSystem, WeightVector, is_dominant
-from .localize import CharacterTable, _dot, _expand
+from .localize import CharacterTable, _dot, _expand, _table_of
 
 
 class NonDominantWeight(LocmultError):
@@ -106,11 +106,12 @@ def _apply(rows, v: tuple, offset: tuple) -> tuple:
 
 def _lattice_table(chi: CharacterTable, rs: RootSystem) -> dict[tuple, int]:
     """chi's own {coords: multiplicity}, read only; every rank is rs.rank."""
-    bad = min((mu for mu in chi._table if len(mu) != rs.rank), default=None)
+    table = _table_of(chi)
+    bad = min((mu for mu in table if len(mu) != rs.rank), default=None)
     if bad is not None:
         raise LatticeError(f"element of rank {rs.rank} applied to rank {len(bad)}",
                            code="rank-mismatch")
-    return chi._table
+    return table
 
 
 def is_w_invariant(chi: CharacterTable, rs: RootSystem) -> bool:
@@ -172,7 +173,7 @@ def decompose_character(chi: CharacterTable, rs: RootSystem) -> DecompositionRes
 
 def tensor(a: CharacterTable, b: CharacterTable) -> CharacterTable:
     """Pointwise product of characters: convolution of the tables."""
-    left, right = a._table, b._table
+    left, right = _table_of(a), _table_of(b)
     ranks = {len(w) for w in left.keys() | right.keys()}
     if left and right and len(ranks) > 1:
         raise LatticeError(

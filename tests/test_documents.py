@@ -1,5 +1,5 @@
 """The document files: one reader for every outside document, and the
-serializer's refusal of weights the dataset format cannot hold."""
+refusal of weights the dataset format cannot hold."""
 
 import json
 
@@ -7,12 +7,10 @@ import pytest
 
 from locmult import (
     FixedPointDatum,
-    LocalizationDataset,
     load_character_file,
     load_dataset_file,
     load_root_system_file,
     load_strata_file,
-    serialize_dataset,
     wv,
 )
 from locmult.errors import LocmultError
@@ -63,11 +61,10 @@ def test_document_files_are_strict_json(tmp_path):
         assert err.value.code == "schema-violation"
 
 
-def test_serialize_refuses_non_lattice_weights():
-    ds = LocalizationDataset(1, (
-        FixedPointDatum("P", wv(0), (wv("1/2"),)),
-        FixedPointDatum("Q", wv(0), (wv("-1/2"),)),
-    ))
+def test_non_lattice_weights_are_refused_at_construction():
+    """A dataset holds lattice points only, as its document does, so a
+    normal weight off the lattice is refused where the dataset is built
+    and the serializer has nothing to refuse."""
     with pytest.raises(DatasetError, match="'P'") as err:
-        serialize_dataset(ds)
+        FixedPointDatum("P", wv(0), (wv("1/2"),))
     assert err.value.code == "non-integer-weight"

@@ -22,6 +22,7 @@ from locmult.ehrhart import (
     PeriodNotFound,
     PhaseFormUnavailable,
 )
+from locmult.errors import LocmultError
 from locmult.poly import evaluate as poly_eval
 from locmult.poly import make
 
@@ -243,5 +244,20 @@ def test_period_and_degree_errors_are_coded():
         (lambda: QuasiPolynomial(True, ((1,),)), "bad-period"),
     ]:
         with pytest.raises(Exception) as err:
+            call()
+        assert err.value.code == code
+
+
+def test_dilation_factor_and_residue_count_errors_are_coded():
+    """No library error keeps the base code: a dilation factor is checked
+    as a power m is, and a residue count other than the period is
+    bad-period."""
+    p = PartitionProblem((wv(1), wv(2)), wv(1))
+    for call, code in [
+        (lambda: count_dilated(p, 0), "computation-error"),
+        (lambda: count_dilated(p, 1.5), "computation-error"),
+        (lambda: QuasiPolynomial(2, ((1,),)), "bad-period"),
+    ]:
+        with pytest.raises(LocmultError) as err:
             call()
         assert err.value.code == code

@@ -1,6 +1,6 @@
 """Exactness: no float reaches a result, lattice points carry int
-coordinates, and rational data gives the same numbers as its rescaling
-to integers."""
+coordinates, and a dataset dilated by d gives at d*w the numbers the
+dataset gives at w, along rational etas."""
 
 import dataclasses
 import itertools
@@ -82,48 +82,37 @@ def scaled(ds, d):
 
 half, third = Fraction(1, 2), Fraction(1, 3)
 times_m = (Fraction(0), Fraction(1))
-RATIONAL = [
+SUBLATTICE = [
     # (dataset, rational etas, rational mu for the scaled series); each is
-    # O(k) on CP^n with every weight mapped by diag(1/2, 1/3, ...), so
-    # its character has entries off the lattice
+    # O(k) on CP^n with every weight mapped by diag(1/2, 1/3, ...), times
+    # the common denominator, so its weights span a proper sublattice
     (LocalizationDataset(1, (
-        FixedPointDatum("P", wv(1), (wv(half),), times_m),
-        FixedPointDatum("Q", wv(0), (wv(-half),), times_m),
+        FixedPointDatum("P", wv(2), (wv(1),), times_m),
+        FixedPointDatum("Q", wv(0), (wv(-1),), times_m),
     )), [wv(third), wv(Fraction(-2, 5))], wv(Fraction(3, 2))),
     (LocalizationDataset(2, (
-        FixedPointDatum("A", wv(0, 0), (wv(half, 0), wv(0, third))),
-        FixedPointDatum("B", wv(3, 0), (wv(-half, 0), wv(-half, third))),
-        FixedPointDatum("C", wv(0, 2), (wv(0, -third), wv(half, -third))),
+        FixedPointDatum("A", wv(0, 0), (wv(3, 0), wv(0, 2))),
+        FixedPointDatum("B", wv(18, 0), (wv(-3, 0), wv(-3, 2))),
+        FixedPointDatum("C", wv(0, 12), (wv(0, -2), wv(3, -2))),
     )), [wv(1, third), wv(-half, Fraction(2, 5))], wv(half, third)),
 ]
 
 
-@pytest.mark.parametrize("ds, etas, mu", RATIONAL, ids=["rank1", "rank2"])
-def test_rational_data_matches_its_integer_rescaling(ds, etas, mu):
-    """With d the common denominator of every coordinate, the character
-    of d*ds is the character of ds with t replaced by t^d, so its entry
-    at d*w is the entry of ds at w at every lattice point w."""
-    vectors = (mu, *etas, *ds.all_normal_weights())
-    d = math.lcm(*(c.denominator for v in vectors for c in v.coords))
+@pytest.mark.parametrize("ds, etas, mu", SUBLATTICE, ids=["rank1", "rank2"])
+def test_dilated_data_matches_at_dilated_weights(ds, etas, mu):
+    """The character of d*ds is the character of ds with t replaced by
+    t^d: its table is the table of ds moved to d*w, and its entry at d*w
+    is the entry of ds at w, at every lattice point w and rational eta."""
     q = math.lcm(*(c.denominator for c in mu.coords))
-    big = scaled(ds, d)
-    assert all(v.is_integral() for v in big.all_normal_weights())
-    off_lattice = False
     for eta, m in itertools.product(etas, (1, 2, 3)):
         small_t = character_table(ds, m, eta)
-        big_t = character_table(big, m, d * eta)
         assert small_t
-        for w in small_t.support():
-            assert small_t[w] == big_t[d * w], (eta, m, w)
-        for w in big_t.support():
-            if all(c % d == 0 for c in w.coords):
-                assert small_t[Fraction(1, d) * w] == big_t[w], (eta, m, w)
-            else:
-                off_lattice = True
-        for w in small_t.support() + (wv(*[-1] * ds.rank),):
-            assert (multiplicity(ds, w, m, eta)
-                    == multiplicity(big, d * w, m, d * eta)), (eta, m, w)
-        assert (multiplicity_series(ds, mu, q, q, eta=eta)
-                == multiplicity_series(big, d * mu, q, q, eta=d * eta))
-    # the rescaled tables have entries off d*Z^n, which ds must not report
-    assert off_lattice
+        for d in (2, 3):
+            big = scaled(ds, d)
+            assert character_table(big, m, eta) == CharacterTable(
+                {d * w: c for w, c in small_t.items()}), (eta, m, d)
+            for w in small_t.support() + (wv(*[-1] * ds.rank),):
+                assert (multiplicity(ds, w, m, eta)
+                        == multiplicity(big, d * w, m, eta)), (eta, m, d, w)
+            assert (multiplicity_series(ds, mu, q, q, eta=eta)
+                    == multiplicity_series(big, d * mu, q, q, eta=eta))

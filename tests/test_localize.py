@@ -577,6 +577,40 @@ def test_character_table_expands_down_to_the_polytope(
             (-w, c) for w, c in character_table(ds, m).items())
 
 
+def test_expansions_compare_ints_along_rational_etas(cp2_standard, monkeypatch):
+    """A deterministic work counter: at rational etas, every expansion
+    that character_table, multiplicity_series (at a rational mu too) and
+    count_partitions on int columns with a found certificate make reads
+    eta as its integer ray, at an int level."""
+    from locmult import localize
+
+    calls = []
+    original = localize._expand
+
+    def recording(cols, eta, level):
+        calls.append((eta, level))
+        return original(cols, eta, level)
+
+    monkeypatch.setattr(localize, "_expand", recording)
+    q = Fraction
+    for eta, ray in ((wv(q(1, 2), q(1, 3)), (3, 2)),
+                     (wv(q(-2, 5), q(3, 7)), (-14, 15))):
+        calls.clear()
+        character_table(cp2_standard, 4, eta)
+        multiplicity_series(cp2_standard, wv(1, 1), 1, 6, "fixed", eta)
+        multiplicity_series(cp2_standard, wv(q(1, 2), 0), 2, 2, eta=eta)
+        multiplicity(cp2_standard, wv(1, 1), 3, eta)
+        assert len(calls) == 2 * 3 + 3 + 3 + 3
+        assert {e for e, _ in calls} == {ray}
+        assert all(type(level) is int for _, level in calls)
+    problem = PartitionProblem((wv(3, -1), wv(-1, 2), wv(1, 1)), wv(10, 10))
+    assert problem.eta == wv(q(3, 5), q(4, 5))
+    calls.clear()
+    assert count_partitions(problem) == naive_count(
+        problem.columns, problem.target, (0, 0, 0), zero_vector(2), problem.eta)
+    assert calls == [((3, 4), 70)]
+
+
 def brute_expansion(cols, eta, level):
     """Terms of prod 1/(1 - t^a) up to an eta-level, by enumerating every
     multiplicity vector k of the columns."""
@@ -727,28 +761,21 @@ def test_character_sums_vanish_off_the_box(
 
 
 def test_character_table_cut_with_rational_steps(cp2_standard):
-    """A rational eta whose column steps have denominators above 1: the
-    lower side stops at the largest multiple of 1/D strictly below the
-    cut, so the weights exactly at the cut are read once, from above."""
-    from locmult.localize import _below
-
+    """A rational eta whose column steps have denominators above 1 is
+    read as its integer ray (3, 2): the lower side stops one level below
+    the cut, so the weights exactly at the cut are read once, from above."""
     q = Fraction
     eta = wv(q(1, 2), q(1, 3))
     steps = {pairing(a, eta) for fp in cp2_standard.fixed_points
              for a in fp.normal_weights}
     assert {s.denominator for s in steps} == {2, 3, 6}
-    # m = 4: the vertices lie at levels 0, 4/3 and 2, so the cut is 1,
-    # where (2, 0) and (0, 3) lie
+    # m = 4: on the ray the vertices lie at levels 0, 8 and 12, so the
+    # cut is 6, where (2, 0) and (0, 3) lie
     table = character_table(cp2_standard, 4, eta)
     assert table[wv(2, 0)] == table[wv(0, 3)] == 1
     assert table == monomial_character(ProjectiveActionSpec(
         (wv(1, 0), wv(0, 1), wv(0, 0)), 4))
-    cols = [(1, 0), (0, 1)]
-    assert _below(1, cols, eta.coords) == q(5, 6)
-    assert _below(q(1, 2), cols, eta.coords) == q(1, 3)
-    # an int eta keeps the bound an int, even below a rational gap
-    assert type(_below(3, cols, (1, 2))) is int and _below(3, cols, (1, 2)) == 2
-    assert _below(q(5, 2), cols, (1, 2)) == 2
+    assert table == character_table(cp2_standard, 4, wv(3, 2))
 
 
 def test_character_table_signed_permutation_sweep(cp2_standard, cp3_standard):

@@ -22,6 +22,7 @@ from locmult import (
     wv,
 )
 from locmult.lattice import LatticeError, RootSystem, WeylElement
+from locmult.localize import ComputationError
 from locmult.weylred import NonDominantWeight, _apply, flag_dataset, is_w_invariant
 
 
@@ -251,6 +252,21 @@ def test_tensor_examples(a1):
     chi = CharacterTable({wv(3): 2, wv(-1): 5})
     assert tensor(chi, CharacterTable({wv(0): 1})) == chi
 
+
+def test_operands_other_than_tables_are_coded(a1):
+    """tensor, decompose_character and is_w_invariant refuse anything
+    but a CharacterTable as + and - do, with one coded error."""
+    chi = a1_irrep(1)
+    for call, kind in (
+        (lambda: tensor(chi, 1), "int"),
+        (lambda: tensor({wv(1): 1}, chi), "dict"),
+        (lambda: decompose_character({wv(1): 1}, a1), "dict"),
+        (lambda: is_w_invariant(3, a1), "int"),
+    ):
+        with pytest.raises(ComputationError) as err:
+            call()
+        assert err.value.code == "not-a-character"
+        assert str(err.value) == f"{kind} is not a CharacterTable"
 
 
 def test_rank_mismatch_is_coded(b2):
