@@ -4,8 +4,10 @@ A value f(m) is stored through residue polynomials q_j for j in
 0..k-1, indexed so that q_j(n) = f(k*n - j).  The value at m is
 q_j((m + j) / k) for the class j = (-m) mod k.  Each quasi-polynomial
 rewrites every q_j once as a polynomial in m itself, with int
-coefficients over one denominator, so evaluation at an int m is an int
-Horner sum and one Fraction at the end.  For periods 1 and 2 the
+coefficients over one denominator.  That integer form serves evaluation
+(an int Horner sum and one Fraction at the end), the fit's self-check
+and the onset scan (an int Horner sum compared with d * value, no
+Fraction) and the phase split.  For periods 1 and 2 the
 same data can be rewritten in phase form
 f(m) = p_plus(m) + (-1)^m * p_minus(m); larger periods would need
 cyclotomic coefficients, which this module does not carry.
@@ -20,7 +22,7 @@ from functools import cached_property
 
 from . import localize, poly
 from .errors import LocmultError
-from .lattice import LatticeError, solve_exact
+from .lattice import LatticeError, _coordinate, solve_exact
 from .localize import PartitionProblem, count_partitions
 
 
@@ -92,14 +94,20 @@ def _check_power(m) -> None:
                            code=f"{kind}-number")
 
 
-def _read_samples(samples) -> list[tuple[int, Fraction]]:
-    """Samples (m, value): m an int, the value read like a coordinate
-    (a float is inexact-number, as a float m is)."""
+def _read_samples(samples) -> list[tuple[int, int | Fraction]]:
+    """Samples (m, value): m an int, the value read like a coordinate, so
+    an int stays an int (a float is inexact-number, as a float m is)."""
     out = []
     for m, v in samples:
         _check_power(m)
-        out.append((m, poly._exact(v)))
+        out.append((m, _coordinate(v)))
     return out
+
+
+def _agrees(qp: QuasiPolynomial, m: int, v) -> bool:
+    """qp(m) == v, compared on the integer form of m's residue class."""
+    coeffs, d = qp._integer_form[(-m) % qp.period]
+    return poly.evaluate(coeffs, m) == d * v
 
 
 def evaluate(qp: QuasiPolynomial, m: int) -> Fraction:
@@ -148,22 +156,18 @@ def fit_quasi_polynomial(samples, period: int, degree: int) -> QuasiPolynomial:
         fitted.append(poly.normalize(coeffs))
     qp = QuasiPolynomial(period, tuple(fitted))
     for m, v in pts:
-        if evaluate(qp, m) != v:
+        if not _agrees(qp, m, v):
             raise FitVerificationError(
                 f"verification failure at m={m}", failed_m=m
             )
     return qp
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def minimal_period(samples, k_max: int, degree: int) -> tuple[int, QuasiPolynomial]:
     """Smallest divisor of k_max whose fit reproduces all samples."""
     _check_period(k_max, "k_max")
     samples = list(samples)
-    for k in _divisors(k_max):
+    for k in (d for d in range(1, k_max + 1) if k_max % d == 0):
         try:
             return k, fit_quasi_polynomial(samples, k, degree)
         except FitVerificationError:
@@ -182,13 +186,9 @@ def phase_decomposition(qp: QuasiPolynomial):
         )
     if qp.period == 1:
         return [(1, qp.residue_polys[0])]
-    half = Fraction(1, 2)
-    # q_0(n) = f(2n): even values; q_1(n) = f(2n - 1): odd values.
-    f_even = poly.compose_affine(qp.residue_polys[0], half, 0)
-    f_odd = poly.compose_affine(qp.residue_polys[1], half, half)
-    p_plus = poly.scale(poly.add(f_even, f_odd), half)
-    p_minus = poly.scale(poly.sub(f_even, f_odd), half)
-    return [(1, p_plus), (-1, p_minus)]
+    # halves of f at even m and at odd m: the integer forms of classes 0, 1
+    f_even, f_odd = (poly.scale(c, Fraction(1, 2 * d)) for c, d in qp._integer_form)
+    return [(1, poly.add(f_even, f_odd)), (-1, poly.sub(f_even, f_odd))]
 
 
 def count_dilated(problem: PartitionProblem, m: int) -> int:

@@ -426,7 +426,8 @@ def load_character_file(path) -> tuple[list[tuple[WeightVector, int]], Any]:
 
 
 def serialize_dataset(ds: LocalizationDataset) -> str:
-    """Canonical document text; load_dataset of the result round-trips.
+    """Canonical document text; load_dataset of the result round-trips
+    for every dataset that `validate` passes.
 
     Every weight of a dataset is a lattice point by construction, as a
     document's are, so every dataset serializes."""
@@ -467,34 +468,48 @@ def serialize_dataset(ds: LocalizationDataset) -> str:
 
 def validate(ds: LocalizationDataset) -> ValidationReport:
     """Re-check dataset invariants and report warnings for legal but
-    suspicious data (duplicate fiber weights)."""
-    findings: list[Finding] = []
-    if ds.rank < 1:
-        findings.append(Finding("error", "rank", "rank must be a positive integer"))
+    suspicious data (duplicate fiber weights).  The errors are the cases
+    that load_dataset refuses in a document but the constructors accept."""
+    errors: list[tuple[str, str]] = []
+    if not _is_int(ds.rank) or ds.rank < 1:
+        errors.append(("rank", "rank must be a positive integer"))
     if not ds.fixed_points:
-        findings.append(
-            Finding("error", "fixed_points", "dataset has no fixed points")
-        )
+        errors.append(("fixed_points", "dataset has no fixed points"))
+    if ds.strata == ():
+        errors.append(("strata", "strata must be a nonempty list"))
+    labelled = []
+    for i, s in enumerate(ds.strata or ()):
+        if not isinstance(s, StratumPhaseDatum):
+            errors.append((f"strata[{i}]", f"stratum {s!r} is not a StratumPhaseDatum"))
+            continue
+        labelled.append((f"strata[{i}]", s.label))
+    weights = []
     for i, fp in enumerate(ds.fixed_points):
         loc = f"fixed_points[{i}]"
-        weights = [(f"{loc}.fiber_weight", fp.fiber_weight)] + [
+        labelled.append((loc, fp.label))
+        weights += [(f"{loc}.fiber_weight", fp.fiber_weight)] + [
             (f"{loc}.normal_weights[{j}]", a) for j, a in enumerate(fp.normal_weights)
         ]
-        for where, w in weights:
-            if w.rank != ds.rank:
-                message = f"rank {w.rank} weight in a rank {ds.rank} dataset"
-                findings.append(Finding("error", where, message))
+    if ds.root_system is not None:
+        weights += [(f"root_system.simple_roots[{j}]", r)
+                    for j, r in enumerate(ds.root_system.simple_roots)]
+    for where, w in weights:
+        if w.rank != ds.rank:
+            errors.append((where, f"rank {w.rank} weight in a rank {ds.rank} dataset"))
+    for where, label in labelled:
+        if not isinstance(label, str) or not label:
+            errors.append((where, "label must be a nonempty string"))
+    for k, v in ds.metadata.items():
+        if not isinstance(k, str) or not isinstance(v, str):
+            message = f"metadata keys and values must be strings, got {k!r}: {v!r}"
+            errors.append((f"metadata.{k}", message))
+    findings = [Finding("error", where, message) for where, message in errors]
     seen: dict[tuple, list[str]] = {}
     for fp in ds.fixed_points:
-        seen.setdefault(fp.fiber_weight.coords, []).append(fp.label)
+        seen.setdefault(fp.fiber_weight.coords, []).append(str(fp.label))
     for coords, labels in sorted(seen.items()):
         if len(labels) > 1:
-            findings.append(
-                Finding(
-                    "warning",
-                    "fixed_points",
-                    "fiber weight (%s) shared by %s"
-                    % (",".join(str(c) for c in coords), ", ".join(labels)),
-                )
-            )
+            where = ",".join(map(str, coords))
+            message = f"fiber weight ({where}) shared by {', '.join(labels)}"
+            findings.append(Finding("warning", "fixed_points", message))
     return ValidationReport(tuple(findings))

@@ -22,8 +22,9 @@ one expansion over the positive roots read by Kostant's formula); a
 series in m (`multiplicity_series`) expands each fixed point once, up
 to the highest level its targets reach in the range, and walks the
 line those targets lie on, which is affine in m, one step and one
-lookup per power; `multiplicity` is the one-power fixed-mode series, and
-`count_partitions` reads one coefficient.  The results are
+lookup per power, over the window of powers whose target lies at a
+level the expansion holds; `multiplicity` is the one-power fixed-mode
+series, and `count_partitions` reads one coefficient.  The results are
 independent of eta; tests exercise this.
 
 Dataset weights are lattice points and eta is read as its integer ray
@@ -354,6 +355,11 @@ def _check_power(m):
         raise ComputationError(f"power m must be a positive integer, got {m!r}")
 
 
+def _check_m_to(m_to):
+    if isinstance(m_to, bool) or not isinstance(m_to, int):
+        raise ComputationError(f"power m_to must be an integer, got {m_to!r}")
+
+
 def _polarized(ds: LocalizationDataset, eta: WeightVector):
     """Polarize every fixed point once.
 
@@ -404,11 +410,12 @@ def _plan(
     coefficient of t^x in prod 1/(1 - t^a') over its polarized columns
     a', at x = m*(J_F - k*mu) - shift_F - (1 - k)*mu, with k = 1 when
     scaled and 0 when not.  The exponent x is affine in m, so each fixed
-    point is expanded once, up to the larger of its eta-levels at m_from
-    and m_to, and its line is walked once: one step and one lookup per
-    power, with the coefficient polynomial evaluated only where the
-    lookup finds a term.  The totals are then checked in increasing m,
-    so the first power with a non-integer multiplicity is the one named.
+    point is expanded once, up to top, the larger of its eta-levels at
+    m_from and m_to, and its line is walked once over the window of
+    powers at levels 0..top, where its terms lie: one step and one
+    lookup per power, with the coefficient polynomial evaluated only
+    where the lookup finds a term.  With q > 1 the totals are then
+    checked in increasing m, so the first non-integer one is named.
     """
     q, points = _polarized(ds, eta)
     e, base = _ray(eta), mu.coords
@@ -419,13 +426,19 @@ def _plan(
         step = tuple(j - k * t for j, t in zip(fiber, base))
         x = tuple(m_from * d - s - (1 - k) * t
                   for d, s, t in zip(step, shift, base))
-        level = _dot(x, e)
-        terms = _expand(cols, e, max(level, level + (m_to - m_from) * _dot(step, e)))
-        for i, m in enumerate(powers):
+        level, rise = _dot(x, e), _dot(step, e)
+        terms = _expand(cols, e, max(level, level + (m_to - m_from) * rise))
+        # the window: the i with level + i * rise >= 0
+        lo = max(0, -(level // rise)) if rise > 0 else 0 if level >= 0 else len(powers)
+        hi = min(len(powers), level // -rise + 1) if rise < 0 else len(powers)
+        x = tuple(a + lo * d for a, d in zip(x, step))
+        for i in range(lo, hi):
             n = terms.get(x)
             if n:
-                totals[i] += evaluate(coef, m) * n
+                totals[i] += evaluate(coef, powers[i]) * n
             x = tuple(map(add, x, step))
+    if q == 1:
+        return list(zip(powers, totals))
     return [(m, _exact(total, q, base, m if scaled else 1))
             for m, total in zip(powers, totals)]
 
@@ -500,8 +513,7 @@ def multiplicity_series(
     if mode not in (MODE_FIXED, MODE_SCALED):
         raise ComputationError(f"unknown mode {mode!r}", code="bad-mode")
     _check_power(m_from)
-    if isinstance(m_to, bool) or not isinstance(m_to, int):
-        raise ComputationError(f"power m_to must be an integer, got {m_to!r}")
+    _check_m_to(m_to)
     if m_to < m_from:
         raise ComputationError("empty power range")
     if mu.rank != ds.rank:

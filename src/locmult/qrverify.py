@@ -26,15 +26,15 @@ from .ehrhart import (
     FitVerificationError,
     PhaseFormUnavailable,
     QuasiPolynomial,
+    _agrees,
     _read_samples,
-    evaluate,
     fit_quasi_polynomial,
     phase_decomposition,
 )
 from .errors import LocmultError
-from .fpdata import BadStratum
+from .fpdata import BadStratum, StratumPhaseDatum
 from .lattice import WeightVector
-from .localize import multiplicity_series
+from .localize import _check_m_to, multiplicity_series
 
 
 class StructureViolated(LocmultError):
@@ -51,7 +51,7 @@ def onset_threshold(samples, qp: QuasiPolynomial) -> int | None:
     pts = sorted(_read_samples(samples))
     if not pts:
         return None
-    mismatch = [m for m, v in pts if evaluate(qp, m) != v]
+    mismatch = [m for m, v in pts if not _agrees(qp, m, v)]
     if not mismatch:
         return pts[0][0]
     if mismatch[-1] == pts[-1][0]:
@@ -101,11 +101,6 @@ class QRReport:
         )
 
 
-def _phase_label(rotation: Fraction) -> int:
-    # Only meaningful for period <= 2, where phases are +1 and -1.
-    return 1 if rotation == 0 else -1
-
-
 def verify_structure(
     ds,
     mu: WeightVector,
@@ -129,6 +124,8 @@ def verify_structure(
         raise BadStratum("at least one stratum must be declared")
     k = 1
     for s in strata:
+        if not isinstance(s, StratumPhaseDatum):
+            raise BadStratum(f"stratum {s!r} is not a StratumPhaseDatum")
         k = math.lcm(k, s.order)
     if k > 2:
         raise PhaseFormUnavailable(
@@ -137,6 +134,7 @@ def verify_structure(
         )
     d = max(s.degree_bound for s in strata)
     required = 2 * (k + d + 2)
+    _check_m_to(m_max)
     if m_max < required:
         raise LocmultError(
             f"m_max={m_max} too small: need at least {required} for period {k} "
@@ -156,7 +154,7 @@ def verify_structure(
         ) from None
     onset = onset_threshold(series, qp)
     if onset is None or 2 * onset > m_max:
-        witnesses = tuple(m for m, v in series if evaluate(qp, m) != v)
+        witnesses = tuple(m for m, v in series if not _agrees(qp, m, v))
         raise StructureViolated(
             f"structure violated: fit fails for every onset <= {m_max}/2",
             witnesses=witnesses,
@@ -167,32 +165,21 @@ def verify_structure(
     comparisons: list[ExpectedComparison] = []
     for phase in (1, -1) if k == 2 else (1,):
         fitted = phase_polys.get(phase, poly.ZERO)
-        declaring = [s for s in strata if _phase_label(s.rotation) == phase]
-        if declaring:
-            bound = max(s.degree_bound for s in declaring)
-            checks.append(
-                PhaseCheck(phase, fitted, bound, poly.degree(fitted) <= bound)
-            )
-            expected = None
-            equal = None
-            if all(s.expected_poly is not None for s in declaring):
-                expected = poly.ZERO
-                for s in declaring:
-                    expected = poly.add(expected, s.expected_poly)
-                equal = expected == fitted
-            comparisons.append(
-                ExpectedComparison(
-                    phase,
-                    tuple(s.label for s in declaring),
-                    expected,
-                    fitted,
-                    equal,
-                )
-            )
-        else:
-            checks.append(
-                PhaseCheck(phase, fitted, None, poly.degree(fitted) < 0)
-            )
+        # with period <= 2 the phase of a stratum is +1 or -1
+        declaring = [s for s in strata if (1 if s.rotation == 0 else -1) == phase]
+        if not declaring:
+            checks.append(PhaseCheck(phase, fitted, None, poly.degree(fitted) < 0))
+            continue
+        bound = max(s.degree_bound for s in declaring)
+        checks.append(PhaseCheck(phase, fitted, bound, poly.degree(fitted) <= bound))
+        expected = equal = None
+        if all(s.expected_poly is not None for s in declaring):
+            expected = poly.ZERO
+            for s in declaring:
+                expected = poly.add(expected, s.expected_poly)
+            equal = expected == fitted
+        labels = tuple(s.label for s in declaring)
+        comparisons.append(ExpectedComparison(phase, labels, expected, fitted, equal))
 
     return QRReport(
         fitted=qp,

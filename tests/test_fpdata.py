@@ -217,6 +217,44 @@ def test_validate_reports_rank_mismatch():
     assert any("rank" in f.message for f in report.errors)
 
 
+def test_validate_reports_what_the_loader_refuses(cp1, cp2_weighted, a1xa1):
+    """Datasets the constructors accept but whose document load_dataset
+    refuses: validate reports each as an error, and the serialized text
+    is refused, so the round trip holds for what validate passes."""
+    from dataclasses import replace
+
+    from locmult import StratumPhaseDatum
+
+    p0, p1 = cp1.fixed_points
+    cases = [
+        ("strata", replace(cp2_weighted, strata=())),
+        ("fixed_points[1]", replace(cp1, fixed_points=(p0, replace(p1, label="")))),
+        ("strata[1]", replace(cp2_weighted, strata=(
+            cp2_weighted.strata[0], StratumPhaseDatum("", 1, Fraction(0), 0)))),
+        ("metadata.name", replace(cp1, metadata={"name": 3})),
+        ("metadata.note", replace(cp1, metadata={"name": "x", "note": None})),
+        ("root_system.simple_roots[0]", replace(cp1, root_system=a1xa1)),
+        ("rank", replace(cp1, rank=True)),
+    ]
+    for where, ds in cases:
+        report = validate(ds)
+        assert not report.ok, where
+        assert [f.location for f in report.errors] == (
+            [where, "root_system.simple_roots[1]"] if "root" in where else [where])
+        with pytest.raises(DatasetError):
+            load_dataset(serialize_dataset(ds))
+    # a stratum that is not a datum cannot even be serialized
+    report = validate(replace(cp2_weighted, strata=(cp2_weighted.strata[0], 1)))
+    assert [(f.location, f.message) for f in report.errors] == [
+        ("strata[1]", "stratum 1 is not a StratumPhaseDatum")]
+    # an int label is refused too; it does not stop the duplicate-fiber scan
+    twins = (replace(p0, label=5), replace(p1, fiber_weight=wv(1)))
+    ds = replace(cp1, fixed_points=twins)
+    report = validate(ds)
+    assert [f.location for f in report.errors] == ["fixed_points[0]"]
+    assert report.warnings[0].message == "fiber weight (1) shared by 5, P1"
+
+
 def test_validate_warns_on_duplicate_fiber_weights():
     ds = load_dataset(_doc(fixed_points=[
         {"label": "P0", "fiber_weight": [1], "normal_weights": [[1]]},

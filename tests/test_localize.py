@@ -544,6 +544,72 @@ def test_series_expands_once_per_fixed_point(cp2_weighted, monkeypatch):
     assert len(calls) == len(cp2_weighted.fixed_points) == 3
 
 
+def _negated(ds):
+    """The dataset with every weight negated: its character is reflected."""
+    return LocalizationDataset(ds.rank, tuple(
+        FixedPointDatum(fp.label, -fp.fiber_weight,
+                        tuple(-a for a in fp.normal_weights), fp.coefficient)
+        for fp in ds.fixed_points))
+
+
+def test_series_window_boundaries(cp2_weighted, cp2_standard, cp3_standard):
+    """Each fixed point's line is read only over the powers whose target
+    lies at a level its expansion holds, a window that depends on where
+    the range starts and ends: every sub-range [a, b] of a range is the
+    matching slice of the whole series.  On cp2_weighted and its
+    negation the targets rise, fall or stay put with m, and enter the
+    window in mid-range.  Every power is also checked against the closed
+    form (the negation has the same one, which is even in the weight) or,
+    on cp2_standard and cp3_standard, against its character table."""
+    def closed(weight, m):
+        return 1 + (m - abs(weight)) // 2 if abs(weight) <= m else 0
+
+    for ds in (cp2_weighted, _negated(cp2_weighted)):
+        for mu, mode in itertools.product(range(-6, 7), ("fixed", "scaled")):
+            full = multiplicity_series(ds, wv(mu), 1, 40, mode)
+            assert full == [(m, closed(mu if mode == "fixed" else m * mu, m))
+                            for m in range(1, 41)], (mu, mode)
+            for a, b in itertools.combinations_with_replacement(range(1, 41), 2):
+                assert multiplicity_series(ds, wv(mu), a, b, mode) == full[a - 1:b], (
+                    mu, mode, a, b)
+    grids = [
+        (cp2_standard, 7, [wv(0, 0), wv(2, -1), wv(-3, 4)]),
+        (cp3_standard, 5, [wv(0, 0, 0), wv(1, -1, 0), wv(-2, 0, 3)]),
+    ]
+    for ds, m_to, mus in grids:
+        tables = {m: character_table(ds, m) for m in range(1, m_to + 1)}
+        for mu, mode in itertools.product(mus, ("fixed", "scaled")):
+            full = [(m, tables[m][mu if mode == "fixed" else m * mu])
+                    for m in range(1, m_to + 1)]
+            for a, b in itertools.combinations_with_replacement(range(1, m_to + 1), 2):
+                assert multiplicity_series(ds, mu, a, b, mode) == full[a - 1:b], (
+                    ds.metadata.get("name"), mu, mode, a, b)
+
+
+def test_series_reads_each_line_only_in_its_window(cp2_weighted, monkeypatch):
+    """A deterministic work counter: the lookups into the expansions.
+    With eta > 0 the targets of cp2_weighted's fixed points are P0: m - mu,
+    P1: -m - 3 + mu and P2: -1 + mu in fixed mode (P0: m, P1: -m - 3 and
+    P2: -1 at mu = 0 in scaled mode), and a term lies at a level >= 0."""
+    from locmult import localize
+
+    lookups = []
+    original = localize._expand
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(localize, "_expand", lambda *args: Counted(original(*args)))
+    for mu, m_to, mode, expected in ((0, 100, "scaled", 100),  # P0 only
+                                     (6, 50, "fixed", 45),  # P0 at m >= 6
+                                     (-6, 50, "fixed", 50 + 3 + 50)):  # P1 at m <= 3
+        lookups.clear()
+        multiplicity_series(cp2_weighted, wv(mu), 1, m_to, mode)
+        assert len(lookups) == expected, (mu, mode)
+
+
 def test_character_table_expands_down_to_the_polytope(
     cp2_standard, cp3_standard, monkeypatch
 ):

@@ -130,6 +130,52 @@ def test_verify_needs_strata(cp1):
         verify_structure(cp1, wv(0), (), 8)
 
 
+def test_verify_refuses_a_stratum_that_is_not_a_datum(cp2_weighted):
+    for strata in ([1], [EVEN, "g"], [None]):
+        with pytest.raises(BadStratum) as err:
+            verify_structure(cp2_weighted, wv(0), strata, 12)
+        assert err.value.code == "bad-stratum"
+        assert "is not a StratumPhaseDatum" in str(err.value)
+
+
+def test_verify_m_max_must_be_an_int(cp2_weighted):
+    """An m_max that is not an int gets the error a series gives for such
+    an m_to, bools included, and before its size is compared."""
+    from locmult import multiplicity_series
+
+    for m_max in (True, False, 40.0, "40", Fraction(40)):
+        with pytest.raises(LocmultError) as series_err:
+            multiplicity_series(cp2_weighted, wv(0), 1, m_max)
+        with pytest.raises(LocmultError) as err:
+            verify_structure(cp2_weighted, wv(0), cp2_weighted.strata, m_max)
+        assert err.value.code == series_err.value.code == "computation-error"
+        assert str(err.value) == str(series_err.value) == (
+            f"power m_to must be an integer, got {m_max!r}")
+
+
+def test_verify_builds_as_many_fractions_at_every_m_max(cp2_weighted, monkeypatch):
+    """A deterministic work counter: the onset scan and the fit's
+    self-check compare on the integer form, so the Fractions built by a
+    verification do not grow with the length of its series (the fit reads
+    the top k*(d+2) = 6 samples whatever m_max is)."""
+    original = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return original(cls, *args, **kwargs)
+
+    counts = []
+    for m_max in (40, 100, 400):
+        built.clear()
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        report = verify_structure(cp2_weighted, wv(0), cp2_weighted.strata, m_max)
+        monkeypatch.undo()
+        assert report.onset == 1 and report.phases_ok
+        counts.append(len(built))
+    assert counts == [130, 130, 130]
+
+
 def test_verify_fixed_mode_phase_sweep(cp2_weighted):
     for l in range(-4, 5):
         report = verify_structure(
