@@ -94,6 +94,13 @@ def _check_power(m) -> None:
                            code=f"{kind}-number")
 
 
+def _check_quasi(qp) -> None:
+    """Refuse anything but a QuasiPolynomial as not-a-quasi-polynomial."""
+    if not isinstance(qp, QuasiPolynomial):
+        raise LocmultError(f"{type(qp).__name__} is not a QuasiPolynomial",
+                           code="not-a-quasi-polynomial")
+
+
 def _read_samples(samples) -> list[tuple[int, int | Fraction]]:
     """Samples (m, value): m an int, the value read like a coordinate, so
     an int stays an int (a float is inexact-number, as a float m is)."""
@@ -114,6 +121,7 @@ def evaluate(qp: QuasiPolynomial, m: int) -> Fraction:
     """Value at the int m (any other m is refused as in `_read_samples`):
     an int Horner sum over the integer form of m's residue class, divided
     once by its denominator."""
+    _check_quasi(qp)
     _check_power(m)
     coeffs, d = qp._integer_form[(-m) % qp.period]
     return Fraction(poly.evaluate(coeffs, m), d)
@@ -179,6 +187,7 @@ def phase_decomposition(qp: QuasiPolynomial):
     """Rewrite a period <= 2 family as [(+1, p_plus), (-1, p_minus)]
     with f(m) = p_plus(m) + (-1)^m * p_minus(m), both in the variable m.
     """
+    _check_quasi(qp)
     if qp.period > 2:
         raise PhaseFormUnavailable(
             "phase form requires cyclotomic arithmetic for period > 2; "

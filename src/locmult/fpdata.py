@@ -483,9 +483,13 @@ def validate(ds: LocalizationDataset) -> ValidationReport:
             errors.append((f"strata[{i}]", f"stratum {s!r} is not a StratumPhaseDatum"))
             continue
         labelled.append((f"strata[{i}]", s.label))
-    weights = []
+    weights, points = [], []
     for i, fp in enumerate(ds.fixed_points):
         loc = f"fixed_points[{i}]"
+        if not isinstance(fp, FixedPointDatum):
+            errors.append((loc, f"fixed point {fp!r} is not a FixedPointDatum"))
+            continue
+        points.append(fp)
         labelled.append((loc, fp.label))
         weights += [(f"{loc}.fiber_weight", fp.fiber_weight)] + [
             (f"{loc}.normal_weights[{j}]", a) for j, a in enumerate(fp.normal_weights)
@@ -505,7 +509,7 @@ def validate(ds: LocalizationDataset) -> ValidationReport:
             errors.append((f"metadata.{k}", message))
     findings = [Finding("error", where, message) for where, message in errors]
     seen: dict[tuple, list[str]] = {}
-    for fp in ds.fixed_points:
+    for fp in points:
         seen.setdefault(fp.fiber_weight.coords, []).append(str(fp.label))
     for coords, labels in sorted(seen.items()):
         if len(labels) > 1:

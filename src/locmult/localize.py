@@ -259,7 +259,11 @@ def _expand(cols: list[tuple], eta: tuple, level) -> dict[tuple, int]:
 
 def _weight(w) -> WeightVector:
     """A table key as a WeightVector: as it is, or from its coordinates."""
-    return w if isinstance(w, WeightVector) else WeightVector(tuple(w))
+    if isinstance(w, WeightVector):
+        return w
+    if not isinstance(w, Iterable):
+        raise ComputationError(f"{type(w).__name__} is not a weight", code="not-a-weight")
+    return WeightVector(tuple(w))
 
 
 class CharacterTable:
@@ -516,6 +520,9 @@ def multiplicity_series(
     _check_m_to(m_to)
     if m_to < m_from:
         raise ComputationError("empty power range")
+    if not isinstance(mu, WeightVector):
+        raise ComputationError(f"{type(mu).__name__} is not a WeightVector",
+                               code="not-a-weight")
     if mu.rank != ds.rank:
         raise ComputationError(
             f"weight rank {mu.rank} differs from dataset rank {ds.rank}",

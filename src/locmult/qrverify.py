@@ -18,6 +18,7 @@ error.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from .ehrhart import (
     PhaseFormUnavailable,
     QuasiPolynomial,
     _agrees,
+    _check_quasi,
     _read_samples,
     fit_quasi_polynomial,
     phase_decomposition,
@@ -48,6 +50,7 @@ class StructureViolated(LocmultError):
 def onset_threshold(samples, qp: QuasiPolynomial) -> int | None:
     """Smallest m0 such that the fit reproduces every sample with
     m >= m0; None when even the largest sample disagrees ("never")."""
+    _check_quasi(qp)
     pts = sorted(_read_samples(samples))
     if not pts:
         return None
@@ -119,6 +122,9 @@ def verify_structure(
     minimal period is read off the one fit: 1 when k = 1 or the -1
     phase polynomial is zero, else 2.
     """
+    if not isinstance(strata, Iterable):
+        raise BadStratum(f"strata must be an iterable of StratumPhaseDatum, "
+                         f"got {type(strata).__name__}")
     strata = tuple(strata)
     if not strata:
         raise BadStratum("at least one stratum must be declared")

@@ -10,8 +10,13 @@ of mu is sum_w sign(w) P(w(lam + delta) - delta - mu), with P the
 partition function of the positive roots.  P is one expansion cut at
 the level of lam, which bounds every apex, while every dominant weight
 lies at level 0 or above; only dominant weights are read, and each is
-spread over its W-orbit.  It runs on int coordinate tuples with the dot
-action w(mu + delta) - delta = w(mu) + (w(delta) - delta) that
+spread over its W-orbit.  A term t^v gives mu = lam - v, dominant when
+<v, alpha_i> <= <lam, alpha_i> for each simple root, so mu is built
+only for the terms that pass.  P is 0 below level 0, so an apex
+below mu's level adds nothing: the apexes are sorted by level once
+per call, and each sum stops at the first one below mu.  It runs on
+int coordinate tuples with the dot action
+w(mu + delta) - delta = w(mu) + (w(delta) - delta) that
 `RootSystem.dot_action` builds once per root system: every Weyl element
 is a signed permutation, so each coordinate of the image is one signed
 coordinate of mu plus the lattice offset, and the orbit spread uses the
@@ -23,7 +28,9 @@ one, and w is found without scanning W, by reflecting the int vector
 alpha_i it pairs negatively with until it is dominant.  A character is
 W-invariant when it is invariant under every s_i.  A weight is dominant
 when it pairs nonnegatively with the simple roots, so r pairings decide
-it instead of |positive roots|.  Characters are built and read as the
+it instead of |positive roots|.  A highest weight is read as a
+table key is, so a coordinate tuple serves, and anything but a
+RootSystem is not-a-root-system.  Characters are built and read as the
 int coordinate tuples a CharacterTable stores; a decomposition makes
 WeightVectors only of the highest weights it reports.
 """
@@ -31,12 +38,12 @@ WeightVectors only of the highest weights it reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul, sub
 
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
 from .lattice import LatticeError, RootSystem, WeightVector, is_dominant
-from .localize import CharacterTable, _dot, _expand, _table_of
+from .localize import CharacterTable, _dot, _expand, _table_of, _weight
 
 
 class NonDominantWeight(LocmultError):
@@ -61,9 +68,18 @@ class DecompositionResult:
         return self.w_invariant and not self.residual
 
 
+def _check_root_system(rs) -> None:
+    """Refuse anything but a RootSystem as not-a-root-system."""
+    if not isinstance(rs, RootSystem):
+        raise LatticeError(f"{type(rs).__name__} is not a RootSystem",
+                           code="not-a-root-system")
+
+
 def flag_dataset(rs: RootSystem, lam: WeightVector) -> LocalizationDataset:
     """Fixed-point data of the line bundle with weight lam on G/T: the
     fixed point w has fiber weight w(lam) and normal weights w(beta)."""
+    _check_root_system(rs)
+    lam = _weight(lam)
     points = tuple(
         FixedPointDatum(
             f"w{i}", w.apply(lam), tuple(w.apply(b) for b in rs.positive_roots)
@@ -75,26 +91,42 @@ def flag_dataset(rs: RootSystem, lam: WeightVector) -> LocalizationDataset:
 
 def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
     """Weight multiplicities of the irreducible with highest weight lam."""
+    _check_root_system(rs)
+    lam = _weight(lam)
     if not lam.is_integral():
         raise NonDominantWeight(f"highest weight {lam} is not a lattice point")
     if not is_dominant(lam, rs):
         raise NonDominantWeight(f"highest weight {lam} is not dominant")
     positive = [b.coords for b in rs.positive_roots]
-    simple = [a.coords for a in rs.simple_roots]
     eta, top = tuple(map(sum, zip(*positive))), lam.coords  # 2 * delta
     kostant = _expand(positive, eta, _dot(top, eta))
     action = rs.dot_action
-    apexes = [(sign, _apply(rows, top, offset)) for sign, rows, offset in action]
-    zero = (0,) * rs.rank
+    apexes = []
+    for sign, rows, offset in action:
+        # the apex w(lam + delta) - delta as its shift from top, at the
+        # depth <top - apex, eta>; shallowest first
+        shift = tuple(map(sub, _apply(rows, top, offset), top))
+        apexes.append((-_dot(shift, eta), sign, shift))
+    apexes.sort()
+    walls = [(a.coords, _dot(top, a.coords)) for a in rs.simple_roots]
     entries = {}
     for v in kostant:
-        mu = tuple(x - y for x, y in zip(top, v))
-        # v is a sum of positive roots, so a dominant mu is a weight: n > 0
-        if all(_dot(mu, a) >= 0 for a in simple):
-            n = sum(sign * kostant.get(tuple(x - y for x, y in zip(apex, mu)), 0)
-                    for sign, apex in apexes)
+        # mu = top - v is dominant when <v, alpha_i> <= <top, alpha_i>; a
+        # sum v of positive roots below a dominant top makes it a weight;
+        # this runs on every term, so it pairs with map(mul) inline
+        for a, bound in walls:
+            if sum(map(mul, v, a)) > bound:
+                break
+        else:
+            # P is 0 below level 0, so mu reads only the apexes no deeper than v
+            depth, n = _dot(v, eta), 0
+            for d, sign, shift in apexes:
+                if d > depth:
+                    break
+                n += sign * kostant.get(tuple(map(add, shift, v)), 0)
+            mu = tuple(map(sub, top, v))
             for _, rows, _ in action:
-                entries[_apply(rows, mu, zero)] = n
+                entries[tuple(c * mu[k] for k, c in rows)] = n
     return CharacterTable._unchecked(entries)
 
 
@@ -107,6 +139,7 @@ def _apply(rows, v: tuple, offset: tuple) -> tuple:
 def _lattice_table(chi: CharacterTable, rs: RootSystem) -> dict[tuple, int]:
     """chi's own {coords: multiplicity}, read only; every rank is rs.rank."""
     table = _table_of(chi)
+    _check_root_system(rs)
     bad = min((mu for mu in table if len(mu) != rs.rank), default=None)
     if bad is not None:
         raise LatticeError(f"element of rank {rs.rank} applied to rank {len(bad)}",

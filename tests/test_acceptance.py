@@ -118,12 +118,13 @@ def test_criterion_5_partition_counts_vs_enumeration(verdict):
             range(lb, budget // pairing(a, eta) + 1)
             for a, lb in zip(columns, lower)
         ]
+        # each candidate sum on int coordinate tuples
+        cols, goal = [a.coords for a in columns], effective.coords
         hits = 0
         for ks in itertools.product(*ranges):
-            acc = zero_vector(target.rank)
-            for k, a in zip(ks, columns):
-                acc = acc + k * a
-            if acc == effective:
+            acc = tuple(sum(k * a[i] for k, a in zip(ks, cols))
+                        for i in range(len(goal)))
+            if acc == goal:
                 hits += 1
         return hits
 

@@ -247,6 +247,10 @@ def test_validate_reports_what_the_loader_refuses(cp1, cp2_weighted, a1xa1):
     report = validate(replace(cp2_weighted, strata=(cp2_weighted.strata[0], 1)))
     assert [(f.location, f.message) for f in report.errors] == [
         ("strata[1]", "stratum 1 is not a StratumPhaseDatum")]
+    # nor a fixed point that is not a datum
+    report = validate(replace(cp1, fixed_points=(p0, 1)))
+    assert [(f.location, f.message) for f in report.errors] == [
+        ("fixed_points[1]", "fixed point 1 is not a FixedPointDatum")]
     # an int label is refused too; it does not stop the duplicate-fiber scan
     twins = (replace(p0, label=5), replace(p1, fiber_weight=wv(1)))
     ds = replace(cp1, fixed_points=twins)

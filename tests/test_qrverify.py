@@ -12,7 +12,7 @@ from locmult import (
     verify_structure,
     wv,
 )
-from locmult.ehrhart import PhaseFormUnavailable
+from locmult.ehrhart import PhaseFormUnavailable, phase_decomposition
 from locmult.errors import LocmultError
 from locmult.fpdata import DatasetError
 from locmult.poly import make
@@ -136,6 +136,28 @@ def test_verify_refuses_a_stratum_that_is_not_a_datum(cp2_weighted):
             verify_structure(cp2_weighted, wv(0), strata, 12)
         assert err.value.code == "bad-stratum"
         assert "is not a StratumPhaseDatum" in str(err.value)
+
+
+def test_arguments_of_the_wrong_type_are_coded(cp2_weighted):
+    """Strata that are not iterable, a weight that is not a WeightVector
+    and a fit that is not a QuasiPolynomial each give one coded error."""
+    ds = cp2_weighted
+    for call, code, message in (
+        (lambda: verify_structure(ds, wv(0), 5, 40), "bad-stratum",
+         "strata must be an iterable of StratumPhaseDatum, got int"),
+        (lambda: verify_structure(ds, (0,), ds.strata, 40), "not-a-weight",
+         "tuple is not a WeightVector"),
+        (lambda: onset_threshold([(1, 1)], 5), "not-a-quasi-polynomial",
+         "int is not a QuasiPolynomial"),
+        (lambda: evaluate(None, 1), "not-a-quasi-polynomial",
+         "NoneType is not a QuasiPolynomial"),
+        (lambda: phase_decomposition([(1, 1)]), "not-a-quasi-polynomial",
+         "list is not a QuasiPolynomial"),
+    ):
+        with pytest.raises(LocmultError) as err:
+            call()
+        assert err.value.code == code
+        assert str(err.value) == message
 
 
 def test_verify_m_max_must_be_an_int(cp2_weighted):

@@ -397,6 +397,54 @@ def test_irreducible_expands_the_dominant_chamber_only(a2, b2, b4, monkeypatch):
         assert terms[0] == work
 
 
+def test_kostant_sum_reads_only_the_apexes_that_reach_it(a2, b2, b4, monkeypatch):
+    """A deterministic work counter: the lookups into the expansion.  P
+    is 0 below level 0, so a dominant mu reads the apexes
+    w(lam + delta) - delta at its 2*delta-level or above, and no other:
+    7 for A2 (4,2,0), 22 for B2 (3,3) and 350 for B4 (3,2,1,0), where
+    every apex for every dominant weight would be 5 * 6 = 30,
+    10 * 8 = 80 and 19 * 384 = 7296."""
+    from locmult import weylred
+
+    class Counting(dict):
+        def get(self, *args):
+            lookups.append(args[0])
+            return dict.get(self, *args)
+
+    lookups = []
+    original = weylred._expand
+    monkeypatch.setattr(weylred, "_expand", lambda *args: Counting(original(*args)))
+    for rs, lam, dominant, work in ((a2, wv(4, 2, 0), 5, 7), (b2, wv(3, 3), 10, 22),
+                                    (b4, wv(3, 2, 1, 0), 19, 350)):
+        lookups.clear()
+        chi = irreducible_character(rs, lam)
+        assert chi.total() == weyl_dimension(rs, lam)
+        assert sum(is_dominant(mu, rs) for mu in chi.support()) == dominant
+        assert len(lookups) == work
+
+
+def test_weyl_entry_points_read_weights_and_refuse_other_systems(a2):
+    """A highest weight is read as a table key is, so a coordinate tuple
+    gives the character of its WeightVector; anything but a RootSystem is
+    one coded error."""
+    chi = irreducible_character(a2, wv(1, 0, 0))
+    assert irreducible_character(a2, (1, 0, 0)) == chi
+    assert flag_dataset(a2, (1, 0, 0)) == flag_dataset(a2, wv(1, 0, 0))
+    for call, kind in (
+        (lambda: irreducible_character("a2", wv(1, 0, 0)), "str"),
+        (lambda: flag_dataset(None, wv(1, 0, 0)), "NoneType"),
+        (lambda: decompose_character(chi, None), "NoneType"),
+        (lambda: is_w_invariant(chi, None), "NoneType"),
+    ):
+        with pytest.raises(LatticeError) as err:
+            call()
+        assert err.value.code == "not-a-root-system"
+        assert str(err.value) == f"{kind} is not a RootSystem"
+    with pytest.raises(ComputationError) as err:
+        irreducible_character(a2, 5)
+    assert err.value.code == "not-a-weight"
+
+
 def test_irreducible_matches_flag_variety_localization(a1, a1xa1, a2, b2):
     """Kostant's formula against the torus engine on the G/T fixed-point
     data at a generic eta, for every dominant weight with coordinates in
