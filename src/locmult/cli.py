@@ -6,9 +6,10 @@ only human output has.  `main` reads `--format` and renders the list in
 one write, after the command returns or raises, so the lines of the
 powers checked before a failure are kept.  `--format records` writes
 each record as one JSON line with exact-rational strings, sorted keys,
-and no floats, so identical invocations are byte-identical; human
-output is each record's line by its record type.  Every failure path
-prints one line `error: <code>: <message>` to stderr and exits nonzero.
+and no floats, so identical invocations are byte-identical, from one
+JSON encoder built once per process; human output is each record's
+line by its record type.  Every failure path prints one line
+`error: <code>: <message>` to stderr and exits nonzero.
 """
 
 from __future__ import annotations
@@ -90,7 +91,11 @@ def _weight_json(w: WeightVector) -> list:
     return [c if type(c) is int else str(c) for c in w.coords]
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# json.dumps(r, sort_keys=True, separators=(",", ":")) as chunks, built
+# once: JSONEncoder.encode builds this C encoder again for every record
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, True)
 
 
 def _eta(args):
@@ -327,7 +332,7 @@ def _render(out: list, fmt: str) -> str:
     """records: each record dict as one JSON line, plain strings skipped;
     human: each record's line from its type, plain strings as they are."""
     if fmt == "records":
-        return "".join(_ENCODER.encode(r) + "\n" for r in out if type(r) is dict)
+        return "".join(["".join(_ENCODE(r, 0)) + "\n" for r in out if type(r) is dict])
     lines = (r if type(r) is str else _human_line(r) for r in out)
     return "".join(line + "\n" for line in lines if line is not None)
 

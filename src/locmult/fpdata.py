@@ -128,12 +128,9 @@ class LocalizationDataset:
         object.__setattr__(self, "metadata", dict(self.metadata))
 
     def all_normal_weights(self) -> tuple[WeightVector, ...]:
-        seen = []
-        for fp in self.fixed_points:
-            for a in fp.normal_weights:
-                if a not in seen:
-                    seen.append(a)
-        return tuple(seen)
+        """Each distinct normal weight once, in order of first occurrence."""
+        return tuple(dict.fromkeys(
+            a for fp in self.fixed_points for a in fp.normal_weights))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,9 @@ class WeightVector:
     coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(map(_coordinate, self.coords)))
+        c = self.coords
+        if type(c) is not tuple or not all(type(x) is int for x in c):
+            object.__setattr__(self, "coords", tuple(map(_coordinate, c)))
 
     @property
     def rank(self) -> int:
@@ -146,13 +148,12 @@ def pick_generic_direction(weights: Iterable[WeightVector], rank: int) -> Weight
     nonzero weight excludes at most rank-1 values of t, so the search
     terminates.
     """
-    weights = list(weights)
+    weights = [w.coords for w in weights]
     for w in weights:
-        if len(w.coords) != rank:
-            raise LatticeError(
-                f"weight {w} does not have rank {rank}", code="rank-mismatch"
-            )
-        if w.is_zero():
+        if len(w) != rank:
+            raise LatticeError(f"weight {WeightVector(w)} does not have rank {rank}",
+                               code="rank-mismatch")
+        if not any(w):
             raise LatticeError(
                 "cannot pick a direction generic for the zero weight",
                 code="zero-weight",
@@ -160,7 +161,7 @@ def pick_generic_direction(weights: Iterable[WeightVector], rank: int) -> Weight
     t = 1
     while True:
         cand = tuple(t**i for i in range(rank))
-        if all(sum(map(mul, w.coords, cand)) != 0 for w in weights):
+        if all(sum(map(mul, w, cand)) != 0 for w in weights):
             return WeightVector(cand)
         t += 1
 

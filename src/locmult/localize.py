@@ -39,13 +39,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
 from .lattice import (
-    WeightVector, _coordinate, pairing, pick_generic_direction, zero_vector,
+    WeightVector, _check_rank, _coordinate, pairing, pick_generic_direction,
+    zero_vector,
 )
 from .poly import evaluate
 
@@ -79,9 +80,12 @@ class PolarizedFixedPoint:
 
 
 def polarize(fp: FixedPointDatum, eta: WeightVector) -> PolarizedFixedPoint:
-    polarized, flags, shift = [], [], (0,) * eta.rank
+    e = eta.coords
+    polarized, flags, shift = [], [], (0,) * len(e)
     for a in fp.normal_weights:
-        p = pairing(a, eta)
+        if len(a.coords) != len(e):
+            _check_rank(a, eta)
+        p = _dot(a.coords, e)
         if p == 0:
             raise EtaNotGeneric(
                 f"eta not generic: orthogonal to normal weight {a} at {fp.label!r}"
@@ -202,7 +206,7 @@ class PartitionProblem:
 
 
 def _dot(a: tuple, b: tuple):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _ray(eta: WeightVector) -> tuple[int, ...]:

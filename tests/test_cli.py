@@ -591,6 +591,35 @@ def test_records_are_deterministic(capsys):
     assert third == fourth
 
 
+def test_every_record_line_is_its_own_json_dumps(capsys):
+    """Every records line of every command on every shipped dataset is
+    json.dumps of its own parse with sorted keys and no spaces, so the
+    renderer's prebuilt encoder writes what json.dumps would."""
+    mus = {CP1: "0", CP2: "1", CP2S: "1,0", CP3: "1,0,0"}
+    lines = []
+    for path, mu in mus.items():
+        for argv in (
+            ("validate", "--dataset", path),
+            ("mult", "--dataset", path, "--mu", mu, "--m", "4"),
+            ("character", "--dataset", path, "--m", "3"),
+            ("series", "--dataset", path, "--mu", mu, "--m-range", "1..8"),
+            ("fit", "--dataset", path, "--mu", mu, "--m-range", "1..10",
+             "--period", "2", "--degree", "2"),
+            ("verify-qr", "--dataset", path, "--mu", mu, "--m-max", "12"),
+            ("oracle-check", "--dataset", path, "--m-max", "3"),
+            ("weyl-decompose", "--character", A1_TENSOR, "--dataset", path),
+        ):
+            lines += run(capsys, *argv, "--format", "records")[1].splitlines()
+    lines += run(capsys, "weyl-decompose", "--character", A1_TENSOR,
+                 "--format", "records")[1].splitlines()
+    kinds = {json.loads(line)["record"] for line in lines}
+    assert {"validation", "multiplicity", "character-entry", "series-point",
+            "residue-poly", "phase-poly", "qr-verdict", "phase-expected",
+            "oracle-check", "irreducible-multiplicity"} <= kinds
+    for line in lines:
+        assert _lines(json.loads(line)) == line + "\n"
+
+
 @pytest.mark.parametrize("argv, flag, value, code", [
     (("mult", "--dataset", CP2S, "--m", "2"), "--mu", "-1,0", 0),
     (("mult", "--dataset", CP2S, "--mu", "1,0", "--m", "2"), "--eta", "-1,2", 0),

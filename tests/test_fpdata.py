@@ -92,6 +92,44 @@ def test_rank_mismatch_rejected():
     assert "fixed_points[0]" in str(err.value)
 
 
+def _rank2_doc(last_normal_weight):
+    """A rank-2 document whose fixed_points[1].normal_weights[2] is given."""
+    return json.dumps({"rank": 2, "fixed_points": [
+        {"label": "P0", "fiber_weight": [0, 0], "normal_weights": [[1, 0], [0, 1]]},
+        {"label": "P1", "fiber_weight": [1, 0],
+         "normal_weights": [[-1, 0], [-1, 1], last_normal_weight]},
+    ]})
+
+
+@pytest.mark.parametrize("weight, code, message", [
+    ([0, "1"], "non-integer-weight",
+     "fixed_points[1].normal_weights[2][1]: expected an integer, got '1'"),
+    ([True, 1], "non-integer-weight",
+     "fixed_points[1].normal_weights[2][0]: expected an integer, got True"),
+    ([1, 1, 1], "rank-mismatch",
+     "fixed_points[1].normal_weights[2]: weight has 3 coordinates, dataset rank is 2"),
+    (7, "schema-violation",
+     "fixed_points[1].normal_weights[2]: expected a coordinate list, got 7"),
+    ([0, 0], "zero-normal-weight",
+     "fixed_points[1]: fixed point 'P1' has a zero normal weight"),
+])
+def test_weight_errors_name_their_place(weight, code, message):
+    with pytest.raises(DatasetError) as err:
+        load_dataset(_rank2_doc(weight))
+    assert (err.value.code, str(err.value)) == (code, message)
+
+
+def test_all_normal_weights_keeps_first_occurrences():
+    points = [
+        FixedPointDatum("P", wv(0, 0), (wv(1, 0), wv(0, 1), wv(1, 0))),
+        FixedPointDatum("Q", wv(1, 0), (wv(-1, 0), wv(0, 1), wv(-1, 1))),
+        FixedPointDatum("R", wv(0, 1), (wv(-1, 1), wv(0, -1), wv(1, 0))),
+    ]
+    ds = LocalizationDataset(2, points)
+    assert ds.all_normal_weights() == (
+        wv(1, 0), wv(0, 1), wv(-1, 0), wv(-1, 1), wv(0, -1))
+
+
 def test_missing_rank_and_empty_points():
     with pytest.raises(DatasetError):
         load_dataset('{"fixed_points": []}')

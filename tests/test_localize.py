@@ -1,7 +1,9 @@
 """Polarization, partition counting, and multiplicity extraction."""
 
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from locmult import (
     count_partitions,
     find_certificate,
     generic_direction,
+    load_dataset,
     monomial_character,
     multiplicity,
     multiplicity_series,
@@ -24,6 +27,8 @@ from locmult import (
 )
 from locmult.fpdata import FixedPointDatum, LocalizationDataset
 from locmult.localize import ComputationError, EtaNotGeneric, NotPointed
+
+from conftest import DATASETS
 
 
 def naive_count(columns, target, lower_bounds, shift, eta):
@@ -36,12 +41,13 @@ def naive_count(columns, target, lower_bounds, shift, eta):
     for a, lb in zip(columns, lower_bounds):
         hi = budget // pairing(a, eta)
         ranges.append(range(lb, hi + 1))
+    # each candidate sum on coordinate tuples
+    cols, goal = [a.coords for a in columns], effective.coords
     count = 0
     for ks in itertools.product(*ranges):
-        acc = zero_vector(target.rank)
-        for k, a in zip(ks, columns):
-            acc = acc + k * a
-        if acc == effective:
+        acc = tuple(sum(k * a[i] for k, a in zip(ks, cols))
+                    for i in range(len(goal)))
+        if acc == goal:
             count += 1
     return count
 
@@ -876,3 +882,25 @@ def test_character_table_signed_permutation_sweep(cp2_standard, cp3_standard):
                     for eta in (generic, -generic, rational):
                         assert character_table(moved, m, eta) == oracle, (
                             perm, signs, m, eta)
+
+
+def test_generic_direction_pins(cp1, cp2_weighted, cp2_standard, cp3_standard,
+                                monkeypatch):
+    """The default eta of every shipped dataset and of the generated
+    table documents of benchmark seeds 1-3: it picks each fixed point's
+    flips, so a change in it changes the work of every table."""
+    assert [generic_direction(ds) for ds in (cp1, cp2_weighted, cp2_standard,
+                                             cp3_standard)] == [
+        wv(1), wv(1), wv(1, 2), wv(1, 2, 4)]
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", DATASETS.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)
+    spec.loader.exec_module(gen)
+    # one document per cp2 sign pattern ++, +-, -+, -- (two each), then
+    # one per cp3 sign pattern; the seed draws only the permutations
+    expected = [(1, 2)] * 2 + [(1, 1)] * 4 + [(1, 2)] * 2 + [(1, 2, 4)] * 8
+    for seed in (1, 2, 3):
+        got = [generic_direction(load_dataset(inp.document)).coords
+               for inp in gen.table_inputs(seed)]
+        assert got == expected, seed
