@@ -11,6 +11,11 @@ in the convention under which the character of the m-th power sums
 t^(m*fiber) / prod_j (1 - t^(-alpha_j)) over the fixed points; the
 monomial oracle in `oracle` pins this convention down operationally.
 
+A dataset is valid by construction: each rule lives in the constructor
+that owns its field and refuses with the loader's code, message and
+place, so the parsers read only JSON shape and places, and `validate`
+only warns.
+
 Documents are strict JSON with no floating point literals anywhere.
 Rationals are written as "p/q" strings (bare integers are accepted on
 input); serialization always emits the canonical string form.  A file
@@ -20,7 +25,7 @@ that cannot be read is an `io-error`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -49,10 +54,16 @@ class BadStratum(LocmultError):
     code = "bad-stratum"
 
 
+def _check_label(label):
+    if not isinstance(label, str) or not label:
+        raise DatasetError("label must be a nonempty string")
+
+
 @dataclass(frozen=True)
 class FixedPointDatum:
-    """One isolated fixed point: lattice-point fiber and normal weights,
-    and an optional polynomial coefficient in the power m (constant first)."""
+    """One isolated fixed point: a nonempty string label, lattice-point
+    fiber and normal weights, and an optional polynomial coefficient in
+    the power m (constant first)."""
 
     label: str
     fiber_weight: WeightVector
@@ -60,6 +71,7 @@ class FixedPointDatum:
     coefficient: tuple[Fraction, ...] = (Fraction(1),)
 
     def __post_init__(self):
+        _check_label(self.label)
         object.__setattr__(self, "normal_weights", tuple(self.normal_weights))
         object.__setattr__(self, "coefficient", poly.normalize(self.coefficient))
         for w in (self.fiber_weight, *self.normal_weights):
@@ -69,7 +81,8 @@ class FixedPointDatum:
                     code="non-integer-weight",
                 )
         for a in self.normal_weights:
-            if a.is_zero():
+            # one of another rank than the fiber is the dataset's rank mismatch
+            if a.is_zero() and len(a.coords) == len(self.fiber_weight.coords):
                 raise DatasetError(
                     f"fixed point {self.label!r} has a zero normal weight",
                     code="zero-normal-weight",
@@ -81,8 +94,9 @@ class FixedPointDatum:
 
 @dataclass(frozen=True)
 class StratumPhaseDatum:
-    """Declared orbifold stratum: stabilizer order, phase rotation, and
-    the degree cap (half the stratum dimension) for its polynomial."""
+    """Declared orbifold stratum: a nonempty string label, stabilizer
+    order, phase rotation, and the degree cap (half the stratum
+    dimension) for its polynomial."""
 
     label: str
     order: int
@@ -91,6 +105,7 @@ class StratumPhaseDatum:
     expected_poly: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
+        _check_label(self.label)
         for name in ("order", "degree_bound"):
             if not _is_int(getattr(self, name)):
                 raise BadStratum(f"stratum {self.label!r}: {name} must be an integer")
@@ -113,8 +128,30 @@ class StratumPhaseDatum:
             )
 
 
+def _items(values, name: str, kind: type, location=None) -> tuple:
+    """The field `name` as a nonempty tuple of kind; location is where
+    the loader places an empty list."""
+    items = tuple(values) if isinstance(values, (list, tuple)) else ()
+    if not items:
+        raise DatasetError(f"{name} must be a nonempty list", location=location)
+    for i, x in enumerate(items):
+        if not isinstance(x, kind):
+            raise DatasetError(f"{x!r} is not a {kind.__name__}",
+                               location=f"{name}[{i}]")
+    return items
+
+
+def _rank_error(w: WeightVector, rank: int, location: str) -> DatasetError:
+    return DatasetError(f"weight has {len(w.coords)} coordinates, dataset rank is {rank}",
+                        code="rank-mismatch", location=location)
+
+
 @dataclass(frozen=True)
 class LocalizationDataset:
+    """Fixed points whose weights, like the simple roots, have the
+    dataset's positive int rank; nonempty strata when given; string
+    metadata.  A refusal names its place as the document does."""
+
     rank: int
     fixed_points: tuple[FixedPointDatum, ...]
     root_system: RootSystem | None = None
@@ -122,9 +159,36 @@ class LocalizationDataset:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "fixed_points", tuple(self.fixed_points))
+        rank = _expect_int(self.rank, "rank")
+        if rank < 1:
+            raise DatasetError("rank must be a positive integer", location="rank")
+        points = _items(self.fixed_points, "fixed_points", FixedPointDatum)
+        object.__setattr__(self, "fixed_points", points)
+        # a place is spelled out only on refusal; an equal weight before the
+        # refused one would have been refused first, so index finds its place
+        for i, fp in enumerate(points):
+            if len(fp.fiber_weight.coords) != rank:
+                raise _rank_error(fp.fiber_weight, rank, f"fixed_points[{i}].fiber_weight")
+            for a in fp.normal_weights:
+                if len(a.coords) != rank:
+                    j = fp.normal_weights.index(a)
+                    raise _rank_error(a, rank, f"fixed_points[{i}].normal_weights[{j}]")
+        if self.root_system is not None:
+            for j, a in enumerate(self.root_system.simple_roots):
+                if len(a.coords) != rank:
+                    raise _rank_error(a, rank, f"root_system.simple_roots[{j}]")
         if self.strata is not None:
-            object.__setattr__(self, "strata", tuple(self.strata))
+            object.__setattr__(self, "strata", _items(
+                self.strata, "strata", StratumPhaseDatum, "strata"))
+        if not hasattr(self.metadata, "items"):
+            raise DatasetError("metadata must be an object", location="metadata")
+        for k, v in self.metadata.items():
+            if not isinstance(k, str):
+                raise DatasetError(f"metadata keys must be strings, got {k!r}",
+                                   location="metadata")
+            if not isinstance(v, str):
+                raise DatasetError(f"metadata values must be strings, got {v!r}",
+                                   location=f"metadata.{k}")
         object.__setattr__(self, "metadata", dict(self.metadata))
 
     def all_normal_weights(self) -> tuple[WeightVector, ...]:
@@ -199,19 +263,12 @@ def _int_tuple(values: list, location) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _parse_weight(value, rank, location) -> WeightVector:
+def _parse_weight(value, location) -> WeightVector:
     if not isinstance(value, list):
         raise DatasetError(
             f"expected a coordinate list, got {value!r}", location=location
         )
-    coords = _int_tuple(value, location)
-    if len(coords) != rank:
-        raise DatasetError(
-            f"weight has {len(coords)} coordinates, dataset rank is {rank}",
-            code="rank-mismatch",
-            location=location,
-        )
-    return WeightVector(coords)
+    return WeightVector(_int_tuple(value, location))
 
 
 def parse_rational(value, location) -> Fraction:
@@ -237,28 +294,26 @@ def _check_keys(obj, allowed, location):
 
 
 def _check_labelled(obj, what, required, optional, location):
-    """The checks shared by fixed points and strata, in this order: an
-    object, no unknown field, every required field, a nonempty label."""
+    """The shape shared by fixed points and strata, in this order: an
+    object, no unknown field, every required field."""
     if not isinstance(obj, dict):
         raise DatasetError(f"{what} must be an object", location=location)
     _check_keys(obj, required + optional, location)
     for key in required:
         if key not in obj:
             raise DatasetError(f"missing field {key!r}", location=location)
-    if not isinstance(obj["label"], str) or not obj["label"]:
-        raise DatasetError("label must be a nonempty string", location=location)
 
 
-def _parse_fixed_point(obj, rank, location) -> FixedPointDatum:
+def _parse_fixed_point(obj, location) -> FixedPointDatum:
     _check_labelled(
         obj, "fixed point", ("label", "fiber_weight", "normal_weights"),
         ("coefficient",), location,
     )
-    fiber = _parse_weight(obj["fiber_weight"], rank, f"{location}.fiber_weight")
+    fiber = _parse_weight(obj["fiber_weight"], f"{location}.fiber_weight")
     if not isinstance(obj["normal_weights"], list):
         raise DatasetError("normal_weights must be a list", location=location)
     normals = tuple(
-        _parse_weight(w, rank, f"{location}.normal_weights[{i}]")
+        _parse_weight(w, f"{location}.normal_weights[{i}]")
         for i, w in enumerate(obj["normal_weights"])
     )
     coeff = (Fraction(1),)
@@ -289,9 +344,6 @@ def parse_strata(raw, location="strata") -> tuple[StratumPhaseDatum, ...]:
             obj, "stratum", ("label", "order", "rotation", "degree_bound"),
             ("expected_poly",), loc,
         )
-        for key in ("order", "degree_bound"):
-            if not _is_int(obj[key]):
-                raise DatasetError(f"{key} must be an integer", location=loc)
         rotation = parse_rational(obj["rotation"], f"{loc}.rotation")
         expected = None
         if "expected_poly" in obj:
@@ -307,8 +359,8 @@ def parse_strata(raw, location="strata") -> tuple[StratumPhaseDatum, ...]:
                     obj["label"], obj["order"], rotation, obj["degree_bound"], expected
                 )
             )
-        except BadStratum as exc:
-            raise DatasetError(str(exc), code="bad-stratum", location=loc) from None
+        except (BadStratum, DatasetError) as exc:
+            raise DatasetError(str(exc), code=exc.code, location=loc) from None
     return tuple(out)
 
 
@@ -320,13 +372,14 @@ def parse_root_system(obj, rank, location) -> RootSystem:
     for key in ("simple_roots", "cartan_pairing"):
         if key not in obj or not isinstance(obj[key], list):
             raise DatasetError(f"missing or malformed {key!r}", location=location)
-    if rank is None:
-        first = obj["simple_roots"][:1]
-        rank = len(first[0]) if first and isinstance(first[0], list) else 0
-    roots = tuple(
-        _parse_weight(r, rank, f"{location}.simple_roots[{i}]")
-        for i, r in enumerate(obj["simple_roots"])
-    )
+    roots = []
+    for i, r in enumerate(obj["simple_roots"]):
+        loc = f"{location}.simple_roots[{i}]"
+        root = _parse_weight(r, loc)
+        rank = len(root.coords) if rank is None else rank
+        if len(root.coords) != rank:
+            raise _rank_error(root, rank, loc)
+        roots.append(root)
     table = []
     for i, row in enumerate(obj["cartan_pairing"]):
         loc = f"{location}.cartan_pairing[{i}]"
@@ -343,7 +396,8 @@ def parse_root_system(obj, rank, location) -> RootSystem:
 
 
 def load_dataset(text: str) -> LocalizationDataset:
-    """Parse and validate a dataset document."""
+    """Parse a dataset document: the JSON shape and the places are read
+    here, and LocalizationDataset checks the rest."""
     obj = _parse_json(text, "document")
     if not isinstance(obj, dict):
         raise DatasetError("document root must be an object")
@@ -352,33 +406,21 @@ def load_dataset(text: str) -> LocalizationDataset:
     )
     if "rank" not in obj:
         raise DatasetError("missing field 'rank'")
-    rank = _expect_int(obj["rank"], "rank")
-    if rank < 1:
-        raise DatasetError("rank must be a positive integer", location="rank")
-    if not isinstance(obj.get("fixed_points"), list) or not obj["fixed_points"]:
+    if not isinstance(obj.get("fixed_points"), list):
         raise DatasetError("fixed_points must be a nonempty list")
     points = tuple(
-        _parse_fixed_point(fp, rank, f"fixed_points[{i}]")
+        _parse_fixed_point(fp, f"fixed_points[{i}]")
         for i, fp in enumerate(obj["fixed_points"])
     )
-    rs = None
-    if "root_system" in obj:
-        rs = parse_root_system(obj["root_system"], rank, "root_system")
     strata = None
     if "strata" in obj:
         strata = parse_strata(obj["strata"], location="strata")
-    metadata: dict[str, str] = {}
-    if "metadata" in obj:
-        if not isinstance(obj["metadata"], dict):
-            raise DatasetError("metadata must be an object", location="metadata")
-        for k, v in obj["metadata"].items():
-            if not isinstance(v, str):
-                raise DatasetError(
-                    f"metadata values must be strings, got {v!r}",
-                    location=f"metadata.{k}",
-                )
-            metadata[k] = v
-    return LocalizationDataset(rank, points, rs, strata, metadata)
+    ds = LocalizationDataset(obj["rank"], points, None, strata, obj.get("metadata", {}))
+    if "root_system" not in obj:
+        return ds
+    # read at the dataset's rank, so a root of another rank is the one named
+    return replace(ds, root_system=parse_root_system(obj["root_system"], ds.rank,
+                                                     "root_system"))
 
 
 def load_dataset_file(path) -> LocalizationDataset:
@@ -424,10 +466,8 @@ def load_character_file(path) -> tuple[list[tuple[WeightVector, int]], Any]:
 
 def serialize_dataset(ds: LocalizationDataset) -> str:
     """Canonical document text; load_dataset of the result round-trips
-    for every dataset that `validate` passes.
-
-    Every weight of a dataset is a lattice point by construction, as a
-    document's are, so every dataset serializes."""
+    for every dataset, since every rule of a document is one that the
+    dataset constructors keep."""
     doc: dict[str, Any] = {"rank": ds.rank}
     doc["fixed_points"] = [
         {
@@ -464,53 +504,14 @@ def serialize_dataset(ds: LocalizationDataset) -> str:
 
 
 def validate(ds: LocalizationDataset) -> ValidationReport:
-    """Re-check dataset invariants and report warnings for legal but
-    suspicious data (duplicate fiber weights).  The errors are the cases
-    that load_dataset refuses in a document but the constructors accept."""
-    errors: list[tuple[str, str]] = []
-    if not _is_int(ds.rank) or ds.rank < 1:
-        errors.append(("rank", "rank must be a positive integer"))
-    if not ds.fixed_points:
-        errors.append(("fixed_points", "dataset has no fixed points"))
-    if ds.strata == ():
-        errors.append(("strata", "strata must be a nonempty list"))
-    labelled = []
-    for i, s in enumerate(ds.strata or ()):
-        if not isinstance(s, StratumPhaseDatum):
-            errors.append((f"strata[{i}]", f"stratum {s!r} is not a StratumPhaseDatum"))
-            continue
-        labelled.append((f"strata[{i}]", s.label))
-    weights, points = [], []
-    for i, fp in enumerate(ds.fixed_points):
-        loc = f"fixed_points[{i}]"
-        if not isinstance(fp, FixedPointDatum):
-            errors.append((loc, f"fixed point {fp!r} is not a FixedPointDatum"))
-            continue
-        points.append(fp)
-        labelled.append((loc, fp.label))
-        weights += [(f"{loc}.fiber_weight", fp.fiber_weight)] + [
-            (f"{loc}.normal_weights[{j}]", a) for j, a in enumerate(fp.normal_weights)
-        ]
-    if ds.root_system is not None:
-        weights += [(f"root_system.simple_roots[{j}]", r)
-                    for j, r in enumerate(ds.root_system.simple_roots)]
-    for where, w in weights:
-        if w.rank != ds.rank:
-            errors.append((where, f"rank {w.rank} weight in a rank {ds.rank} dataset"))
-    for where, label in labelled:
-        if not isinstance(label, str) or not label:
-            errors.append((where, "label must be a nonempty string"))
-    for k, v in ds.metadata.items():
-        if not isinstance(k, str) or not isinstance(v, str):
-            message = f"metadata keys and values must be strings, got {k!r}: {v!r}"
-            errors.append((f"metadata.{k}", message))
-    findings = [Finding("error", where, message) for where, message in errors]
+    """Warnings for legal but suspicious data: a fiber weight shared by
+    several fixed points.  A dataset is valid by construction, so no
+    finding is an error."""
     seen: dict[tuple, list[str]] = {}
-    for fp in points:
-        seen.setdefault(fp.fiber_weight.coords, []).append(str(fp.label))
-    for coords, labels in sorted(seen.items()):
-        if len(labels) > 1:
-            where = ",".join(map(str, coords))
-            message = f"fiber weight ({where}) shared by {', '.join(labels)}"
-            findings.append(Finding("warning", "fixed_points", message))
-    return ValidationReport(tuple(findings))
+    for fp in ds.fixed_points:
+        seen.setdefault(fp.fiber_weight.coords, []).append(fp.label)
+    return ValidationReport(tuple(
+        Finding("warning", "fixed_points",
+                f"fiber weight ({','.join(map(str, coords))}) shared by "
+                f"{', '.join(labels)}")
+        for coords, labels in sorted(seen.items()) if len(labels) > 1))

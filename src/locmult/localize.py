@@ -374,17 +374,15 @@ def _polarized(ds: LocalizationDataset, eta: WeightVector):
     Returns q and, per fixed point, (coef, fiber, shift, columns): sign
     * the coefficient polynomial times q, the coefficients' common
     denominator, and the coordinates of the fiber weight, the shift and
-    the polarized columns.
+    the polarized columns.  eta's rank is checked here, where no normal
+    weight is needed to meet it.
     """
+    if len(eta.coords) != ds.rank:
+        raise ComputationError(f"eta rank {len(eta.coords)} differs from dataset "
+                               f"rank {ds.rank}", code="rank-mismatch")
     q = math.lcm(*(c.denominator for fp in ds.fixed_points for c in fp.coefficient))
     points = []
     for fp in ds.fixed_points:
-        if fp.fiber_weight.rank != ds.rank:
-            raise ComputationError(
-                f"fiber weight {fp.fiber_weight} at {fp.label!r} has rank "
-                f"{fp.fiber_weight.rank}, not the dataset rank {ds.rank}",
-                code="rank-mismatch",
-            )
         pol = polarize(fp, eta)
         points.append((
             [(-1) ** pol.sign_count * c.numerator * (q // c.denominator)
@@ -480,10 +478,10 @@ def character_table(
     _check_power(m)
     if eta is None:
         eta = generic_direction(ds)
+    q, points = _polarized(ds, eta)
     e = _ray(eta)
     levels = [m * _dot(fp.fiber_weight.coords, e) for fp in ds.fixed_points]
     cut = (min(levels) + max(levels)) // 2
-    q, points = _polarized(ds, eta)
     acc: dict[tuple, int] = {}
     for coef, fiber, shift, cols in points:
         scale = evaluate(coef, m)

@@ -245,56 +245,56 @@ def test_validate_clean_dataset(cp2_weighted):
 
 
 def test_validate_reports_rank_mismatch():
-    # constructed directly: dataset-level checks are validate's job
-    ds = LocalizationDataset(
-        rank=2,
-        fixed_points=(FixedPointDatum("P0", wv(1), (wv(1),)),),
-    )
-    report = validate(ds)
-    assert not report.ok
-    assert any("rank" in f.message for f in report.errors)
+    # constructed directly, no such dataset exists: the constructor refuses
+    # it with the loader's code and message
+    with pytest.raises(DatasetError) as err:
+        LocalizationDataset(
+            rank=2,
+            fixed_points=(FixedPointDatum("P0", wv(1), (wv(1),)),),
+        )
+    assert (err.value.code, str(err.value)) == (
+        "rank-mismatch",
+        "fixed_points[0].fiber_weight: weight has 1 coordinates, dataset rank is 2")
 
 
 def test_validate_reports_what_the_loader_refuses(cp1, cp2_weighted, a1xa1):
-    """Datasets the constructors accept but whose document load_dataset
-    refuses: validate reports each as an error, and the serialized text
-    is refused, so the round trip holds for what validate passes."""
+    """Datasets whose document load_dataset refuses cannot be built in
+    code either: each construction raises the loader's code and message,
+    so none reaches validate, and the round trip holds for every dataset."""
     from dataclasses import replace
 
     from locmult import StratumPhaseDatum
 
     p0, p1 = cp1.fixed_points
     cases = [
-        ("strata", replace(cp2_weighted, strata=())),
-        ("fixed_points[1]", replace(cp1, fixed_points=(p0, replace(p1, label="")))),
-        ("strata[1]", replace(cp2_weighted, strata=(
-            cp2_weighted.strata[0], StratumPhaseDatum("", 1, Fraction(0), 0)))),
-        ("metadata.name", replace(cp1, metadata={"name": 3})),
-        ("metadata.note", replace(cp1, metadata={"name": "x", "note": None})),
-        ("root_system.simple_roots[0]", replace(cp1, root_system=a1xa1)),
-        ("rank", replace(cp1, rank=True)),
+        (lambda: replace(cp2_weighted, strata=()),
+         "schema-violation", "strata: strata must be a nonempty list"),
+        (lambda: replace(cp1, fixed_points=(p0, replace(p1, label=""))),
+         "schema-violation", "label must be a nonempty string"),
+        (lambda: replace(cp2_weighted, strata=(
+            cp2_weighted.strata[0], StratumPhaseDatum("", 1, Fraction(0), 0))),
+         "schema-violation", "label must be a nonempty string"),
+        (lambda: replace(cp1, metadata={"name": 3}),
+         "schema-violation", "metadata.name: metadata values must be strings, got 3"),
+        (lambda: replace(cp1, metadata={"name": "x", "note": None}),
+         "schema-violation", "metadata.note: metadata values must be strings, got None"),
+        (lambda: replace(cp1, root_system=a1xa1), "rank-mismatch",
+         "root_system.simple_roots[0]: weight has 2 coordinates, dataset rank is 1"),
+        (lambda: replace(cp1, rank=True),
+         "non-integer-weight", "rank: expected an integer, got True"),
+        # a stratum or a fixed point that is not a datum
+        (lambda: replace(cp2_weighted, strata=(cp2_weighted.strata[0], 1)),
+         "schema-violation", "strata[1]: 1 is not a StratumPhaseDatum"),
+        (lambda: replace(cp1, fixed_points=(p0, 1)),
+         "schema-violation", "fixed_points[1]: 1 is not a FixedPointDatum"),
+        # an int label
+        (lambda: replace(p0, label=5),
+         "schema-violation", "label must be a nonempty string"),
     ]
-    for where, ds in cases:
-        report = validate(ds)
-        assert not report.ok, where
-        assert [f.location for f in report.errors] == (
-            [where, "root_system.simple_roots[1]"] if "root" in where else [where])
-        with pytest.raises(DatasetError):
-            load_dataset(serialize_dataset(ds))
-    # a stratum that is not a datum cannot even be serialized
-    report = validate(replace(cp2_weighted, strata=(cp2_weighted.strata[0], 1)))
-    assert [(f.location, f.message) for f in report.errors] == [
-        ("strata[1]", "stratum 1 is not a StratumPhaseDatum")]
-    # nor a fixed point that is not a datum
-    report = validate(replace(cp1, fixed_points=(p0, 1)))
-    assert [(f.location, f.message) for f in report.errors] == [
-        ("fixed_points[1]", "fixed point 1 is not a FixedPointDatum")]
-    # an int label is refused too; it does not stop the duplicate-fiber scan
-    twins = (replace(p0, label=5), replace(p1, fiber_weight=wv(1)))
-    ds = replace(cp1, fixed_points=twins)
-    report = validate(ds)
-    assert [f.location for f in report.errors] == ["fixed_points[0]"]
-    assert report.warnings[0].message == "fiber weight (1) shared by 5, P1"
+    for build, code, message in cases:
+        with pytest.raises(DatasetError) as err:
+            build()
+        assert (err.value.code, str(err.value)) == (code, message)
 
 
 def test_validate_warns_on_duplicate_fiber_weights():

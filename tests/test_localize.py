@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -749,22 +750,47 @@ def test_count_partitions_six_columns_rank_three():
 
 
 def test_fiber_of_wrong_rank_is_refused(cp2_standard):
-    """A dataset built in code, which no loader checked, with one fiber
-    weight longer or shorter than the dataset rank."""
+    """A dataset built in code with one fiber weight longer or shorter
+    than the dataset rank cannot exist: construction refuses it with the
+    loader's code and message, so it never reaches the kernel."""
+    from locmult.fpdata import DatasetError
+
     first, *rest = cp2_standard.fixed_points
     for fiber in (wv(1, 0, 7), wv(1)):
-        bad = LocalizationDataset(cp2_standard.rank, [
-            FixedPointDatum(first.label, fiber, first.normal_weights), *rest
-        ])
-        for call in (lambda: character_table(bad, 2),
-                     lambda: multiplicity(bad, wv(1, 0), 2),
-                     lambda: multiplicity_series(bad, wv(1, 0), 1, 3)):
-            with pytest.raises(ComputationError) as err:
-                call()
-            assert err.value.code == "rank-mismatch"
-            assert str(err.value) == (
-                f"fiber weight {fiber} at 'P0' has rank {fiber.rank}, "
-                "not the dataset rank 2")
+        with pytest.raises(DatasetError) as err:
+            LocalizationDataset(cp2_standard.rank, [
+                FixedPointDatum(first.label, fiber, first.normal_weights), *rest
+            ])
+        assert err.value.code == "rank-mismatch"
+        assert str(err.value) == (
+            f"fixed_points[0].fiber_weight: weight has {fiber.rank} "
+            "coordinates, dataset rank is 2")
+
+
+def test_eta_of_wrong_rank_is_refused(capsys, tmp_path):
+    """eta's rank is checked against the dataset's even where no normal
+    weight pairs with it: a point without normal weights once gave a
+    silent 0 for a multiplicity of 1."""
+    from locmult.cli import main
+
+    doc = {"rank": 1, "fixed_points": [
+        {"label": "P", "fiber_weight": [1], "normal_weights": []}]}
+    ds = load_dataset(json.dumps(doc))
+    assert multiplicity(ds, wv(2), 2) == 1
+    for call in (lambda: character_table(ds, 2, wv(1, 0)),
+                 lambda: multiplicity(ds, wv(2), 2, wv(1, 0)),
+                 lambda: multiplicity_series(ds, wv(2), 1, 3, "fixed", wv(1, 0))):
+        with pytest.raises(ComputationError) as err:
+            call()
+        assert (err.value.code, str(err.value)) == (
+            "rank-mismatch", "eta rank 2 differs from dataset rank 1")
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["mult", "--mu", "2", "--m", "2"], ["character", "--m", "2"],
+                 ["series", "--mu", "2", "--m-range", "1..3", "--mode", "fixed"]):
+        assert main([*argv, "--dataset", str(path), "--eta", "1,0"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: rank-mismatch: eta rank 2 differs from dataset rank 1\n")
 
 
 def test_floats_are_refused():
