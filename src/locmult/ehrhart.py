@@ -4,7 +4,8 @@ A value f(m) is stored through residue polynomials q_j for j in
 0..k-1, indexed so that q_j(n) = f(k*n - j).  The value at m is
 q_j((m + j) / k) for the class j = (-m) mod k.  Each quasi-polynomial
 rewrites every q_j once as a polynomial in m itself, with int
-coefficients over one denominator.  That integer form serves evaluation
+coefficients over one denominator, by a binomial expansion done on
+ints.  That integer form serves evaluation
 (an int Horner sum and one Fraction at the end), the fit's self-check
 and the onset scan (an int Horner sum compared with d * value, no
 Fraction) and the phase split.  For periods 1 and 2 the
@@ -75,13 +76,21 @@ class QuasiPolynomial:
     def _integer_form(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """(coefficients, denominator) for every residue class j: the
         polynomial q_j((m + j) / k) in m is the int coefficients, constant
-        first, over the denominator."""
+        first, over the denominator, in lowest terms.  With D the common
+        denominator of q_j's coefficients c_i and n its degree, it is
+        sum_i (D*c_i) * k^(n - i) * (m + j)^i over D * k^n, whose binomial
+        expansion is done on ints."""
         k = self.period
         form = []
         for j, q in enumerate(self.residue_polys):
-            coeffs = poly.compose_affine(q, Fraction(1, k), Fraction(j, k))
-            d = math.lcm(*(c.denominator for c in coeffs))
-            form.append((tuple(c.numerator * (d // c.denominator) for c in coeffs), d))
+            D, n = math.lcm(*(c.denominator for c in q)), len(q) - 1
+            ints = [c.numerator * (D // c.denominator) * k ** (n - i)
+                    for i, c in enumerate(q)]
+            coeffs = [sum(ints[i] * math.comb(i, l) * j ** (i - l)
+                          for i in range(l, n + 1)) for l in range(n + 1)]
+            den = D * k ** max(n, 0)
+            g = math.gcd(*coeffs, den)
+            form.append((tuple(c // g for c in coeffs), den // g))
         return tuple(form)
 
 
@@ -103,9 +112,20 @@ def _check_quasi(qp) -> None:
 
 def _read_samples(samples) -> list[tuple[int, int | Fraction]]:
     """Samples (m, value): m an int, the value read like a coordinate, so
-    an int stays an int (a float is inexact-number, as a float m is)."""
+    an int stays an int (a float is inexact-number, as a float m is).
+    Anything but an iterable of pairs is bad-sample."""
+    try:
+        entries = enumerate(samples)
+    except TypeError:
+        raise LocmultError(f"samples must be (m, value) pairs, got "
+                           f"{type(samples).__name__}", code="bad-sample") from None
     out = []
-    for m, v in samples:
+    for i, sample in entries:
+        try:
+            m, v = sample
+        except (TypeError, ValueError):
+            raise LocmultError(f"sample {i} is not an (m, value) pair: {sample!r}",
+                               code="bad-sample") from None
         _check_power(m)
         out.append((m, _coordinate(v)))
     return out
@@ -174,7 +194,7 @@ def fit_quasi_polynomial(samples, period: int, degree: int) -> QuasiPolynomial:
 def minimal_period(samples, k_max: int, degree: int) -> tuple[int, QuasiPolynomial]:
     """Smallest divisor of k_max whose fit reproduces all samples."""
     _check_period(k_max, "k_max")
-    samples = list(samples)
+    samples = _read_samples(samples)
     for k in (d for d in range(1, k_max + 1) if k_max % d == 0):
         try:
             return k, fit_quasi_polynomial(samples, k, degree)

@@ -72,9 +72,15 @@ class FixedPointDatum:
 
     def __post_init__(self):
         _check_label(self.label)
-        object.__setattr__(self, "normal_weights", tuple(self.normal_weights))
+        try:
+            object.__setattr__(self, "normal_weights", tuple(self.normal_weights))
+        except TypeError:
+            raise DatasetError(f"normal_weights of {self.label!r} must be a list, "
+                               f"got {type(self.normal_weights).__name__}") from None
         object.__setattr__(self, "coefficient", poly.normalize(self.coefficient))
         for w in (self.fiber_weight, *self.normal_weights):
+            if not isinstance(w, WeightVector):
+                raise DatasetError(f"weight {w!r} of {self.label!r} is not a WeightVector")
             if not w.is_integral():
                 raise DatasetError(
                     f"weight {w} of {self.label!r} is not a lattice point",

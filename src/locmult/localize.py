@@ -20,11 +20,13 @@ expanded along eta down to that level and, on the same columns, along
 so nothing is clipped (an irreducible Weyl character, in `weylred`, is
 one expansion over the positive roots read by Kostant's formula); a
 series in m (`multiplicity_series`) expands each fixed point once, up
-to the highest level its targets reach in the range, and walks the
-line those targets lie on, which is affine in m, one step and one
-lookup per power, over the window of powers whose target lies at a
-level the expansion holds; `multiplicity` is the one-power fixed-mode
-series, and `count_partitions` reads one coefficient.  The results are
+to the highest level its targets reach in the range, and reads the
+line those targets lie on, which is affine in m, over the window of
+powers whose target lies at a level the expansion holds, as one
+arithmetic progression looked up by C-level iterators, a constant
+coefficient polynomial evaluated once per fixed point;
+`multiplicity` is the one-power fixed-mode series, and
+`count_partitions` reads one coefficient.  The results are
 independent of eta; tests exercise this.
 
 Dataset weights are lattice points and eta is read as its integer ray
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import add, mul, sub
 from typing import Iterable, Mapping
 
@@ -374,9 +377,12 @@ def _polarized(ds: LocalizationDataset, eta: WeightVector):
     Returns q and, per fixed point, (coef, fiber, shift, columns): sign
     * the coefficient polynomial times q, the coefficients' common
     denominator, and the coordinates of the fiber weight, the shift and
-    the polarized columns.  eta's rank is checked here, where no normal
-    weight is needed to meet it.
+    the polarized columns.  eta's type and rank are checked here, where
+    every entry point meets it and no normal weight is needed to.
     """
+    if not isinstance(eta, WeightVector):
+        raise ComputationError(f"{type(eta).__name__} is not a WeightVector",
+                               code="not-a-weight")
     if len(eta.coords) != ds.rank:
         raise ComputationError(f"eta rank {len(eta.coords)} differs from dataset "
                                f"rank {ds.rank}", code="rank-mismatch")
@@ -417,11 +423,15 @@ def _plan(
     a', at x = m*(J_F - k*mu) - shift_F - (1 - k)*mu, with k = 1 when
     scaled and 0 when not.  The exponent x is affine in m, so each fixed
     point is expanded once, up to top, the larger of its eta-levels at
-    m_from and m_to, and its line is walked once over the window of
-    powers at levels 0..top, where its terms lie: one step and one
-    lookup per power, with the coefficient polynomial evaluated only
-    where the lookup finds a term.  With q > 1 the totals are then
-    checked in increasing m, so the first non-integer one is named.
+    m_from and m_to, and its targets over the window of powers at levels
+    0..top, where its terms lie, are one arithmetic progression: a zip
+    of one range per coordinate, looked up by one `map`.  A constant
+    coefficient polynomial, as every shipped dataset has, is evaluated
+    once per window and repeated; any other is evaluated at each power of
+    the window by `map`.  The products are added into the window's totals
+    by `map`, so no power costs a Python-level step.  With q > 1 the
+    totals are then checked in increasing m, so the first non-integer
+    one is named.
     """
     q, points = _polarized(ds, eta)
     e, base = _ray(eta), mu.coords
@@ -437,12 +447,14 @@ def _plan(
         # the window: the i with level + i * rise >= 0
         lo = max(0, -(level // rise)) if rise > 0 else 0 if level >= 0 else len(powers)
         hi = min(len(powers), level // -rise + 1) if rise < 0 else len(powers)
-        x = tuple(a + lo * d for a, d in zip(x, step))
-        for i in range(lo, hi):
-            n = terms.get(x)
-            if n:
-                totals[i] += evaluate(coef, powers[i]) * n
-            x = tuple(map(add, x, step))
+        if lo >= hi:
+            continue
+        line = zip(*[range(a + lo * d, a + hi * d, d) if d else repeat(a, hi - lo)
+                     for a, d in zip(x, step)])
+        values = (repeat(evaluate(coef, powers[lo]), hi - lo) if len(coef) < 2
+                  else map(evaluate, repeat(coef), powers[lo:hi]))
+        counts = map(terms.get, line, repeat(0))
+        totals[lo:hi] = map(add, totals[lo:hi], map(mul, values, counts))
     if q == 1:
         return list(zip(powers, totals))
     return [(m, _exact(total, q, base, m if scaled else 1))
@@ -514,7 +526,7 @@ def multiplicity_series(
     The rank of mu, then the lattice condition for the whole range, is
     checked before anything is planned.  One plan serves the whole
     range: each fixed point is polarized and expanded once, and its
-    line of targets is then walked once, one step per m.
+    line of targets is then read once as a progression in m.
     """
     if mode not in (MODE_FIXED, MODE_SCALED):
         raise ComputationError(f"unknown mode {mode!r}", code="bad-mode")

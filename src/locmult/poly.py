@@ -65,18 +65,6 @@ def scale(a, c) -> Poly:
     return normalize(x * c for x in a)
 
 
-def compose_affine(coeffs, a, b) -> Poly:
-    """p(a*x + b) expanded in x, via Horner over polynomial arithmetic."""
-    a = _exact(a)
-    b = _exact(b)
-    acc: Poly = ZERO
-    for c in reversed(coeffs):
-        # acc <- acc*(a*x + b) + c
-        shifted = (Fraction(0),) + tuple(x * a for x in acc)
-        acc = add(add(scale(acc, b), shifted), (_exact(c),))
-    return normalize(acc)
-
-
 def to_strings(coeffs) -> list[str]:
     """Coefficients as exact 'p/q' strings, constant first."""
     return [str(_exact(c)) for c in coeffs]

@@ -129,6 +129,22 @@ def test_refusals_that_have_no_document():
         assert (err.value.code, str(err.value)) == ("schema-violation", message)
 
 
+def test_malformed_fixed_points_are_refused():
+    """A weight that is not a WeightVector, or normal weights that are not
+    a collection, can only be built in code; FixedPointDatum refuses each
+    with one coded error."""
+    cases = [
+        (lambda: FixedPointDatum("P", (1,), ()), "weight (1,) of 'P' is not a WeightVector"),
+        (lambda: FixedPointDatum("P", wv(1), (wv(1), [2])),
+         "weight [2] of 'P' is not a WeightVector"),
+        (lambda: FixedPointDatum("P", wv(1), 5), "normal_weights of 'P' must be a list, got int"),
+    ]
+    for build, message in cases:
+        with pytest.raises(DatasetError) as err:
+            build()
+        assert (err.value.code, str(err.value)) == ("schema-violation", message)
+
+
 def test_stratum_integers_are_bad_strata():
     """A non-integer order or degree bound is refused by StratumPhaseDatum,
     so a document gets the bad-stratum code, as it does for order 0."""

@@ -261,3 +261,23 @@ def test_dilation_factor_and_residue_count_errors_are_coded():
         with pytest.raises(LocmultError) as err:
             call()
         assert err.value.code == code
+
+
+def test_samples_that_are_not_pairs_are_bad_samples():
+    """Every reader of samples refuses anything but (m, value) pairs with
+    one coded error naming the entry."""
+    from locmult.qrverify import onset_threshold
+
+    qp = QuasiPolynomial(1, ((1,),))
+    for call, message in [
+        (lambda: fit_quasi_polynomial(5, 1, 0), "samples must be (m, value) pairs, got int"),
+        (lambda: fit_quasi_polynomial([5], 1, 0), "sample 0 is not an (m, value) pair: 5"),
+        (lambda: onset_threshold([(1, 1), (1, 2, 3)], qp),
+         "sample 1 is not an (m, value) pair: (1, 2, 3)"),
+        (lambda: minimal_period([(1, 1), (2,)], 2, 0),
+         "sample 1 is not an (m, value) pair: (2,)"),
+        (lambda: minimal_period(None, 2, 0), "samples must be (m, value) pairs, got NoneType"),
+    ]:
+        with pytest.raises(LocmultError) as err:
+            call()
+        assert (err.value.code, str(err.value)) == ("bad-sample", message)

@@ -617,6 +617,54 @@ def test_series_reads_each_line_only_in_its_window(cp2_weighted, monkeypatch):
         assert len(lookups) == expected, (mu, mode)
 
 
+def test_series_evaluates_a_constant_coefficient_once_per_window(
+    cp2_weighted, monkeypatch
+):
+    """A deterministic work counter: a constant coefficient polynomial is
+    evaluated once per fixed point whose window is nonempty (P0; P0; P0,
+    P1 and P2, as in the lookup counter above), and any other at each
+    power of the window, one call per lookup."""
+    from locmult import localize
+
+    calls = []
+    original = localize.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(localize, "evaluate", counting)
+    quadratic = LocalizationDataset(cp2_weighted.rank, tuple(
+        FixedPointDatum(fp.label, fp.fiber_weight, fp.normal_weights, (1, 1, 1))
+        for fp in cp2_weighted.fixed_points))
+    for mu, m_to, mode, constant, lookups in ((0, 100, "scaled", 1, 100),
+                                              (6, 50, "fixed", 1, 45),
+                                              (-6, 50, "fixed", 3, 103)):
+        for ds, expected in ((cp2_weighted, constant), (quadratic, lookups)):
+            calls.clear()
+            multiplicity_series(ds, wv(mu), 1, m_to, mode)
+            assert len(calls) == expected, (mu, mode, expected)
+
+
+def test_series_with_a_quadratic_coefficient(cp2_weighted):
+    """The same coefficient 1 + m + m^2 on every fixed point multiplies the
+    whole character, so the series is (1 + m + m^2) times the closed form,
+    from every start, on cp2_weighted and its negation."""
+    def closed(weight, m):
+        return 1 + (m - abs(weight)) // 2 if abs(weight) <= m else 0
+
+    for base in (cp2_weighted, _negated(cp2_weighted)):
+        ds = LocalizationDataset(base.rank, tuple(
+            FixedPointDatum(fp.label, fp.fiber_weight, fp.normal_weights, (1, 1, 1))
+            for fp in base.fixed_points))
+        for mu, mode in itertools.product(range(-6, 7), ("fixed", "scaled")):
+            full = [(m, (1 + m + m * m) * closed(mu if mode == "fixed" else m * mu, m))
+                    for m in range(1, 41)]
+            for a in range(1, 41, 3):
+                assert multiplicity_series(ds, wv(mu), a, 40, mode) == full[a - 1:], (
+                    mu, mode, a)
+
+
 def test_character_table_expands_down_to_the_polytope(
     cp2_standard, cp3_standard, monkeypatch
 ):
@@ -791,6 +839,25 @@ def test_eta_of_wrong_rank_is_refused(capsys, tmp_path):
         assert main([*argv, "--dataset", str(path), "--eta", "1,0"]) == 1
         assert capsys.readouterr() == (
             "", "error: rank-mismatch: eta rank 2 differs from dataset rank 1\n")
+
+
+def test_eta_that_is_not_a_weight_vector_is_refused(cp2_standard, cp2_weighted):
+    """eta is checked where every entry point polarizes with it, as mu is:
+    a tuple is not-a-weight, not a bare AttributeError."""
+    from locmult import verify_structure
+
+    calls = [
+        lambda: character_table(cp2_standard, 2, (1, 2)),
+        lambda: multiplicity(cp2_standard, wv(0, 0), 2, (1, 2)),
+        lambda: multiplicity_series(cp2_weighted, wv(0), 1, 3, "scaled", (1,)),
+        lambda: verify_structure(cp2_weighted, wv(0), cp2_weighted.strata, 40,
+                                 eta=(1,)),
+    ]
+    for call in calls:
+        with pytest.raises(ComputationError) as err:
+            call()
+        assert (err.value.code, str(err.value)) == (
+            "not-a-weight", "tuple is not a WeightVector")
 
 
 def test_floats_are_refused():

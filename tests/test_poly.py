@@ -33,14 +33,6 @@ def test_arithmetic():
     assert poly.scale(a, Fraction(1, 2)) == (Fraction(1, 2), Fraction(1, 2))
 
 
-def test_compose_affine():
-    # p(x) = x^2, p(2x+1) = 4x^2 + 4x + 1
-    sq = poly.make([0, 0, 1])
-    assert poly.compose_affine(sq, 2, 1) == (Fraction(1), Fraction(4), Fraction(4))
-    # composing with the identity is a no-op
-    assert poly.compose_affine(sq, 1, 0) == sq
-
-
 def test_render():
     assert poly.render(poly.make(["3/4", "1/2"])) == "3/4 + 1/2*m"
     assert poly.render(()) == "0"

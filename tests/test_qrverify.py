@@ -195,7 +195,7 @@ def test_verify_builds_as_many_fractions_at_every_m_max(cp2_weighted, monkeypatc
         monkeypatch.undo()
         assert report.onset == 1 and report.phases_ok
         counts.append(len(built))
-    assert counts == [130, 130, 130]
+    assert counts == [90, 90, 90]
 
 
 def test_verify_fixed_mode_phase_sweep(cp2_weighted):
