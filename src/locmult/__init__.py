@@ -8,7 +8,6 @@ from .lattice import (
     WeylElement,
     generate_weyl_group,
     is_dominant,
-    is_regular_dominant,
     pairing,
     pick_generic_direction,
     wv,

@@ -50,7 +50,7 @@ class DatasetError(LocmultError):
         self.location = location
 
 
-class BadStratum(LocmultError):
+class BadStratum(DatasetError):
     code = "bad-stratum"
 
 
@@ -94,9 +94,6 @@ class FixedPointDatum:
                     code="zero-normal-weight",
                 )
 
-    def coefficient_at(self, m: int) -> Fraction:
-        return poly.evaluate(self.coefficient, m)
-
 
 @dataclass(frozen=True)
 class StratumPhaseDatum:
@@ -134,17 +131,23 @@ class StratumPhaseDatum:
             )
 
 
-def _items(values, name: str, kind: type, location=None) -> tuple:
-    """The field `name` as a nonempty tuple of kind; location is where
-    the loader places an empty list."""
+def _items(values, name: str, kind: type, location=None, error=DatasetError) -> tuple:
+    """The field `name` as a nonempty tuple of kind, else error; location
+    is where the loader places an empty list."""
     items = tuple(values) if isinstance(values, (list, tuple)) else ()
     if not items:
-        raise DatasetError(f"{name} must be a nonempty list", location=location)
+        raise error(f"{name} must be a nonempty list", location=location)
     for i, x in enumerate(items):
         if not isinstance(x, kind):
-            raise DatasetError(f"{x!r} is not a {kind.__name__}",
-                               location=f"{name}[{i}]")
+            raise error(f"{x!r} is not a {kind.__name__}", location=f"{name}[{i}]")
     return items
+
+
+def strata_items(strata, location="strata") -> tuple[StratumPhaseDatum, ...]:
+    """strata as a nonempty list or tuple of StratumPhaseDatum, else
+    bad-stratum: the one strata rule of a dataset, a strata document and
+    `verify_structure`; location is where an empty list is placed."""
+    return _items(strata, "strata", StratumPhaseDatum, location, BadStratum)
 
 
 def _rank_error(w: WeightVector, rank: int, location: str) -> DatasetError:
@@ -184,8 +187,7 @@ class LocalizationDataset:
                 if len(a.coords) != rank:
                     raise _rank_error(a, rank, f"root_system.simple_roots[{j}]")
         if self.strata is not None:
-            object.__setattr__(self, "strata", _items(
-                self.strata, "strata", StratumPhaseDatum, "strata"))
+            object.__setattr__(self, "strata", strata_items(self.strata))
         if not hasattr(self.metadata, "items"):
             raise DatasetError("metadata must be an object", location="metadata")
         for k, v in self.metadata.items():
@@ -341,10 +343,8 @@ def _parse_fixed_point(obj, location) -> FixedPointDatum:
 
 def parse_strata(raw, location="strata") -> tuple[StratumPhaseDatum, ...]:
     """Parse the JSON strata block of a dataset or strata file."""
-    if not isinstance(raw, list) or not raw:
-        raise DatasetError("strata must be a nonempty list", location=location)
     out = []
-    for i, obj in enumerate(raw):
+    for i, obj in enumerate(raw if isinstance(raw, list) else ()):
         loc = f"{location}[{i}]"
         _check_labelled(
             obj, "stratum", ("label", "order", "rotation", "degree_bound"),
@@ -365,9 +365,9 @@ def parse_strata(raw, location="strata") -> tuple[StratumPhaseDatum, ...]:
                     obj["label"], obj["order"], rotation, obj["degree_bound"], expected
                 )
             )
-        except (BadStratum, DatasetError) as exc:
+        except DatasetError as exc:
             raise DatasetError(str(exc), code=exc.code, location=loc) from None
-    return tuple(out)
+    return strata_items(out, location)
 
 
 def parse_root_system(obj, rank, location) -> RootSystem:

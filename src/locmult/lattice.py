@@ -13,14 +13,14 @@ invariant, as orthogonal realizations of the classical series are;
 `generate_weyl_group` refuses any other (non-orthogonal-root-system)
 before any closure.  Each simple reflection is then an integer
 orthogonal matrix, a signed permutation, so the Weyl group is finite
-and is closed as signed permutations, as is the root orbit.
-Then 2*delta pairs nonzero with every root, and w(delta) - delta is a
-lattice point for every Weyl element w, so `RootSystem.dot_action`
-keeps each w as its sign, its rows (column, +-1) and the offset
-w(delta) - delta, computed on ints as (w(2*delta) - 2*delta) / 2 once
-per root system; the dot action w(mu + delta) - delta is then one
-multiply and one add per coordinate.  `WeylElement.apply` stays the
-Fraction-path reference.
+and is closed as signed permutations, as is the root orbit, and each
+element is stored once as its rows: row i is the one nonzero
+(column, +-1) of row i of its matrix.  Then 2*delta pairs nonzero with
+every root, and w(delta) - delta is a lattice point for every Weyl
+element w, so `RootSystem.dot_action` adds to each element's sign and
+rows the offset w(delta) - delta, computed on ints as
+(w(2*delta) - 2*delta) / 2 once per root system; the dot action
+w(mu + delta) - delta is then one multiply and one add per coordinate.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import starmap
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -203,20 +202,21 @@ def solve_exact(
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Lattice automorphism given by an integer matrix acting on coordinates."""
+    """Lattice automorphism given as a signed permutation: row i is the
+    (column k, sign c) of coordinate i of an image, c * v[k]; sign is
+    the determinant."""
 
-    matrix: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, int], ...]
     sign: int
 
     def apply(self, v: WeightVector) -> WeightVector:
-        if len(self.matrix) != len(v.coords):
+        if len(self.rows) != len(v.coords):
             raise LatticeError(
-                f"element of rank {len(self.matrix)} applied to rank {len(v.coords)}",
+                f"element of rank {len(self.rows)} applied to rank {len(v.coords)}",
                 code="rank-mismatch",
             )
-        return WeightVector(
-            tuple(sum(a * c for a, c in zip(row, v.coords)) for row in self.matrix)
-        )
+        coords = v.coords
+        return WeightVector(tuple(c * coords[k] for k, c in self.rows))
 
 
 @dataclass(frozen=True)
@@ -240,22 +240,14 @@ class RootSystem:
     @cached_property
     def dot_action(self) -> tuple[tuple[int, tuple, tuple], ...]:
         """(sign, rows, offset) for every Weyl element w, in the order of
-        weyl_elements: rows holds the one nonzero (column, +-1) of each
-        row of w's matrix, a signed permutation, and offset is
-        w(delta) - delta, so w(mu + delta) - delta is
-        tuple(c * mu[k] + o for (k, c), o in zip(rows, offset))."""
+        weyl_elements, with offset w(delta) - delta, so w(mu + delta) -
+        delta is tuple(c * mu[k] + o for (k, c), o in zip(rows, offset))."""
         two_delta = (2 * self.delta).coords
-        p = len(two_delta)
-        # a row of a signed permutation is one of 2p unit rows
-        unit = {tuple(c if j == k else 0 for j in range(p)): (k, c)
-                for k in range(p) for c in (1, -1)}
-        action = []
-        for w in self.weyl_elements:
-            rows = tuple(map(unit.__getitem__, w.matrix))
-            offset = tuple((c * two_delta[k] - d) // 2
-                           for (k, c), d in zip(rows, two_delta))
-            action.append((w.sign, rows, offset))
-        return tuple(action)
+        return tuple(
+            (w.sign, w.rows, tuple((c * two_delta[k] - d) // 2
+                                   for (k, c), d in zip(w.rows, two_delta)))
+            for w in self.weyl_elements
+        )
 
 
 ELEMENT_CAP = 100_000
@@ -353,8 +345,7 @@ def generate_weyl_group(
                 code="non-orthogonal-root-system",
             )
 
-    # w is kept as w(base): entry i is c * (k + 1) for the one nonzero
-    # (k, c) of row i of its matrix
+    # w is closed as w(base): entry i is c * (k + 1) for row i = (k, c)
     base = tuple(range(1, p + 1))
     gens = []
     for a, row in zip(roots, table):
@@ -366,22 +357,19 @@ def generate_weyl_group(
     orbit = _close([a.coords for a in roots], gens)
     # a root is an integer combination of the simple roots, all of one sign
     positive = [b for b in sorted(orbit) if min(solve_exact(probe, b)) >= 0]
-    unit = {c * (k + 1): tuple(c if j == k else 0 for j in range(p))
-            for k in range(p) for c in (1, -1)}
-    ordered = sorted((tuple(map(unit.__getitem__, u)), sign)
-                     for u, sign in elements.items())
+    # listed in the lexicographic order of their matrices, where row
+    # (k, c) ranks as c * (p - k)
+    ordered = sorted(elements.items(), key=lambda item: [
+        p + 1 - x if x > 0 else -p - 1 - x for x in item[0]])
     return RootSystem(
         simple_roots=roots,
         cartan_pairing=table,
         positive_roots=tuple(map(WeightVector, positive)),
         delta=WeightVector(tuple(Fraction(sum(x), 2) for x in zip(*positive))),
-        weyl_elements=tuple(starmap(WeylElement, ordered)),
+        weyl_elements=tuple(
+            WeylElement(tuple((x - 1, 1) if x > 0 else (-x - 1, -1) for x in image), sign)
+            for image, sign in ordered),
     )
-
-
-def is_regular_dominant(mu: WeightVector, rs: RootSystem) -> bool:
-    """Strictly inside the dominant chamber, decided on the simple roots."""
-    return all(pairing(mu, a) > 0 for a in rs.simple_roots)
 
 
 def is_dominant(mu: WeightVector, rs: RootSystem) -> bool:

@@ -32,8 +32,10 @@ independent of eta; tests exercise this.
 Dataset weights are lattice points and eta is read as its integer ray
 (`_ray`), the only thing polarization and every truncation depend on,
 so the kernel compares ints; only a `PartitionProblem` may have
-rational columns.  A CharacterTable is keyed by int tuples too, and
-makes WeightVectors only where it hands weights out.
+rational columns.  `polarize` returns a fixed point's sign, shift and
+polarized columns as ints, which the kernel uses as they are.  A
+CharacterTable is keyed by int tuples too, and makes WeightVectors
+only where it hands weights out.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import LocmultError
@@ -69,22 +71,13 @@ class ComputationError(LocmultError):
     code = "computation-error"
 
 
-@dataclass(frozen=True)
-class PolarizedFixedPoint:
-    """Fixed point with normal weights flipped into the eta-positive
-    half space.  sign_count is the number of flips; shift is the sum of
-    the flipped (already negated) weights."""
-
-    source_label: str
-    polarized_weights: tuple[WeightVector, ...]
-    flip_flags: tuple[bool, ...]
-    sign_count: int
-    shift: WeightVector
-
-
-def polarize(fp: FixedPointDatum, eta: WeightVector) -> PolarizedFixedPoint:
+def polarize(fp: FixedPointDatum, eta: WeightVector) -> tuple[int, tuple, tuple]:
+    """fp's normal weights flipped into the eta-positive half space, as
+    (sign, shift, columns) on int tuples: sign is (-1)^(number of flips),
+    shift the sum of the flipped (already negated) weights and columns
+    the polarized weights, in fp's order."""
     e = eta.coords
-    polarized, flags, shift = [], [], (0,) * len(e)
+    sign, shift, columns = 1, (0,) * len(e), []
     for a in fp.normal_weights:
         if len(a.coords) != len(e):
             _check_rank(a, eta)
@@ -93,17 +86,12 @@ def polarize(fp: FixedPointDatum, eta: WeightVector) -> PolarizedFixedPoint:
             raise EtaNotGeneric(
                 f"eta not generic: orthogonal to normal weight {a} at {fp.label!r}"
             )
-        polarized.append(-a if p < 0 else a)
-        flags.append(p < 0)
+        column = a.coords
         if p < 0:
-            shift = tuple(map(sub, shift, a.coords))
-    return PolarizedFixedPoint(
-        source_label=fp.label,
-        polarized_weights=tuple(polarized),
-        flip_flags=tuple(flags),
-        sign_count=sum(flags),
-        shift=WeightVector(shift),
-    )
+            column = tuple(map(neg, column))
+            sign, shift = -sign, tuple(map(add, shift, column))
+        columns.append(column)
+    return sign, shift, tuple(columns)
 
 
 def _feasible_point(cons, nvars):
@@ -389,12 +377,10 @@ def _polarized(ds: LocalizationDataset, eta: WeightVector):
     q = math.lcm(*(c.denominator for fp in ds.fixed_points for c in fp.coefficient))
     points = []
     for fp in ds.fixed_points:
-        pol = polarize(fp, eta)
+        sign, shift, columns = polarize(fp, eta)
         points.append((
-            [(-1) ** pol.sign_count * c.numerator * (q // c.denominator)
-             for c in fp.coefficient],
-            fp.fiber_weight.coords, pol.shift.coords,
-            [a.coords for a in pol.polarized_weights],
+            [sign * c.numerator * (q // c.denominator) for c in fp.coefficient],
+            fp.fiber_weight.coords, shift, columns,
         ))
     return q, points
 
@@ -418,14 +404,15 @@ def _plan(
     """The series (m, multiplicity at mu, or at m*mu when scaled) for m
     in [m_from, m_to].
 
-    At a power m, fixed point F adds sign * coefficient_at(m) times the
-    coefficient of t^x in prod 1/(1 - t^a') over its polarized columns
-    a', at x = m*(J_F - k*mu) - shift_F - (1 - k)*mu, with k = 1 when
-    scaled and 0 when not.  The exponent x is affine in m, so each fixed
-    point is expanded once, up to top, the larger of its eta-levels at
-    m_from and m_to, and its targets over the window of powers at levels
-    0..top, where its terms lie, are one arithmetic progression: a zip
-    of one range per coordinate, looked up by one `map`.  A constant
+    At a power m, fixed point F adds sign_F * c_F(m), its coefficient
+    polynomial at m, times the coefficient of t^x in prod 1/(1 - t^a')
+    over its polarized columns a', at x = m*(J_F - k*mu) - shift_F -
+    (1 - k)*mu, with k = 1 when scaled and 0 when not.  The exponent x
+    is affine in m, so each fixed point is expanded once, up to top, the
+    larger of its eta-levels at m_from and m_to, and its targets over
+    the window of powers at levels 0..top, where its terms lie, are one
+    arithmetic progression: a zip of one range per coordinate, looked up
+    by one `map`.  A constant
     coefficient polynomial, as every shipped dataset has, is evaluated
     once per window and repeated; any other is evaluated at each power of
     the window by `map`.  The products are added into the window's totals

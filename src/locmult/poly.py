@@ -17,7 +17,6 @@ from .lattice import _coordinate
 Poly = tuple[Fraction, ...]
 
 ZERO: Poly = ()
-ONE: Poly = (Fraction(1),)
 
 
 def _exact(c) -> Fraction:

@@ -18,7 +18,6 @@ error.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ from .ehrhart import (
     phase_decomposition,
 )
 from .errors import LocmultError
-from .fpdata import BadStratum, StratumPhaseDatum
+from .fpdata import strata_items
 from .lattice import WeightVector
 from .localize import _check_m_to, multiplicity_series
 
@@ -120,19 +119,11 @@ def verify_structure(
     series.  Raises StructureViolated when no onset at or below
     m_max/2 exists, with the mismatching m values as witnesses.  The
     minimal period is read off the one fit: 1 when k = 1 or the -1
-    phase polynomial is zero, else 2.
+    phase polynomial is zero, else 2.  strata must be a nonempty list
+    or tuple of StratumPhaseDatum, as in a dataset (bad-stratum).
     """
-    if not isinstance(strata, Iterable):
-        raise BadStratum(f"strata must be an iterable of StratumPhaseDatum, "
-                         f"got {type(strata).__name__}")
-    strata = tuple(strata)
-    if not strata:
-        raise BadStratum("at least one stratum must be declared")
-    k = 1
-    for s in strata:
-        if not isinstance(s, StratumPhaseDatum):
-            raise BadStratum(f"stratum {s!r} is not a StratumPhaseDatum")
-        k = math.lcm(k, s.order)
+    strata = strata_items(strata)
+    k = math.lcm(*(s.order for s in strata))
     if k > 2:
         raise PhaseFormUnavailable(
             f"strata orders give period {k}; checking phases of a period "

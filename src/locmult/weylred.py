@@ -16,14 +16,14 @@ only for the terms that pass.  P is 0 below level 0, so an apex
 below mu's level adds nothing: the apexes are sorted by level once
 per call, and each sum stops at the first one below mu.  It runs on
 int coordinate tuples with the dot action
-w(mu + delta) - delta = w(mu) + (w(delta) - delta) that
-`RootSystem.dot_action` builds once per root system: every Weyl element
-is a signed permutation, so each coordinate of the image is one signed
-coordinate of mu plus the lattice offset, and the orbit spread uses the
-same permutations without the offset.  Decomposition inverts the
-character by the same alternating sum, in one pass: each weight adds
-sign(w) times its multiplicity to its one dominant dot image, if it has
-one, and w is found without scanning W, by reflecting the int vector
+w(mu + delta) - delta = w(mu) + (w(delta) - delta): every Weyl element
+is stored as the rows of a signed permutation, and
+`RootSystem.dot_action` adds the lattice offsets once per root system,
+so each coordinate of the image is one signed coordinate of mu plus
+its offset, and the orbit spread uses the same rows without the
+offset.  Decomposition inverts the character by the same alternating
+sum, in one pass: each weight adds sign(w) times its multiplicity to
+its one dominant dot image, if it has one, and w is found without scanning W, by reflecting the int vector
 2(mu + delta) in any simple reflection s_i(v) = v - <v, coroot_i> *
 alpha_i it pairs negatively with until it is dominant.  A character is
 W-invariant when it is invariant under every s_i.  A weight is dominant

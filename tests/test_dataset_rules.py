@@ -114,19 +114,22 @@ def test_constructor_refusal_is_the_loaders(build, document, place):
 def test_refusals_that_have_no_document():
     """Fixed points or strata that are not a nonempty tuple of data, or a
     metadata key that is not a string, can only be built in code; each
-    is a coded refusal."""
+    is a coded refusal, bad-stratum for the strata as for the rules
+    inside a stratum."""
     cases = [
-        (lambda: LocalizationDataset(1, None), "fixed_points must be a nonempty list"),
-        (lambda: _dataset(points=[_point(), "Q"]),
+        (lambda: LocalizationDataset(1, None), "schema-violation",
+         "fixed_points must be a nonempty list"),
+        (lambda: _dataset(points=[_point(), "Q"]), "schema-violation",
          "fixed_points[1]: 'Q' is not a FixedPointDatum"),
-        (lambda: _dataset(strata=[_stratum(), 3]),
+        (lambda: _dataset(strata=[_stratum(), 3]), "bad-stratum",
          "strata[1]: 3 is not a StratumPhaseDatum"),
-        (lambda: _dataset(metadata={1: "x"}), "metadata: metadata keys must be strings, got 1"),
+        (lambda: _dataset(metadata={1: "x"}), "schema-violation",
+         "metadata: metadata keys must be strings, got 1"),
     ]
-    for build, message in cases:
+    for build, code, message in cases:
         with pytest.raises(DatasetError) as err:
             build()
-        assert (err.value.code, str(err.value)) == ("schema-violation", message)
+        assert (err.value.code, str(err.value)) == (code, message)
 
 
 def test_malformed_fixed_points_are_refused():

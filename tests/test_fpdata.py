@@ -10,6 +10,7 @@ from locmult import (
     LocalizationDataset,
     load_dataset,
     serialize_dataset,
+    poly,
     validate,
     wv,
 )
@@ -181,7 +182,7 @@ def test_coefficient_accepts_ints_and_strings():
     ])
     ds = load_dataset(doc)
     assert ds.fixed_points[0].coefficient == (Fraction(2), Fraction(1, 2))
-    assert ds.fixed_points[0].coefficient_at(4) == 4
+    assert poly.evaluate(ds.fixed_points[0].coefficient, 4) == 4
 
 
 def test_bad_metadata():
@@ -268,7 +269,7 @@ def test_validate_reports_what_the_loader_refuses(cp1, cp2_weighted, a1xa1):
     p0, p1 = cp1.fixed_points
     cases = [
         (lambda: replace(cp2_weighted, strata=()),
-         "schema-violation", "strata: strata must be a nonempty list"),
+         "bad-stratum", "strata: strata must be a nonempty list"),
         (lambda: replace(cp1, fixed_points=(p0, replace(p1, label=""))),
          "schema-violation", "label must be a nonempty string"),
         (lambda: replace(cp2_weighted, strata=(
@@ -284,7 +285,7 @@ def test_validate_reports_what_the_loader_refuses(cp1, cp2_weighted, a1xa1):
          "non-integer-weight", "rank: expected an integer, got True"),
         # a stratum or a fixed point that is not a datum
         (lambda: replace(cp2_weighted, strata=(cp2_weighted.strata[0], 1)),
-         "schema-violation", "strata[1]: 1 is not a StratumPhaseDatum"),
+         "bad-stratum", "strata[1]: 1 is not a StratumPhaseDatum"),
         (lambda: replace(cp1, fixed_points=(p0, 1)),
          "schema-violation", "fixed_points[1]: 1 is not a FixedPointDatum"),
         # an int label

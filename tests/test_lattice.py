@@ -9,7 +9,6 @@ import pytest
 from locmult import (
     generate_weyl_group,
     is_dominant,
-    is_regular_dominant,
     pairing,
     pick_generic_direction,
     wv,
@@ -210,13 +209,31 @@ def test_a2_group(a2):
     assert a2.order == 6
     assert len(a2.positive_roots) == 3
     assert a2.delta == wv(1, 0, -1)
-    assert sorted(w.sign for w in a2.weyl_elements) == [-1, -1, -1, 1, 1, 1]
+    # each element is its signed permutation rows (column, +-1) and its sign
+    assert [(w.rows, w.sign) for w in a2.weyl_elements] == [
+        (((2, 1), (1, 1), (0, 1)), -1),
+        (((2, 1), (0, 1), (1, 1)), 1),
+        (((1, 1), (2, 1), (0, 1)), 1),
+        (((1, 1), (0, 1), (2, 1)), -1),
+        (((0, 1), (2, 1), (1, 1)), -1),
+        (((0, 1), (1, 1), (2, 1)), 1),
+    ]
+
+
+def _matrix(rows):
+    """The integer matrix of signed permutation rows (column, +-1)."""
+    return tuple(tuple(c if j == k else 0 for j in range(len(rows))) for k, c in rows)
 
 
 def test_sign_is_determinant(a1, a1xa1, a2):
-    for rs in (a1, a1xa1, a2):
-        for w in rs.weyl_elements:
-            assert w.sign == brute_det(w.matrix)
+    """The sign of each element is the determinant of its matrix, and the
+    elements are listed in the lexicographic order of their matrices."""
+    b2 = generate_weyl_group((wv(1, -1), wv(0, 1)), [[1, -1], [0, 2]])
+    for rs in (a1, a1xa1, a2, b2):
+        matrices = [_matrix(w.rows) for w in rs.weyl_elements]
+        assert matrices == sorted(matrices)
+        for w, matrix in zip(rs.weyl_elements, matrices):
+            assert w.sign == brute_det(matrix)
 
 
 def test_elements_permute_roots(a1, a1xa1, a2):
@@ -232,26 +249,25 @@ def test_delta_fixed_only_by_identity(a1, a2):
         assert len(fixers) == 1
 
 
-def test_is_regular_dominant_examples(a1, a2):
-    assert is_regular_dominant(wv(1), a1)
-    assert not is_regular_dominant(wv(0), a1)
-    assert is_regular_dominant(a2.delta, a2)
+def test_is_dominant_examples(a1, a2):
+    assert is_dominant(wv(1), a1)
     assert is_dominant(wv(0), a1)
+    assert not is_dominant(wv(-1), a1)
+    assert is_dominant(a2.delta, a2)
     # boundary weights of B2 (short root (0, 1)) and C2 (long root (0, 2))
     b2 = generate_weyl_group((wv(1, -1), wv(0, 1)), [[1, -1], [0, 2]])
     c2 = generate_weyl_group((wv(1, -1), wv(0, 2)), [[1, -1], [0, 1]])
     for rs in (b2, c2):
-        assert is_regular_dominant(rs.delta, rs)
-        assert is_regular_dominant(wv(2, 1), rs)
+        assert is_dominant(rs.delta, rs)
+        assert is_dominant(wv(2, 1), rs)
         for wall in (wv(1, 0), wv(1, 1), wv(0, 0), wv(Fraction(1, 2), 0)):
-            assert is_dominant(wall, rs) and not is_regular_dominant(wall, rs)
+            assert is_dominant(wall, rs)
         for outside in (wv(1, -1), wv(0, 1), wv(2, 3), wv(-1, -2)):
             assert not is_dominant(outside, rs)
         # the simple roots decide what all positive roots decide
         for x, y in itertools.product(range(-3, 4), repeat=2):
             pairs = [pairing(wv(x, y), b) for b in rs.positive_roots]
             assert is_dominant(wv(x, y), rs) == all(n >= 0 for n in pairs)
-            assert is_regular_dominant(wv(x, y), rs) == all(n > 0 for n in pairs)
 
 
 def test_cartan_validation():

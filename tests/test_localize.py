@@ -58,27 +58,17 @@ def by_label(ds, label):
 
 
 def test_polarize_no_flips(cp2_weighted):
-    pol = polarize(by_label(cp2_weighted, "P0"), wv(1))
-    assert pol.polarized_weights == (wv(2), wv(1))
-    assert pol.flip_flags == (False, False)
-    assert pol.sign_count == 0
-    assert pol.shift == wv(0)
+    assert polarize(by_label(cp2_weighted, "P0"), wv(1)) == (1, (0,), ((2,), (1,)))
 
 
 def test_polarize_all_flips(cp2_weighted):
-    pol = polarize(by_label(cp2_weighted, "P1"), wv(1))
-    assert pol.polarized_weights == (wv(2), wv(1))
-    assert pol.flip_flags == (True, True)
-    assert pol.sign_count == 2
-    assert pol.shift == wv(3)
+    assert polarize(by_label(cp2_weighted, "P1"), wv(1)) == (1, (3,), ((2,), (1,)))
 
 
 def test_polarize_mixed(cp2_weighted):
-    pol = polarize(by_label(cp2_weighted, "P2"), wv(1))
-    assert pol.polarized_weights == (wv(1), wv(1))
-    assert pol.flip_flags == (True, False)
-    assert pol.sign_count == 1
-    assert pol.shift == wv(1)
+    sign, shift, columns = polarize(by_label(cp2_weighted, "P2"), wv(1))
+    assert (sign, shift, columns) == (-1, (1,), ((1,), (1,)))
+    assert all(type(x) is int for x in (*shift, *columns[0], *columns[1]))
 
 
 def test_polarize_rejects_orthogonal_eta(cp2_standard):

@@ -139,12 +139,13 @@ def test_verify_refuses_a_stratum_that_is_not_a_datum(cp2_weighted):
 
 
 def test_arguments_of_the_wrong_type_are_coded(cp2_weighted):
-    """Strata that are not iterable, a weight that is not a WeightVector
-    and a fit that is not a QuasiPolynomial each give one coded error."""
+    """Strata that are not a list, a weight that is not a WeightVector
+    and a fit that is not a QuasiPolynomial each give one coded error;
+    strata are refused as a dataset refuses them."""
     ds = cp2_weighted
     for call, code, message in (
         (lambda: verify_structure(ds, wv(0), 5, 40), "bad-stratum",
-         "strata must be an iterable of StratumPhaseDatum, got int"),
+         "strata: strata must be a nonempty list"),
         (lambda: verify_structure(ds, (0,), ds.strata, 40), "not-a-weight",
          "tuple is not a WeightVector"),
         (lambda: onset_threshold([(1, 1)], 5), "not-a-quasi-polynomial",
