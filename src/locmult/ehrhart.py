@@ -7,9 +7,13 @@ rewrites every q_j once as a polynomial in m itself, with int
 coefficients over one denominator, by a binomial expansion done on
 ints.  That integer form serves evaluation
 (an int Horner sum and one Fraction at the end), the fit's self-check
-and the onset scan (an int Horner sum compared with d * value, no
-Fraction) and the phase split.  For periods 1 and 2 the
-same data can be rewritten in phase form
+and the onset scan (an inline int Horner sum compared with d * value,
+no Fraction and no call per sample) and the phase split (int
+numerators over one denominator).  The fit itself solves no linear
+system: each q_j is the Newton interpolant through its class's first
+samples at the int nodes n, built by divided differences on ints and
+expanded into monomial coefficients, one Fraction each.  For periods 1
+and 2 the same data can be rewritten in phase form
 f(m) = p_plus(m) + (-1)^m * p_minus(m); larger periods would need
 cyclotomic coefficients, which this module does not carry.
 """
@@ -23,7 +27,7 @@ from functools import cached_property
 
 from . import localize, poly
 from .errors import LocmultError
-from .lattice import LatticeError, _coordinate, solve_exact
+from .lattice import LatticeError, _coordinate
 from .localize import PartitionProblem, count_partitions
 
 
@@ -113,7 +117,8 @@ def _check_quasi(qp) -> None:
 def _read_samples(samples) -> list[tuple[int, int | Fraction]]:
     """Samples (m, value): m an int, the value read like a coordinate, so
     an int stays an int (a float is inexact-number, as a float m is).
-    Anything but an iterable of pairs is bad-sample."""
+    Anything but an iterable of pairs is bad-sample.  A pair of two ints
+    is kept as it is, with no check called."""
     try:
         entries = enumerate(samples)
     except TypeError:
@@ -126,15 +131,26 @@ def _read_samples(samples) -> list[tuple[int, int | Fraction]]:
         except (TypeError, ValueError):
             raise LocmultError(f"sample {i} is not an (m, value) pair: {sample!r}",
                                code="bad-sample") from None
-        _check_power(m)
-        out.append((m, _coordinate(v)))
+        if type(m) is not int or type(v) is not int:
+            _check_power(m)
+            v = _coordinate(v)
+        out.append((m, v))
     return out
 
 
-def _agrees(qp: QuasiPolynomial, m: int, v) -> bool:
-    """qp(m) == v, compared on the integer form of m's residue class."""
-    coeffs, d = qp._integer_form[(-m) % qp.period]
-    return poly.evaluate(coeffs, m) == d * v
+def _misses(qp: QuasiPolynomial, pts):
+    """The m of every sample (m, v) of pts that qp does not reproduce, in
+    the order of pts and lazily: each is compared on the integer form of
+    its class, as an inline int Horner sum against d * v."""
+    k = qp.period
+    forms = [(coeffs[::-1], d) for coeffs, d in qp._integer_form]
+    for m, v in pts:
+        rev, d = forms[(-m) % k]
+        acc = 0
+        for c in rev:
+            acc = acc * m + c
+        if acc != d * v:
+            yield m
 
 
 def evaluate(qp: QuasiPolynomial, m: int) -> Fraction:
@@ -147,55 +163,113 @@ def evaluate(qp: QuasiPolynomial, m: int) -> Fraction:
     return Fraction(poly.evaluate(coeffs, m), d)
 
 
+def _over(numerators, den: int) -> poly.Poly:
+    """The polynomial with int coefficients numerators over den: trailing
+    zeros dropped, then one Fraction per coefficient."""
+    n = len(numerators)
+    while n and not numerators[n - 1]:
+        n -= 1
+    return tuple(Fraction(c, den) for c in numerators[:n])
+
+
+def _interpolate(nodes: list[int], values: list) -> poly.Poly:
+    """The polynomial of degree < len(nodes) through (nodes[i], values[i]),
+    for increasing int nodes and int or Fraction values.
+
+    Newton divided differences, on ints: every value is scaled by
+    S = D * W, with D the lcm of the values' denominators and W the
+    product of the node gaps x_l - x_i (i < l), which every divided
+    difference's denominator divides, so each division is exact.  The
+    Newton form c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)) is expanded
+    from the inside out into monomial coefficients, still on ints, and
+    each coefficient is one Fraction over S."""
+    scale = math.prod(b - a for i, a in enumerate(nodes) for b in nodes[i + 1:])
+    scale *= math.lcm(*(v.denominator for v in values))
+    c = [v.numerator * (scale // v.denominator) for v in values]
+    d = len(nodes) - 1
+    for k in range(1, d + 1):
+        for i in range(d, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // (nodes[i] - nodes[i - k])
+    a = [c[d]]
+    for k in range(d - 1, -1, -1):
+        x = nodes[k]
+        a = [c[k] - x * a[0], *(p - x * q for p, q in zip(a, a[1:])), a[-1]]
+    return _over(a, scale)
+
+
 def fit_quasi_polynomial(samples, period: int, degree: int) -> QuasiPolynomial:
     """Interpolate samples (m, value) exactly with the given period.
 
-    Each residue class needs at least degree+2 samples: degree+1 pin
-    the polynomial down and the surplus cross-checks it.  Any sample
-    the candidate fails to reproduce raises FitVerificationError.
+    Each residue class j needs at least degree+2 samples: its first
+    degree+1 pin the polynomial q_j down and the surplus cross-checks
+    it.  q_j is interpolated through those first samples at their int
+    nodes n = (m + j) / period by Newton divided differences
+    (`_interpolate`), and every sample is then checked on the integer
+    form of the fit; any sample it fails to reproduce raises
+    FitVerificationError.  Only the classes that occur are grouped, so
+    the work is bounded by the samples, not by the period: a class short
+    of samples is found, and refused, before any class is interpolated.
     """
     _check_period(period)
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise LocmultError("degree must be an integer", code="bad-degree")
     if degree < 0:
         raise LocmultError("degree must be nonnegative", code="bad-degree")
-    seen: dict[int, Fraction] = {}
+    seen: dict[int, int | Fraction] = {}
     for m, v in _read_samples(samples):
         if seen.setdefault(m, v) != v:
             raise FitVerificationError(
                 f"verification failure at m={m}", failed_m=m
             )
     pts = sorted(seen.items())
-    by_class: dict[int, list[tuple[int, Fraction]]] = {j: [] for j in range(period)}
+    by_class: dict[int, list[tuple[int, int | Fraction]]] = {}
     for m, v in pts:
-        by_class[(-m) % period].append((m, v))
+        by_class.setdefault((-m) % period, []).append((m, v))
+    need = degree + 2
+    # the first short class comes after at most len(pts) // need full ones
+    short = next((j for j in range(period) if len(by_class.get(j, ())) < need), None)
+    if short is not None:
+        raise InsufficientSamples(
+            f"insufficient samples per class: class {short} has "
+            f"{len(by_class.get(short, ()))}, needs {need}"
+        )
     fitted = []
     for j in range(period):
-        cls = by_class[j]
-        if len(cls) < degree + 2:
-            raise InsufficientSamples(
-                f"insufficient samples per class: class {j} has {len(cls)}, "
-                f"needs {degree + 2}"
-            )
-        nodes = [(Fraction(m + j, period), v) for m, v in cls]
-        rows = [[n ** i for i in range(degree + 1)] for n, _ in nodes[: degree + 1]]
-        rhs = [v for _, v in nodes[: degree + 1]]
-        coeffs = solve_exact(rows, rhs)
-        fitted.append(poly.normalize(coeffs))
+        first = by_class[j][:degree + 1]
+        fitted.append(_interpolate([(m + j) // period for m, _ in first],
+                                   [v for _, v in first]))
     qp = QuasiPolynomial(period, tuple(fitted))
-    for m, v in pts:
-        if not _agrees(qp, m, v):
-            raise FitVerificationError(
-                f"verification failure at m={m}", failed_m=m
-            )
+    failed = next(_misses(qp, pts), None)
+    if failed is not None:
+        raise FitVerificationError(
+            f"verification failure at m={failed}", failed_m=failed
+        )
     return qp
 
 
+def _divisors(n: int):
+    """The divisors of n in increasing order, lazily: trial division up
+    to sqrt(n), then the cofactors of the divisors found."""
+    small = []
+    for c in range(1, math.isqrt(n) + 1):
+        if n % c == 0:
+            small.append(c)
+            yield c
+    for c in reversed(small):
+        if n // c > c:
+            yield n // c
+
+
 def minimal_period(samples, k_max: int, degree: int) -> tuple[int, QuasiPolynomial]:
-    """Smallest divisor of k_max whose fit reproduces all samples."""
+    """Smallest divisor of k_max whose fit reproduces all samples.
+
+    Divisors are tried in increasing order, so the first one that leaves
+    a class short of samples ends the search with insufficient-samples,
+    and no divisor past it is looked for.
+    """
     _check_period(k_max, "k_max")
     samples = _read_samples(samples)
-    for k in (d for d in range(1, k_max + 1) if k_max % d == 0):
+    for k in _divisors(k_max):
         try:
             return k, fit_quasi_polynomial(samples, k, degree)
         except FitVerificationError:
@@ -206,6 +280,11 @@ def minimal_period(samples, k_max: int, degree: int) -> tuple[int, QuasiPolynomi
 def phase_decomposition(qp: QuasiPolynomial):
     """Rewrite a period <= 2 family as [(+1, p_plus), (-1, p_minus)]
     with f(m) = p_plus(m) + (-1)^m * p_minus(m), both in the variable m.
+
+    For period 2, p_plus and p_minus are the half sum and half
+    difference of the integer forms of classes 0 (even m) and 1 (odd m):
+    int numerators over the one denominator 2 * lcm of theirs, and one
+    Fraction per coefficient.
     """
     _check_quasi(qp)
     if qp.period > 2:
@@ -215,9 +294,13 @@ def phase_decomposition(qp: QuasiPolynomial):
         )
     if qp.period == 1:
         return [(1, qp.residue_polys[0])]
-    # halves of f at even m and at odd m: the integer forms of classes 0, 1
-    f_even, f_odd = (poly.scale(c, Fraction(1, 2 * d)) for c, d in qp._integer_form)
-    return [(1, poly.add(f_even, f_odd)), (-1, poly.sub(f_even, f_odd))]
+    (even, d_even), (odd, d_odd) = qp._integer_form
+    den = math.lcm(d_even, d_odd)
+    n = max(len(even), len(odd))
+    even = [c * (den // d_even) for c in even] + [0] * (n - len(even))
+    odd = [c * (den // d_odd) for c in odd] + [0] * (n - len(odd))
+    return [(1, _over([e + o for e, o in zip(even, odd)], 2 * den)),
+            (-1, _over([e - o for e, o in zip(even, odd)], 2 * den))]
 
 
 def count_dilated(problem: PartitionProblem, m: int) -> int:

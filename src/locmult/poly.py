@@ -55,15 +55,6 @@ def add(a, b) -> Poly:
     return normalize(x + y for x, y in zip(a, b))
 
 
-def sub(a, b) -> Poly:
-    return add(a, scale(b, -1))
-
-
-def scale(a, c) -> Poly:
-    c = _exact(c)
-    return normalize(x * c for x in a)
-
-
 def to_strings(coeffs) -> list[str]:
     """Coefficients as exact 'p/q' strings, constant first."""
     return [str(_exact(c)) for c in coeffs]

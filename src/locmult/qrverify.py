@@ -20,14 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import poly
 from .ehrhart import (
     FitVerificationError,
     PhaseFormUnavailable,
     QuasiPolynomial,
-    _agrees,
     _check_quasi,
+    _misses,
     _read_samples,
     fit_quasi_polynomial,
     phase_decomposition,
@@ -50,15 +51,17 @@ def onset_threshold(samples, qp: QuasiPolynomial) -> int | None:
     """Smallest m0 such that the fit reproduces every sample with
     m >= m0; None when even the largest sample disagrees ("never")."""
     _check_quasi(qp)
-    pts = sorted(_read_samples(samples))
+    pts = _read_samples(samples)
     if not pts:
         return None
-    mismatch = [m for m, v in pts if not _agrees(qp, m, v)]
-    if not mismatch:
+    pts.sort()
+    # the last mismatch, scanning down from the top sample
+    last = next(_misses(qp, reversed(pts)), None)
+    if last is None:
         return pts[0][0]
-    if mismatch[-1] == pts[-1][0]:
+    if last == pts[-1][0]:
         return None
-    return mismatch[-1] + 1
+    return last + 1
 
 
 @dataclass(frozen=True)
@@ -114,13 +117,15 @@ def verify_structure(
     """Fit the multiplicity series against the declared strata.
 
     The fit uses period k = lcm(orders) and degree d = max degree cap,
-    interpolating on the top k*(d+2) samples so that early pre-onset
-    values cannot poison it; the onset is then scanned on the full
-    series.  Raises StructureViolated when no onset at or below
-    m_max/2 exists, with the mismatching m values as witnesses.  The
-    minimal period is read off the one fit: 1 when k = 1 or the -1
-    phase polynomial is zero, else 2.  strata must be a nonempty list
-    or tuple of StratumPhaseDatum, as in a dataset (bad-stratum).
+    and reads only the top k*(d+2) samples so that early pre-onset
+    values cannot poison it: each class is interpolated by Newton
+    differences through its first d+1 of them and checked on the rest.
+    The onset is then scanned on the full series, down from the top and
+    on the fit's integer form.  Raises StructureViolated when no onset at
+    or below m_max/2 exists, with the mismatching m values as witnesses.
+    The minimal period is read off the one fit: 1 when k = 1 or the -1
+    phase polynomial is zero, else 2.  strata must be a nonempty list or
+    tuple of StratumPhaseDatum, as in a dataset (bad-stratum).
     """
     strata = strata_items(strata)
     k = math.lcm(*(s.order for s in strata))
@@ -151,7 +156,7 @@ def verify_structure(
         ) from None
     onset = onset_threshold(series, qp)
     if onset is None or 2 * onset > m_max:
-        witnesses = tuple(m for m, v in series if not _agrees(qp, m, v))
+        witnesses = tuple(_misses(qp, series))
         raise StructureViolated(
             f"structure violated: fit fails for every onset <= {m_max}/2",
             witnesses=witnesses,
@@ -171,9 +176,7 @@ def verify_structure(
         checks.append(PhaseCheck(phase, fitted, bound, poly.degree(fitted) <= bound))
         expected = equal = None
         if all(s.expected_poly is not None for s in declaring):
-            expected = poly.ZERO
-            for s in declaring:
-                expected = poly.add(expected, s.expected_poly)
+            expected = reduce(poly.add, (s.expected_poly for s in declaring))
             equal = expected == fitted
         labels = tuple(s.label for s in declaring)
         comparisons.append(ExpectedComparison(phase, labels, expected, fitted, equal))

@@ -1,6 +1,7 @@
 """Quasi-polynomial fitting, evaluation, and dilation counting."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,9 @@ from locmult.ehrhart import (
     PhaseFormUnavailable,
 )
 from locmult.errors import LocmultError
+from locmult.lattice import solve_exact
 from locmult.poly import evaluate as poly_eval
-from locmult.poly import make
+from locmult.poly import make, normalize
 
 
 def halves(m):
@@ -281,3 +283,136 @@ def test_samples_that_are_not_pairs_are_bad_samples():
         with pytest.raises(LocmultError) as err:
             call()
         assert (err.value.code, str(err.value)) == ("bad-sample", message)
+
+
+def vandermonde_fit(samples, period, degree):
+    """The fit as Gaussian elimination: each class through its first
+    degree+1 samples by a Vandermonde solve on the Fraction nodes
+    (m + j) / period, then every sample checked on the residue
+    polynomials themselves.  Samples are already (int, exact value)."""
+    seen = {}
+    for m, v in samples:
+        if seen.setdefault(m, v) != v:
+            raise FitVerificationError(f"verification failure at m={m}", failed_m=m)
+    pts = sorted(seen.items())
+    fitted = []
+    for j in range(period):
+        cls = [(m, v) for m, v in pts if (-m) % period == j]
+        if len(cls) < degree + 2:
+            raise InsufficientSamples(
+                f"insufficient samples per class: class {j} has {len(cls)}, "
+                f"needs {degree + 2}")
+        nodes = [Fraction(m + j, period) for m, _ in cls[: degree + 1]]
+        rows = [[n ** i for i in range(degree + 1)] for n in nodes]
+        fitted.append(normalize(solve_exact(rows, [v for _, v in cls[: degree + 1]])))
+    for m, v in pts:
+        j = (-m) % period
+        if poly_eval(fitted[j], Fraction(m + j, period)) != v:
+            raise FitVerificationError(f"verification failure at m={m}", failed_m=m)
+    return QuasiPolynomial(period, tuple(fitted))
+
+
+def outcome(call):
+    try:
+        return call()
+    except LocmultError as exc:
+        return type(exc), exc.code, str(exc), getattr(exc, "failed_m", None)
+
+
+def test_fit_matches_the_vandermonde_solve():
+    """Newton interpolation on the int nodes against the Fraction
+    Vandermonde solve: the same fit, or the same refusal with the same
+    failed_m, for periods 1-6 and degrees 0-4 on non-consecutive and
+    negative m, with int, Fraction and "p/q" string values."""
+    rng = random.Random(28)
+    kinds = {"fit": 0, "fit-verification": 0, "insufficient-samples": 0}
+    for case in range(360):
+        k, d = rng.randint(1, 6), rng.randint(0, 4)
+        den = rng.choice([1, 1, 2, 3, 12])
+        target = QuasiPolynomial(k, tuple(
+            make([Fraction(rng.randint(-9, 9), den) for _ in range(rng.randint(0, d + 1))])
+            for _ in range(k)))
+        lo = rng.randint(-40, 10)
+        per_class = d + 2 + rng.choice([0, 0, 1, 3]) - (case % 9 == 0)
+        ms = rng.sample(range(lo, lo + 3 * k * (d + 4)), k * per_class)
+        samples = [(m, evaluate(target, m)) for m in ms]
+        if case % 5 == 1:  # one wrong value
+            i = rng.randrange(len(samples))
+            samples[i] = (samples[i][0], samples[i][1] + rng.choice([-1, Fraction(1, 3)]))
+        if case % 7 == 2:  # a second, disagreeing sample at some m
+            m, v = rng.choice(samples)
+            samples.insert(rng.randrange(len(samples) + 1), (m, v + 1))
+        given = [(m, rng.choice([v, str(v)]) if v.denominator > 1 else
+                  rng.choice([int(v), v, str(v)])) for m, v in samples]
+        got = outcome(lambda: fit_quasi_polynomial(given, k, d))
+        want = outcome(lambda: vandermonde_fit(samples, k, d))
+        assert got == want, (case, k, d, given)
+        kinds["fit" if isinstance(got, QuasiPolynomial) else got[1]] += 1
+    assert min(kinds.values()) >= 30, kinds
+
+
+def fraction_phases(qp):
+    """The phase split as sums of scaled Fraction polynomials: halves of
+    the integer forms of the even and odd classes, added and subtracted."""
+    if qp.period == 1:
+        return [(1, qp.residue_polys[0])]
+    halves = [[Fraction(c, 2 * d) for c in coeffs] for coeffs, d in qp._integer_form]
+    n = max(map(len, halves))
+    even, odd = (h + [Fraction(0)] * (n - len(h)) for h in halves)
+    return [(1, normalize(e + o for e, o in zip(even, odd))),
+            (-1, normalize(e - o for e, o in zip(even, odd)))]
+
+
+def test_phase_decomposition_matches_the_fraction_formula():
+    rng = random.Random(29)
+    for _ in range(200):
+        k = rng.choice([1, 2])
+        qp = QuasiPolynomial(k, tuple(
+            make([Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 8]))
+                  for _ in range(rng.randint(0, 4))])
+            for _ in range(k)))
+        assert phase_decomposition(qp) == fraction_phases(qp), qp
+
+
+def test_minimal_period_matches_every_divisor_in_turn():
+    """minimal_period against the fit tried at every divisor of k_max in
+    increasing order, as the first success or the first refusal other than
+    a failed verification."""
+    def every_divisor(samples, k_max, degree):
+        for k in (k for k in range(1, k_max + 1) if k_max % k == 0):
+            try:
+                return k, fit_quasi_polynomial(samples, k, degree)
+            except FitVerificationError:
+                continue
+        raise PeriodNotFound(f"no period <= {k_max} fits the samples")
+
+    rng = random.Random(30)
+    for case in range(150):
+        k_max, d = rng.choice([1, 2, 6, 12, 30, 36, 49, 60, 97]), rng.randint(0, 2)
+        period = rng.choice([t for t in range(1, 13) if k_max % t == 0] + [5])
+        target = QuasiPolynomial(period, tuple(
+            make([rng.randint(-3, 3) for _ in range(d + 1)]) for _ in range(period)))
+        ms = rng.sample(range(-10, 60), rng.randint(1, 40))
+        samples = [(m, evaluate(target, m)) for m in ms]
+        if case % 6 == 0:
+            samples.append((ms[0], samples[0][1] + 1))
+        assert (outcome(lambda: minimal_period(samples, k_max, d))
+                == outcome(lambda: every_divisor(samples, k_max, d))), case
+
+
+def test_fit_work_is_bounded_by_the_samples():
+    """Three samples at period 10**6, or at the prime k_max = 1000003, are
+    refused for want of samples without work or memory per class."""
+    three = [(1, 1), (2, 2), (3, 3)]
+    tracemalloc.start()
+    try:
+        for call in (lambda: fit_quasi_polynomial(three, 10**6, 0),
+                     lambda: minimal_period(three, 1000003, 0)):
+            tracemalloc.reset_peak()
+            got = outcome(call)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            assert got == (InsufficientSamples, "insufficient-samples",
+                           "insufficient samples per class: class 0 has 0, needs 2",
+                           None)
+    finally:
+        tracemalloc.stop()

@@ -180,7 +180,9 @@ def test_verify_builds_as_many_fractions_at_every_m_max(cp2_weighted, monkeypatc
     """A deterministic work counter: the onset scan and the fit's
     self-check compare on the integer form, so the Fractions built by a
     verification do not grow with the length of its series (the fit reads
-    the top k*(d+2) = 6 samples whatever m_max is)."""
+    the top k*(d+2) = 6 samples whatever m_max is).  The 7 are one per
+    coefficient: q_0 = 1 + n and q_1 = n from the fit (4), then
+    p_plus = 3/4 + m/2 and p_minus = 1/4 from the phase split (3)."""
     original = Fraction.__new__
     built = []
 
@@ -196,7 +198,7 @@ def test_verify_builds_as_many_fractions_at_every_m_max(cp2_weighted, monkeypatc
         monkeypatch.undo()
         assert report.onset == 1 and report.phases_ok
         counts.append(len(built))
-    assert counts == [90, 90, 90]
+    assert counts == [7, 7, 7]
 
 
 def test_verify_fixed_mode_phase_sweep(cp2_weighted):
