@@ -163,21 +163,21 @@ def _fit_samples(args):
     return _series(args)[1]
 
 
-def _fit_records(qp, out):
+def _fit_records(qp, phases, out):
+    """The records of the fit qp and of its (phase, polynomial) pairs."""
     out.append({"record": "quasi-polynomial", "period": qp.period,
                 "degree": qp.degree})
     for j, q in enumerate(qp.residue_polys):
         out.append({"record": "residue-poly", "class": j,
                     "coefficients": poly.to_strings(q)})
-    if qp.period <= 2:
-        for phase, p in phase_decomposition(qp):
-            out.append({"record": "phase-poly", "phase": phase,
-                        "coefficients": poly.to_strings(p)})
+    for phase, p in phases:
+        out.append({"record": "phase-poly", "phase": phase,
+                    "coefficients": poly.to_strings(p)})
 
 
 def cmd_fit(args, out) -> int:
     qp = fit_quasi_polynomial(_fit_samples(args), args.period, args.degree)
-    _fit_records(qp, out)
+    _fit_records(qp, phase_decomposition(qp) if qp.period <= 2 else (), out)
     return 0
 
 
@@ -206,7 +206,7 @@ def cmd_verify_qr(args, out) -> int:
     out.append({"record": "qr-verdict", "ok": report.phases_ok,
                 "onset": report.onset, "period": report.period_used,
                 "minimal_period": report.minimal_period_found})
-    _fit_records(report.fitted, out)
+    _fit_records(report.fitted, report.phase_polys.items(), out)
     for c in report.phase_checks:
         out.append({"record": "phase-check", "phase": c.phase,
                     "degree": poly.degree(c.fitted),

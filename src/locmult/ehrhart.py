@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from . import localize, poly
+from . import poly
 from .errors import LocmultError
-from .lattice import LatticeError, _coordinate
-from .localize import PartitionProblem, count_partitions
+from .lattice import _coordinate, _instance, _integer
+from .localize import ComputationError, PartitionProblem, count_partitions
 
 
 class InsufficientSamples(LocmultError):
@@ -51,12 +51,6 @@ class PhaseFormUnavailable(LocmultError):
     code = "phase-form-unavailable"
 
 
-def _check_period(period, what: str = "period") -> None:
-    """Raise bad-period unless period is a positive int (bools refused)."""
-    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
-        raise LocmultError(f"{what} must be a positive integer", code="bad-period")
-
-
 @dataclass(frozen=True)
 class QuasiPolynomial:
     """Residue-class polynomial family of a fixed period."""
@@ -65,7 +59,7 @@ class QuasiPolynomial:
     residue_polys: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        _check_period(self.period)
+        _integer(self.period, "period", "bad-period", 1, LocmultError)
         polys = tuple(poly.normalize(q) for q in self.residue_polys)
         if len(polys) != self.period:
             raise LocmultError("need exactly one residue polynomial per class",
@@ -98,27 +92,12 @@ class QuasiPolynomial:
         return tuple(form)
 
 
-def _check_power(m) -> None:
-    """Refuse a power m that is not an int: a float is inexact-number,
-    anything else (a bool, a string, a Fraction) is bad-number."""
-    if type(m) is not int:
-        kind = "inexact" if isinstance(m, float) else "bad"
-        raise LatticeError(f"{kind} number {m!r}: a power m must be an int",
-                           code=f"{kind}-number")
-
-
-def _check_quasi(qp) -> None:
-    """Refuse anything but a QuasiPolynomial as not-a-quasi-polynomial."""
-    if not isinstance(qp, QuasiPolynomial):
-        raise LocmultError(f"{type(qp).__name__} is not a QuasiPolynomial",
-                           code="not-a-quasi-polynomial")
-
-
 def _read_samples(samples) -> list[tuple[int, int | Fraction]]:
     """Samples (m, value): m an int, the value read like a coordinate, so
-    an int stays an int (a float is inexact-number, as a float m is).
-    Anything but an iterable of pairs is bad-sample.  A pair of two ints
-    is kept as it is, with no check called."""
+    an int stays an int (a float is inexact-number, as a float m is, and
+    any other m that is not an int is bad-number).  Anything but an
+    iterable of pairs is bad-sample.  A pair of two ints is kept as it
+    is, with no check called."""
     try:
         entries = enumerate(samples)
     except TypeError:
@@ -132,7 +111,7 @@ def _read_samples(samples) -> list[tuple[int, int | Fraction]]:
             raise LocmultError(f"sample {i} is not an (m, value) pair: {sample!r}",
                                code="bad-sample") from None
         if type(m) is not int or type(v) is not int:
-            _check_power(m)
+            _integer(m, "power m", "inexact-number" if isinstance(m, float) else "bad-number")
             v = _coordinate(v)
         out.append((m, v))
     return out
@@ -157,8 +136,8 @@ def evaluate(qp: QuasiPolynomial, m: int) -> Fraction:
     """Value at the int m (any other m is refused as in `_read_samples`):
     an int Horner sum over the integer form of m's residue class, divided
     once by its denominator."""
-    _check_quasi(qp)
-    _check_power(m)
+    _instance(qp, QuasiPolynomial, "not-a-quasi-polynomial", LocmultError)
+    _integer(m, "power m", "inexact-number" if isinstance(m, float) else "bad-number")
     coeffs, d = qp._integer_form[(-m) % qp.period]
     return Fraction(poly.evaluate(coeffs, m), d)
 
@@ -210,11 +189,8 @@ def fit_quasi_polynomial(samples, period: int, degree: int) -> QuasiPolynomial:
     the work is bounded by the samples, not by the period: a class short
     of samples is found, and refused, before any class is interpolated.
     """
-    _check_period(period)
-    if isinstance(degree, bool) or not isinstance(degree, int):
-        raise LocmultError("degree must be an integer", code="bad-degree")
-    if degree < 0:
-        raise LocmultError("degree must be nonnegative", code="bad-degree")
+    _integer(period, "period", "bad-period", 1, LocmultError)
+    _integer(degree, "degree", "bad-degree", 0, LocmultError)
     seen: dict[int, int | Fraction] = {}
     for m, v in _read_samples(samples):
         if seen.setdefault(m, v) != v:
@@ -247,14 +223,19 @@ def fit_quasi_polynomial(samples, period: int, degree: int) -> QuasiPolynomial:
     return qp
 
 
-def _divisors(n: int):
+def _divisors(n: int, top: int):
     """The divisors of n in increasing order, lazily: trial division up
-    to sqrt(n), then the cofactors of the divisors found."""
+    to sqrt(n), then the cofactors of the divisors found.  When sqrt(n)
+    is above top, trial division stops at top and n stands for every
+    divisor above it."""
     small = []
-    for c in range(1, math.isqrt(n) + 1):
+    for c in range(1, min(math.isqrt(n), top) + 1):
         if n % c == 0:
             small.append(c)
             yield c
+    if math.isqrt(n) > top:
+        yield n
+        return
     for c in reversed(small):
         if n // c > c:
             yield n // c
@@ -265,11 +246,15 @@ def minimal_period(samples, k_max: int, degree: int) -> tuple[int, QuasiPolynomi
 
     Divisors are tried in increasing order, so the first one that leaves
     a class short of samples ends the search with insufficient-samples,
-    and no divisor past it is looked for.
+    and no divisor past it is looked for.  A divisor above every |m|
+    leaves at most one sample, the one at m = 0, in class 0, which needs
+    two or more: every such divisor fails as k_max does, short in class
+    0 or on a sample given two values, so trial division stops at the
+    largest |m|.
     """
-    _check_period(k_max, "k_max")
+    _integer(k_max, "k_max", "bad-period", 1, LocmultError)
     samples = _read_samples(samples)
-    for k in _divisors(k_max):
+    for k in _divisors(k_max, max((abs(m) for m, _ in samples), default=0)):
         try:
             return k, fit_quasi_polynomial(samples, k, degree)
         except FitVerificationError:
@@ -286,7 +271,7 @@ def phase_decomposition(qp: QuasiPolynomial):
     int numerators over the one denominator 2 * lcm of theirs, and one
     Fraction per coefficient.
     """
-    _check_quasi(qp)
+    _instance(qp, QuasiPolynomial, "not-a-quasi-polynomial", LocmultError)
     if qp.period > 2:
         raise PhaseFormUnavailable(
             "phase form requires cyclotomic arithmetic for period > 2; "
@@ -310,5 +295,6 @@ def count_dilated(problem: PartitionProblem, m: int) -> int:
     Only the target scales with m; the shift is subtracted once, as in
     `PartitionProblem`.  m is checked as `character_table` checks a power.
     """
-    localize._check_power(m)
+    _integer(m, "power m", "computation-error", 1, ComputationError)
+    _instance(problem, PartitionProblem, "not-a-partition-problem", ComputationError)
     return count_partitions(replace(problem, target=m * problem.target))

@@ -32,7 +32,8 @@ from typing import Any, Mapping
 from . import poly
 from .errors import LocmultError
 from .lattice import (
-    RootSystem, WeightVector, generate_weyl_group, rational_from_text,
+    RootSystem, WeightVector, _instance, _integer, generate_weyl_group,
+    rational_from_text,
 )
 
 
@@ -109,22 +110,17 @@ class StratumPhaseDatum:
 
     def __post_init__(self):
         _check_label(self.label)
-        for name in ("order", "degree_bound"):
-            if not _is_int(getattr(self, name)):
-                raise BadStratum(f"stratum {self.label!r}: {name} must be an integer")
-        if self.order < 1:
-            raise BadStratum(f"stratum {self.label!r}: order must be positive")
+        where = f"stratum {self.label!r}"
+        _integer(self.order, f"{where}: order", "bad-stratum", 1, BadStratum)
+        _integer(self.degree_bound, f"{where}: degree_bound", "bad-stratum", 0, BadStratum)
         rot = poly._exact(self.rotation)
         object.__setattr__(self, "rotation", rot)
         if not 0 <= rot < 1:
-            raise BadStratum(f"stratum {self.label!r}: rotation must lie in [0,1)")
+            raise BadStratum(f"{where}: rotation must lie in [0,1)")
         if (rot * self.order).denominator != 1:
             raise BadStratum(
-                f"stratum {self.label!r}: rotation {rot} is not an order-"
-                f"{self.order} root of unity"
+                f"{where}: rotation {rot} is not an order-{self.order} root of unity"
             )
-        if self.degree_bound < 0:
-            raise BadStratum(f"stratum {self.label!r}: negative degree bound")
         if self.expected_poly is not None:
             object.__setattr__(
                 self, "expected_poly", poly.normalize(self.expected_poly)
@@ -233,7 +229,7 @@ def _read_text(path, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, TypeError) as exc:
         raise LocmultError(
             f"cannot read {what} {path}: {exc}", code="io-error"
         ) from None
@@ -404,6 +400,7 @@ def parse_root_system(obj, rank, location) -> RootSystem:
 def load_dataset(text: str) -> LocalizationDataset:
     """Parse a dataset document: the JSON shape and the places are read
     here, and LocalizationDataset checks the rest."""
+    _instance(text, (str, bytes, bytearray), "schema-violation", DatasetError, "document")
     obj = _parse_json(text, "document")
     if not isinstance(obj, dict):
         raise DatasetError("document root must be an object")
@@ -474,6 +471,7 @@ def serialize_dataset(ds: LocalizationDataset) -> str:
     """Canonical document text; load_dataset of the result round-trips
     for every dataset, since every rule of a document is one that the
     dataset constructors keep."""
+    _instance(ds, LocalizationDataset, "not-a-dataset", DatasetError)
     doc: dict[str, Any] = {"rank": ds.rank}
     doc["fixed_points"] = [
         {
@@ -513,6 +511,7 @@ def validate(ds: LocalizationDataset) -> ValidationReport:
     """Warnings for legal but suspicious data: a fiber weight shared by
     several fixed points.  A dataset is valid by construction, so no
     finding is an error."""
+    _instance(ds, LocalizationDataset, "not-a-dataset", DatasetError)
     seen: dict[tuple, list[str]] = {}
     for fp in ds.fixed_points:
         seen.setdefault(fp.fiber_weight.coords, []).append(fp.label)

@@ -6,6 +6,13 @@ an eta certificate), so lattice points are plain int tuples throughout;
 a float is refused (inexact-number), and so is any other value that
 is not an int, a Fraction or an integer-or-"p/q" string (bad-number),
 the grammar of the documents and the CLI.
+Every module reads its typed arguments through the readers here, so
+what an argument must be, and what a wrong one raises, is decided in
+one place: `_instance` refuses an argument of another class ("<type>
+is not a <Class>"), `_integer` one that is not an int of at least a
+bound ("<what> must be an integer, got <x>"; a bool is not an int) and
+`_weight` reads a weight argument as a WeightVector or its
+coordinates; each caller names the code and the exception class.
 Systems are solved by Gaussian elimination over the rationals.
 The pairing used throughout is the coordinate dot product, so root
 systems must be presented in a basis where that pairing is Weyl
@@ -53,6 +60,7 @@ class WeightVector:
     def __post_init__(self):
         c = self.coords
         if type(c) is not tuple or not all(type(x) is int for x in c):
+            c = _instance(c, Iterable, "not-a-weight", name="weight")
             object.__setattr__(self, "coords", tuple(map(_coordinate, c)))
 
     @property
@@ -118,13 +126,41 @@ def _coordinate(c) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
+def _instance(x, cls, code: str, error=LatticeError, name: str | None = None):
+    """x if it is an instance of cls, else error(code): "<type> is not a
+    <name>", name defaulting to the class name."""
+    if not isinstance(x, cls):
+        raise error(f"{type(x).__name__} is not a {name or cls.__name__}", code=code)
+    return x
+
+
+_INTEGERS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def _integer(x, what: str, code: str, low: int | None = None, error=LatticeError) -> int:
+    """x if it is an int (a bool is not) of at least low, which is None,
+    0 or 1, else error(code): "<what> must be an integer, got <x>", the
+    integer nonnegative for low 0 and positive for low 1."""
+    if isinstance(x, bool) or not isinstance(x, int) or (low is not None and x < low):
+        raise error(f"{what} must be {_INTEGERS[low]}, got {x!r}", code=code)
+    return x
+
+
+def _weight(w, error) -> WeightVector:
+    """A weight argument as a WeightVector: as it is, or from its
+    coordinates; anything not iterable is not-a-weight."""
+    if isinstance(w, WeightVector):
+        return w
+    return WeightVector(_instance(w, Iterable, "not-a-weight", error, "weight"))
+
+
 def wv(*coords) -> WeightVector:
     """Shorthand constructor."""
     return WeightVector(coords)
 
 
 def zero_vector(rank: int) -> WeightVector:
-    return WeightVector((0,) * rank)
+    return WeightVector((0,) * _integer(rank, "rank", "bad-rank"))
 
 
 def _check_rank(a: WeightVector, b: WeightVector):
@@ -136,7 +172,8 @@ def _check_rank(a: WeightVector, b: WeightVector):
 
 def pairing(a: WeightVector, b: WeightVector) -> int | Fraction:
     """Coordinate dot product; an int for two lattice points."""
-    _check_rank(a, b)
+    _check_rank(_instance(a, WeightVector, "not-a-weight"),
+                _instance(b, WeightVector, "not-a-weight"))
     return sum(x * y for x, y in zip(a.coords, b.coords))
 
 
@@ -147,7 +184,7 @@ def pick_generic_direction(weights: Iterable[WeightVector], rank: int) -> Weight
     nonzero weight excludes at most rank-1 values of t, so the search
     terminates.
     """
-    weights = [w.coords for w in weights]
+    weights = [_instance(w, WeightVector, "not-a-weight").coords for w in weights]
     for w in weights:
         if len(w) != rank:
             raise LatticeError(f"weight {WeightVector(w)} does not have rank {rank}",
@@ -210,7 +247,7 @@ class WeylElement:
     sign: int
 
     def apply(self, v: WeightVector) -> WeightVector:
-        if len(self.rows) != len(v.coords):
+        if len(self.rows) != len(_instance(v, WeightVector, "not-a-weight").coords):
             raise LatticeError(
                 f"element of rank {len(self.rows)} applied to rank {len(v.coords)}",
                 code="rank-mismatch",
@@ -293,7 +330,7 @@ def generate_weyl_group(
     each reflection a signed permutation.  Raises NotReflectionGroup if
     the closure exceeds ELEMENT_CAP elements (type B7 does).
     """
-    roots = tuple(simple_roots)
+    roots = tuple(_instance(a, WeightVector, "not-a-weight") for a in simple_roots)
     if not roots:
         raise LatticeError("need at least one simple root", code="empty-root-system")
     p = len(roots[0].coords)
@@ -374,4 +411,5 @@ def generate_weyl_group(
 
 def is_dominant(mu: WeightVector, rs: RootSystem) -> bool:
     """In the closed dominant chamber, decided on the simple roots."""
+    rs = _instance(rs, RootSystem, "not-a-root-system")
     return all(pairing(mu, a) >= 0 for a in rs.simple_roots)

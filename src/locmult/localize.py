@@ -50,8 +50,8 @@ from typing import Iterable, Mapping
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
 from .lattice import (
-    WeightVector, _check_rank, _coordinate, pairing, pick_generic_direction,
-    zero_vector,
+    WeightVector, _check_rank, _coordinate, _instance, _integer, _weight, pairing,
+    pick_generic_direction, zero_vector,
 )
 from .poly import evaluate
 
@@ -76,7 +76,8 @@ def polarize(fp: FixedPointDatum, eta: WeightVector) -> tuple[int, tuple, tuple]
     (sign, shift, columns) on int tuples: sign is (-1)^(number of flips),
     shift the sum of the flipped (already negated) weights and columns
     the polarized weights, in fp's order."""
-    e = eta.coords
+    _instance(fp, FixedPointDatum, "not-a-fixed-point", ComputationError)
+    e = _instance(eta, WeightVector, "not-a-weight", ComputationError).coords
     sign, shift, columns = 1, (0,) * len(e), []
     for a in fp.normal_weights:
         if len(a.coords) != len(e):
@@ -142,7 +143,8 @@ def find_certificate(columns: Iterable[WeightVector]) -> WeightVector:
     Existence is exactly pointedness of the cone the columns span;
     raises NotPointed otherwise.
     """
-    columns = list(columns)
+    columns = [_instance(a, WeightVector, "not-a-weight", ComputationError)
+               for a in columns]
     if not columns:
         raise NotPointed("no columns to certify")
     rank = len(columns[0].coords)
@@ -174,7 +176,7 @@ class PartitionProblem:
     def __post_init__(self):
         cols = tuple(self.columns)
         object.__setattr__(self, "columns", cols)
-        rank = len(self.target.coords)
+        rank = _instance(self.target, WeightVector, "not-a-weight", ComputationError).rank
         if self.lower_bounds is None:
             object.__setattr__(self, "lower_bounds", (0,) * len(cols))
         else:
@@ -186,7 +188,7 @@ class PartitionProblem:
         if any(b not in (0, 1) for b in self.lower_bounds):
             raise ComputationError("lower bounds must be 0 or 1")
         for a in cols:
-            if len(a.coords) != rank:
+            if _instance(a, WeightVector, "not-a-weight", ComputationError).rank != rank:
                 raise ComputationError("column rank differs from target rank")
         if self.eta is None:
             object.__setattr__(self, "eta", find_certificate(cols) if cols else None)
@@ -210,6 +212,7 @@ def _ray(eta: WeightVector) -> tuple[int, ...]:
 def count_partitions(problem: PartitionProblem) -> int:
     """Exact number of solutions: the effective target's coefficient in
     one expansion truncated at the target's level on the ray of eta."""
+    _instance(problem, PartitionProblem, "not-a-partition-problem", ComputationError)
     eff = problem.target - problem.shift
     for lb, a in zip(problem.lower_bounds, problem.columns):
         if lb:
@@ -252,23 +255,20 @@ def _expand(cols: list[tuple], eta: tuple, level) -> dict[tuple, int]:
     return terms
 
 
-def _weight(w) -> WeightVector:
-    """A table key as a WeightVector: as it is, or from its coordinates."""
-    if isinstance(w, WeightVector):
-        return w
-    if not isinstance(w, Iterable):
-        raise ComputationError(f"{type(w).__name__} is not a weight", code="not-a-weight")
-    return WeightVector(tuple(w))
-
-
 class CharacterTable:
     """Finitely supported int multiplicities, keyed by int coordinate tuples."""
 
     def __init__(self, entries=()):
         items = entries.items() if isinstance(entries, Mapping) else entries
         acc: dict[tuple, int] = {}
-        for w, c in items:
-            w = _weight(w)
+        for entry in _instance(items, Iterable, "not-a-character", ComputationError,
+                               "character"):
+            try:
+                w, c = entry
+            except (TypeError, ValueError):
+                raise ComputationError(f"entry {entry!r} is not a (weight, multiplicity)"
+                                       " pair", code="not-a-character") from None
+            w = _weight(w, ComputationError)
             if not w.is_integral():
                 raise ComputationError(f"character weight {w} is not a lattice point")
             if type(c) is not int:
@@ -287,10 +287,10 @@ class CharacterTable:
         return self
 
     def __getitem__(self, w) -> int:
-        return self._table.get(_weight(w).coords, 0)
+        return self._table.get(_weight(w, ComputationError).coords, 0)
 
     def __contains__(self, w) -> bool:
-        return _weight(w).coords in self._table
+        return _weight(w, ComputationError).coords in self._table
 
     def __len__(self) -> int:
         return len(self._table)
@@ -318,7 +318,8 @@ class CharacterTable:
 
     def _plus(self, other, n: int) -> "CharacterTable":
         """self + n * other, for an int n."""
-        a, b = self._table, _table_of(other)
+        a = self._table
+        b = _instance(other, CharacterTable, "not-a-character", ComputationError)._table
         return CharacterTable._unchecked({
             w: c for w in a.keys() | b.keys() if (c := a.get(w, 0) + n * b.get(w, 0))})
 
@@ -336,27 +337,10 @@ class CharacterTable:
         return "CharacterTable{%s}" % inner
 
 
-def _table_of(chi) -> dict[tuple, int]:
-    """chi's own {coords: multiplicity}; a non-table is not-a-character."""
-    if not isinstance(chi, CharacterTable):
-        raise ComputationError(f"{type(chi).__name__} is not a CharacterTable",
-                               code="not-a-character")
-    return chi._table
-
-
 def generic_direction(ds: LocalizationDataset) -> WeightVector:
     """Default eta: generic for every normal weight of the dataset."""
+    _instance(ds, LocalizationDataset, "not-a-dataset", ComputationError)
     return pick_generic_direction(ds.all_normal_weights(), ds.rank)
-
-
-def _check_power(m):
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ComputationError(f"power m must be a positive integer, got {m!r}")
-
-
-def _check_m_to(m_to):
-    if isinstance(m_to, bool) or not isinstance(m_to, int):
-        raise ComputationError(f"power m_to must be an integer, got {m_to!r}")
 
 
 def _polarized(ds: LocalizationDataset, eta: WeightVector):
@@ -365,12 +349,12 @@ def _polarized(ds: LocalizationDataset, eta: WeightVector):
     Returns q and, per fixed point, (coef, fiber, shift, columns): sign
     * the coefficient polynomial times q, the coefficients' common
     denominator, and the coordinates of the fiber weight, the shift and
-    the polarized columns.  eta's type and rank are checked here, where
-    every entry point meets it and no normal weight is needed to.
+    the polarized columns.  eta's type and rank, and the dataset's type,
+    are checked here, where every entry point meets them and no normal
+    weight is needed to.
     """
-    if not isinstance(eta, WeightVector):
-        raise ComputationError(f"{type(eta).__name__} is not a WeightVector",
-                               code="not-a-weight")
+    _instance(eta, WeightVector, "not-a-weight", ComputationError)
+    _instance(ds, LocalizationDataset, "not-a-dataset", ComputationError)
     if len(eta.coords) != ds.rank:
         raise ComputationError(f"eta rank {len(eta.coords)} differs from dataset "
                                f"rank {ds.rank}", code="rank-mismatch")
@@ -474,7 +458,7 @@ def character_table(
     Each side is complete on its half, so every sum is exact and the
     sums off the polytope are exact zeros, which are skipped.
     """
-    _check_power(m)
+    _integer(m, "power m", "computation-error", 1, ComputationError)
     if eta is None:
         eta = generic_direction(ds)
     q, points = _polarized(ds, eta)
@@ -517,13 +501,12 @@ def multiplicity_series(
     """
     if mode not in (MODE_FIXED, MODE_SCALED):
         raise ComputationError(f"unknown mode {mode!r}", code="bad-mode")
-    _check_power(m_from)
-    _check_m_to(m_to)
+    _integer(m_from, "power m", "computation-error", 1, ComputationError)
+    _integer(m_to, "power m_to", "computation-error", None, ComputationError)
     if m_to < m_from:
         raise ComputationError("empty power range")
-    if not isinstance(mu, WeightVector):
-        raise ComputationError(f"{type(mu).__name__} is not a WeightVector",
-                               code="not-a-weight")
+    _instance(mu, WeightVector, "not-a-weight", ComputationError)
+    _instance(ds, LocalizationDataset, "not-a-dataset", ComputationError)
     if mu.rank != ds.rank:
         raise ComputationError(
             f"weight rank {mu.rank} differs from dataset rank {ds.rank}",

@@ -16,7 +16,7 @@ from math import comb
 from operator import mul
 
 from .errors import LocmultError
-from .lattice import WeightVector
+from .lattice import WeightVector, _instance, _integer
 from .localize import CharacterTable
 
 
@@ -28,7 +28,9 @@ class ProjectiveActionSpec:
     degree: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coord_weights", tuple(self.coord_weights))
+        object.__setattr__(self, "coord_weights", tuple(
+            _instance(w, WeightVector, "not-a-weight", LocmultError)
+            for w in self.coord_weights))
         if not self.coord_weights:
             raise LocmultError(
                 "need at least one coordinate weight", code="missing-coord-weights"
@@ -40,10 +42,7 @@ class ProjectiveActionSpec:
                     f"coordinate weight {w} is not a rank-{rank} lattice point",
                     code="rank-mismatch" if w.rank != rank else "non-integer-weight",
                 )
-        if isinstance(self.degree, bool) or not isinstance(self.degree, int):
-            raise LocmultError("degree must be an integer", code="bad-degree")
-        if self.degree < 0:
-            raise LocmultError("degree must be nonnegative", code="bad-degree")
+        _integer(self.degree, "degree", "bad-degree", 0, LocmultError)
 
 
 def _exponents(total: int, parts: int):
@@ -57,6 +56,7 @@ def _exponents(total: int, parts: int):
 
 def monomial_character(spec: ProjectiveActionSpec) -> CharacterTable:
     """Weight multiplicities of the degree-m monomial space."""
+    _instance(spec, ProjectiveActionSpec, "not-a-projective-action", LocmultError)
     columns = list(zip(*(w.coords for w in spec.coord_weights)))
     entries: dict[tuple, int] = {}
     for e in _exponents(spec.degree, len(spec.coord_weights)):
@@ -67,5 +67,6 @@ def monomial_character(spec: ProjectiveActionSpec) -> CharacterTable:
 
 def total_dimension(spec: ProjectiveActionSpec) -> int:
     """Dimension of the degree-m monomial space, binomial(m + n, n)."""
+    _instance(spec, ProjectiveActionSpec, "not-a-projective-action", LocmultError)
     n = len(spec.coord_weights) - 1
     return comb(spec.degree + n, n)

@@ -11,8 +11,9 @@ is refused (inexact-number) and anything else is bad-number.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
-from .lattice import _coordinate
+from .lattice import _coordinate, _instance
 
 Poly = tuple[Fraction, ...]
 
@@ -24,6 +25,7 @@ def _exact(c) -> Fraction:
 
 
 def normalize(coeffs) -> Poly:
+    coeffs = _instance(coeffs, Iterable, "not-a-polynomial", name="polynomial")
     coeffs = tuple(map(_exact, coeffs))
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]

@@ -27,7 +27,6 @@ from .ehrhart import (
     FitVerificationError,
     PhaseFormUnavailable,
     QuasiPolynomial,
-    _check_quasi,
     _misses,
     _read_samples,
     fit_quasi_polynomial,
@@ -35,8 +34,8 @@ from .ehrhart import (
 )
 from .errors import LocmultError
 from .fpdata import strata_items
-from .lattice import WeightVector
-from .localize import _check_m_to, multiplicity_series
+from .lattice import WeightVector, _instance, _integer
+from .localize import ComputationError, multiplicity_series
 
 
 class StructureViolated(LocmultError):
@@ -50,7 +49,7 @@ class StructureViolated(LocmultError):
 def onset_threshold(samples, qp: QuasiPolynomial) -> int | None:
     """Smallest m0 such that the fit reproduces every sample with
     m >= m0; None when even the largest sample disagrees ("never")."""
-    _check_quasi(qp)
+    _instance(qp, QuasiPolynomial, "not-a-quasi-polynomial", LocmultError)
     pts = _read_samples(samples)
     if not pts:
         return None
@@ -136,7 +135,7 @@ def verify_structure(
         )
     d = max(s.degree_bound for s in strata)
     required = 2 * (k + d + 2)
-    _check_m_to(m_max)
+    _integer(m_max, "power m_to", "computation-error", None, ComputationError)
     if m_max < required:
         raise LocmultError(
             f"m_max={m_max} too small: need at least {required} for period {k} "

@@ -42,8 +42,10 @@ from operator import add, mul, sub
 
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
-from .lattice import LatticeError, RootSystem, WeightVector, is_dominant
-from .localize import CharacterTable, _dot, _expand, _table_of, _weight
+from .lattice import (
+    LatticeError, RootSystem, WeightVector, _instance, _weight, is_dominant,
+)
+from .localize import CharacterTable, ComputationError, _dot, _expand
 
 
 class NonDominantWeight(LocmultError):
@@ -68,18 +70,11 @@ class DecompositionResult:
         return self.w_invariant and not self.residual
 
 
-def _check_root_system(rs) -> None:
-    """Refuse anything but a RootSystem as not-a-root-system."""
-    if not isinstance(rs, RootSystem):
-        raise LatticeError(f"{type(rs).__name__} is not a RootSystem",
-                           code="not-a-root-system")
-
-
 def flag_dataset(rs: RootSystem, lam: WeightVector) -> LocalizationDataset:
     """Fixed-point data of the line bundle with weight lam on G/T: the
     fixed point w has fiber weight w(lam) and normal weights w(beta)."""
-    _check_root_system(rs)
-    lam = _weight(lam)
+    _instance(rs, RootSystem, "not-a-root-system")
+    lam = _weight(lam, ComputationError)
     points = tuple(
         FixedPointDatum(
             f"w{i}", w.apply(lam), tuple(w.apply(b) for b in rs.positive_roots)
@@ -91,8 +86,8 @@ def flag_dataset(rs: RootSystem, lam: WeightVector) -> LocalizationDataset:
 
 def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
     """Weight multiplicities of the irreducible with highest weight lam."""
-    _check_root_system(rs)
-    lam = _weight(lam)
+    _instance(rs, RootSystem, "not-a-root-system")
+    lam = _weight(lam, ComputationError)
     if not lam.is_integral():
         raise NonDominantWeight(f"highest weight {lam} is not a lattice point")
     if not is_dominant(lam, rs):
@@ -138,8 +133,8 @@ def _apply(rows, v: tuple, offset: tuple) -> tuple:
 
 def _lattice_table(chi: CharacterTable, rs: RootSystem) -> dict[tuple, int]:
     """chi's own {coords: multiplicity}, read only; every rank is rs.rank."""
-    table = _table_of(chi)
-    _check_root_system(rs)
+    table = _instance(chi, CharacterTable, "not-a-character", ComputationError)._table
+    _instance(rs, RootSystem, "not-a-root-system")
     bad = min((mu for mu in table if len(mu) != rs.rank), default=None)
     if bad is not None:
         raise LatticeError(f"element of rank {rs.rank} applied to rank {len(bad)}",
@@ -206,7 +201,8 @@ def decompose_character(chi: CharacterTable, rs: RootSystem) -> DecompositionRes
 
 def tensor(a: CharacterTable, b: CharacterTable) -> CharacterTable:
     """Pointwise product of characters: convolution of the tables."""
-    left, right = _table_of(a), _table_of(b)
+    left = _instance(a, CharacterTable, "not-a-character", ComputationError)._table
+    right = _instance(b, CharacterTable, "not-a-character", ComputationError)._table
     ranks = {len(w) for w in left.keys() | right.keys()}
     if left and right and len(ranks) > 1:
         raise LatticeError(

@@ -321,9 +321,9 @@ def test_malformed_numbers_are_bad_flags(capsys, argv):
 
 
 @pytest.mark.parametrize("period, degree, line", [
-    ("0", "1", "error: bad-period: period must be a positive integer\n"),
-    ("-2", "1", "error: bad-period: period must be a positive integer\n"),
-    ("1", "-1", "error: bad-degree: degree must be nonnegative\n"),
+    ("0", "1", "error: bad-period: period must be a positive integer, got 0\n"),
+    ("-2", "1", "error: bad-period: period must be a positive integer, got -2\n"),
+    ("1", "-1", "error: bad-degree: degree must be a nonnegative integer, got -1\n"),
 ], ids=["period-zero", "period-negative", "degree-negative"])
 def test_fit_period_and_degree_errors_are_coded(capsys, period, degree, line):
     code, out, err = run(capsys, "fit", "--series", "1,2,3,4",
@@ -352,6 +352,26 @@ def test_verify_qr(capsys):
     assert "phase -1: 1/4" in lines
     assert "expected phase +1: match" in lines
     assert "expected phase -1: match" in lines
+
+
+def test_verify_qr_splits_phases_once(capsys, monkeypatch):
+    """The phase records come from the report's split; the fit is not
+    split again for them."""
+    from locmult import cli, qrverify
+    from locmult.ehrhart import phase_decomposition
+
+    split = []
+
+    def counted(qp):
+        split.append(qp)
+        return phase_decomposition(qp)
+
+    for module in (cli, qrverify):
+        monkeypatch.setattr(module, "phase_decomposition", counted)
+    code, out, _ = run(capsys, "verify-qr", "--dataset", CP2, "--mu", "0",
+                       "--m-max", "12")
+    assert code == 0 and "phase -1: 1/4" in out.splitlines()
+    assert len(split) == 1
 
 
 def test_verify_qr_records(capsys):

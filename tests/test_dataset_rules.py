@@ -151,12 +151,14 @@ def test_malformed_fixed_points_are_refused():
 def test_stratum_integers_are_bad_strata():
     """A non-integer order or degree bound is refused by StratumPhaseDatum,
     so a document gets the bad-stratum code, as it does for order 0."""
-    for key, value in (("order", "2"), ("order", True), ("degree_bound", "1")):
+    for key, value, kind in (("order", "2", "a positive"), ("order", True, "a positive"),
+                             ("degree_bound", "1", "a nonnegative")):
         doc = _document(strata=[{**_stratum_entry(), key: value}])
         with pytest.raises(DatasetError) as err:
             load_dataset(json.dumps(doc))
         assert (err.value.code, str(err.value)) == (
-            "bad-stratum", f"strata[0]: stratum 'e': {key} must be an integer")
+            "bad-stratum",
+            f"strata[0]: stratum 'e': {key} must be {kind} integer, got {value!r}")
 
 
 def _random_weight(rng, rank, nonzero=False):

@@ -374,18 +374,20 @@ def test_phase_decomposition_matches_the_fraction_formula():
         assert phase_decomposition(qp) == fraction_phases(qp), qp
 
 
-def test_minimal_period_matches_every_divisor_in_turn():
-    """minimal_period against the fit tried at every divisor of k_max in
-    increasing order, as the first success or the first refusal other than
+def every_divisor(samples, k_max, degree):
+    """minimal_period as the fit tried at every divisor of k_max in
+    increasing order: the first success or the first refusal other than
     a failed verification."""
-    def every_divisor(samples, k_max, degree):
-        for k in (k for k in range(1, k_max + 1) if k_max % k == 0):
-            try:
-                return k, fit_quasi_polynomial(samples, k, degree)
-            except FitVerificationError:
-                continue
-        raise PeriodNotFound(f"no period <= {k_max} fits the samples")
+    for k in (k for k in range(1, k_max + 1) if k_max % k == 0):
+        try:
+            return k, fit_quasi_polynomial(samples, k, degree)
+        except FitVerificationError:
+            continue
+    raise PeriodNotFound(f"no period <= {k_max} fits the samples")
 
+
+def test_minimal_period_matches_every_divisor_in_turn():
+    """minimal_period against `every_divisor`, on random samples."""
     rng = random.Random(30)
     for case in range(150):
         k_max, d = rng.choice([1, 2, 6, 12, 30, 36, 49, 60, 97]), rng.randint(0, 2)
@@ -416,3 +418,34 @@ def test_fit_work_is_bounded_by_the_samples():
                            None)
     finally:
         tracemalloc.stop()
+
+
+class CountingInt(int):
+    """An int that counts the remainders taken of it: the trial divisions
+    of a k_max."""
+
+    def __mod__(self, other):
+        self.remainders = getattr(self, "remainders", 0) + 1
+        return int(self) % other
+
+
+def test_minimal_period_trial_divides_only_as_far_as_the_samples_reach():
+    """A divisor above every |m| fails the samples as k_max does, so trial
+    division stops at the largest |m|, not at sqrt(k_max) (31622 for the
+    prime 10**9 + 7); the outcome is the one of every divisor tried in
+    turn, also where k_max has divisors past the bound and the search
+    reaches them (a sample given two values fails every fit)."""
+    k_max = CountingInt(10**9 + 7)
+    with pytest.raises(InsufficientSamples) as err:
+        minimal_period([(1, 1), (2, 2), (3, 3)], k_max, 0)
+    assert str(err.value) == "insufficient samples per class: class 0 has 0, needs 2"
+    assert k_max.remainders == 3
+    rng = random.Random(31)
+    for case in range(150):
+        k_max, d = rng.choice([144, 210, 221, 289, 360, 720, 997]), rng.randint(0, 1)
+        ms = rng.sample(range(-4, 7), rng.randint(0, 8))
+        samples = [(m, rng.choice([1, m, m % 2])) for m in ms]
+        if case % 5 == 0 and ms:
+            samples.append((ms[0], samples[0][1] + 1))
+        assert (outcome(lambda: minimal_period(samples, k_max, d))
+                == outcome(lambda: every_divisor(samples, k_max, d))), case

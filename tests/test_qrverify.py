@@ -39,7 +39,7 @@ def test_stratum_validation():
     assert s.rotation == Fraction(3, 4)
     assert s.expected_poly == make([1])
     for bound in ("1", True, 1.5):
-        with pytest.raises(BadStratum, match="degree_bound must be an integer"):
+        with pytest.raises(BadStratum, match="degree_bound must be a nonnegative integer"):
             StratumPhaseDatum("s", 1, Fraction(0), bound)
 
 
