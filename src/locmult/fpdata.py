@@ -11,9 +11,11 @@ in the convention under which the character of the m-th power sums
 t^(m*fiber) / prod_j (1 - t^(-alpha_j)) over the fixed points; the
 monomial oracle in `oracle` pins this convention down operationally.
 
-A dataset is valid by construction: each rule lives in the constructor
-that owns its field and refuses with the loader's code, message and
-place, so the parsers read only JSON shape and places, and `validate`
+A dataset is valid by construction.  The parsers read the JSON shape,
+the places and each coordinate's int type once, in one pass per
+weight, and spell a place out only on refusal; the constructors own
+the lattice, zero and rank rules, each one pass over the int tuples,
+and refuse with the loader's code, message and place, so `validate`
 only warns.
 
 Documents are strict JSON with no floating point literals anywhere.
@@ -25,6 +27,7 @@ that cannot be read is an `io-error`.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping
@@ -32,7 +35,7 @@ from typing import Any, Mapping
 from . import poly
 from .errors import LocmultError
 from .lattice import (
-    RootSystem, WeightVector, _instance, _integer, generate_weyl_group,
+    RootSystem, WeightVector, _instance, _integer, _ints, generate_weyl_group,
     rational_from_text,
 )
 
@@ -60,6 +63,9 @@ def _check_label(label):
         raise DatasetError("label must be a nonempty string")
 
 
+_ONE = (Fraction(1),)  # the default coefficient, already normalized
+
+
 @dataclass(frozen=True)
 class FixedPointDatum:
     """One isolated fixed point: a nonempty string label, lattice-point
@@ -69,7 +75,7 @@ class FixedPointDatum:
     label: str
     fiber_weight: WeightVector
     normal_weights: tuple[WeightVector, ...]
-    coefficient: tuple[Fraction, ...] = (Fraction(1),)
+    coefficient: tuple[Fraction, ...] = _ONE
 
     def __post_init__(self):
         _check_label(self.label)
@@ -78,7 +84,8 @@ class FixedPointDatum:
         except TypeError:
             raise DatasetError(f"normal_weights of {self.label!r} must be a list, "
                                f"got {type(self.normal_weights).__name__}") from None
-        object.__setattr__(self, "coefficient", poly.normalize(self.coefficient))
+        if self.coefficient is not _ONE:
+            object.__setattr__(self, "coefficient", poly.normalize(self.coefficient))
         for w in (self.fiber_weight, *self.normal_weights):
             if not isinstance(w, WeightVector):
                 raise DatasetError(f"weight {w!r} of {self.label!r} is not a WeightVector")
@@ -196,9 +203,10 @@ class LocalizationDataset:
         object.__setattr__(self, "metadata", dict(self.metadata))
 
     def all_normal_weights(self) -> tuple[WeightVector, ...]:
-        """Each distinct normal weight once, in order of first occurrence."""
-        return tuple(dict.fromkeys(
-            a for fp in self.fixed_points for a in fp.normal_weights))
+        """Each distinct normal weight once, in order of first occurrence,
+        told apart by its coordinates."""
+        return tuple({a.coords: a for fp in self.fixed_points
+                      for a in fp.normal_weights}.values())
 
 
 @dataclass(frozen=True)
@@ -226,8 +234,10 @@ class ValidationReport:
 
 
 def _read_text(path, what: str) -> str:
+    """The text of a file named by path; an int is refused (by
+    `os.fspath`) rather than read, and closed, as a file descriptor."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(os.fspath(path), "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError, TypeError) as exc:
         raise LocmultError(
@@ -259,20 +269,31 @@ def _expect_int(value, location) -> int:
     return value
 
 
-def _int_tuple(values: list, location) -> tuple[int, ...]:
-    """A list of ints as a tuple; an entry's location is built only on failure."""
-    for i, x in enumerate(values):
-        if not _is_int(x):
-            _expect_int(x, f"{location}[{i}]")
+def _place(where, key, index) -> str:
+    """where.key[index], as much of it as is given."""
+    if key is not None:
+        where = f"{where}.{key}"
+    return where if index is None else f"{where}[{index}]"
+
+
+def _int_tuple(values: list, where, key=None, index=None) -> tuple[int, ...]:
+    """A list of ints as a tuple, accepted in one pass over its entries;
+    the place where.key[index] of an entry is spelled out only on
+    refusal."""
+    if not _ints(values):
+        location = _place(where, key, index)
+        for i, x in enumerate(values):
+            if not _is_int(x):
+                _expect_int(x, f"{location}[{i}]")
     return tuple(values)
 
 
-def _parse_weight(value, location) -> WeightVector:
+def _parse_weight(value, where, key=None, index=None) -> WeightVector:
+    """value, a list of ints, at where.key[index], as a WeightVector."""
     if not isinstance(value, list):
-        raise DatasetError(
-            f"expected a coordinate list, got {value!r}", location=location
-        )
-    return WeightVector(_int_tuple(value, location))
+        raise DatasetError(f"expected a coordinate list, got {value!r}",
+                           location=_place(where, key, index))
+    return WeightVector(_int_tuple(value, where, key, index))
 
 
 def parse_rational(value, location) -> Fraction:
@@ -313,14 +334,12 @@ def _parse_fixed_point(obj, location) -> FixedPointDatum:
         obj, "fixed point", ("label", "fiber_weight", "normal_weights"),
         ("coefficient",), location,
     )
-    fiber = _parse_weight(obj["fiber_weight"], f"{location}.fiber_weight")
+    fiber = _parse_weight(obj["fiber_weight"], location, "fiber_weight")
     if not isinstance(obj["normal_weights"], list):
         raise DatasetError("normal_weights must be a list", location=location)
-    normals = tuple(
-        _parse_weight(w, f"{location}.normal_weights[{i}]")
-        for i, w in enumerate(obj["normal_weights"])
-    )
-    coeff = (Fraction(1),)
+    normals = [_parse_weight(w, location, "normal_weights", i)
+               for i, w in enumerate(obj["normal_weights"])]
+    coeff = _ONE
     if "coefficient" in obj:
         if not isinstance(obj["coefficient"], list) or not obj["coefficient"]:
             raise DatasetError(

@@ -36,6 +36,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -59,7 +60,7 @@ class WeightVector:
 
     def __post_init__(self):
         c = self.coords
-        if type(c) is not tuple or not all(type(x) is int for x in c):
+        if type(c) is not tuple or not _ints(c):
             c = _instance(c, Iterable, "not-a-weight", name="weight")
             object.__setattr__(self, "coords", tuple(map(_coordinate, c)))
 
@@ -68,17 +69,17 @@ class WeightVector:
         return len(self.coords)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return _ints(self.coords)
 
     def __add__(self, other: "WeightVector") -> "WeightVector":
-        _check_rank(self, other)
+        _check_rank(self, _instance(other, WeightVector, "not-a-weight"))
         return WeightVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "WeightVector") -> "WeightVector":
-        _check_rank(self, other)
+        _check_rank(self, _instance(other, WeightVector, "not-a-weight"))
         return WeightVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "WeightVector":
@@ -124,6 +125,16 @@ def _coordinate(c) -> int | Fraction:
             code=f"{kind}-number",
         )
     return q.numerator if q.denominator == 1 else q
+
+
+def _ints(values) -> bool:
+    """Whether every entry of values is an int (a bool is not), read in
+    one pass; a WeightVector's coordinates are all ints exactly when it
+    is a lattice point."""
+    for x in values:
+        if type(x) is not int:
+            return False
+    return True
 
 
 def _instance(x, cls, code: str, error=LatticeError, name: str | None = None):
@@ -184,6 +195,7 @@ def pick_generic_direction(weights: Iterable[WeightVector], rank: int) -> Weight
     nonzero weight excludes at most rank-1 values of t, so the search
     terminates.
     """
+    rank = _integer(rank, "rank", "bad-rank")
     weights = [_instance(w, WeightVector, "not-a-weight").coords for w in weights]
     for w in weights:
         if len(w) != rank:
@@ -197,7 +209,10 @@ def pick_generic_direction(weights: Iterable[WeightVector], rank: int) -> Weight
     t = 1
     while True:
         cand = tuple(t**i for i in range(rank))
-        if all(sum(map(mul, w, cand)) != 0 for w in weights):
+        for w in weights:
+            if not sum(map(mul, w, cand)):
+                break
+        else:
             return WeightVector(cand)
         t += 1
 
@@ -258,13 +273,26 @@ class WeylElement:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Finite reflection group data attached to a weight lattice."""
+    """Finite reflection group data attached to a weight lattice, as
+    `generate_weyl_group` builds it: tuples of WeightVectors (at least
+    one simple root), of int tuples and of WeylElements, and a
+    WeightVector delta; fields of any other type are not-a-root-system."""
 
     simple_roots: tuple[WeightVector, ...]
     cartan_pairing: tuple[tuple[int, ...], ...]
     positive_roots: tuple[WeightVector, ...]
     delta: WeightVector
     weyl_elements: tuple[WeylElement, ...]
+
+    def __post_init__(self):
+        fields = ((self.simple_roots, WeightVector), (self.cartan_pairing, tuple),
+                  (self.positive_roots, WeightVector), (self.weyl_elements, WeylElement))
+        if not (all(type(f) is tuple and all(map(isinstance, f, repeat(kind)))
+                    for f, kind in fields)
+                and self.simple_roots and isinstance(self.delta, WeightVector)
+                and all(map(_ints, self.cartan_pairing))):
+            raise LatticeError("a RootSystem holds the tuples and delta that "
+                               "generate_weyl_group builds", code="not-a-root-system")
 
     @property
     def rank(self) -> int:

@@ -235,8 +235,10 @@ def _expand(cols: list[tuple], eta: tuple, level) -> dict[tuple, int]:
     Terms are visited in increasing eta-level, so the first one met on
     a line is its lowest; the levels ride along with the terms.
     """
-    terms = {(0,) * len(eta): 1} if level >= 0 else {}
-    levels = [(0, v) for v in terms]
+    if level < 0:
+        return {}
+    zero = (0,) * len(eta)
+    terms, levels = {zero: 1}, [(0, zero)]
     for a in cols:
         step = _dot(a, eta)
         nxt: dict[tuple, int] = {}
@@ -338,7 +340,12 @@ class CharacterTable:
 
 
 def generic_direction(ds: LocalizationDataset) -> WeightVector:
-    """Default eta: generic for every normal weight of the dataset."""
+    """Default eta: generic for every normal weight of the dataset.
+
+    It relies on what the dataset's constructors proved: every normal
+    weight is a nonzero lattice point of the dataset's rank, so each
+    distinct one, told apart by its int coordinates, goes to
+    `pick_generic_direction` once, whose checks then pass."""
     _instance(ds, LocalizationDataset, "not-a-dataset", ComputationError)
     return pick_generic_direction(ds.all_normal_weights(), ds.rank)
 

@@ -115,12 +115,15 @@ SWEEP = [
      "not-a-quasi-polynomial"),
     ("verify_structure", lambda: verify_structure(DATASET, (0,), (), 40),
      "bad-stratum"),
+    ("WeightVector", lambda: wv(1) + (1,), "not-a-weight"),
+    ("WeightVector", lambda: wv(1) - (1,), "not-a-weight"),
+    ("pick_generic_direction", lambda: pick_generic_direction([], "2"), "bad-rank"),
 ]
 
 # records the library builds and returns: their constructors store what
-# they are given and refuse nothing (a RootSystem comes from
-# generate_weyl_group, which has a row, and every entry point that takes
-# one checks its type)
+# they are given, except that a RootSystem refuses fields of the wrong
+# type (it comes from generate_weyl_group, which has a row, and every
+# entry point that takes one checks its type)
 RECORDS = {"DecompositionResult", "QRReport", "RootSystem"}
 
 

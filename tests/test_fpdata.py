@@ -1,6 +1,7 @@
 """Dataset parsing, validation, and round-trip serialization."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,12 @@ import pytest
 from locmult import (
     FixedPointDatum,
     LocalizationDataset,
+    LocmultError,
+    load_character_file,
     load_dataset,
+    load_dataset_file,
+    load_root_system_file,
+    load_strata_file,
     serialize_dataset,
     poly,
     validate,
@@ -93,13 +99,30 @@ def test_rank_mismatch_rejected():
     assert "fixed_points[0]" in str(err.value)
 
 
-def _rank2_doc(last_normal_weight):
-    """A rank-2 document whose fixed_points[1].normal_weights[2] is given."""
+def _rank2_doc(weight, place="normal_weights[2]"):
+    """A rank-2 document whose fixed_points[1].normal_weights[2], or its
+    fixed_points[1].fiber_weight, is the given weight."""
+    p1 = {"label": "P1", "fiber_weight": [1, 0],
+          "normal_weights": [[-1, 0], [-1, 1], [1, 1]]}
+    if place == "fiber_weight":
+        p1["fiber_weight"] = weight
+    else:
+        p1["normal_weights"][2] = weight
     return json.dumps({"rank": 2, "fixed_points": [
         {"label": "P0", "fiber_weight": [0, 0], "normal_weights": [[1, 0], [0, 1]]},
-        {"label": "P1", "fiber_weight": [1, 0],
-         "normal_weights": [[-1, 0], [-1, 1], last_normal_weight]},
+        p1,
     ]})
+
+
+# refusals of the one pass over a weight's shape and coordinate types
+ONE_PASS_REFUSALS = [
+    ([None, 0], "non-integer-weight", "{place}[0]: expected an integer, got None"),
+    ([[1], 0], "non-integer-weight", "{place}[0]: expected an integer, got [1]"),
+    ({}, "schema-violation", "{place}: expected a coordinate list, got {{}}"),
+    ([], "rank-mismatch", "{place}: weight has 0 coordinates, dataset rank is 2"),
+    ([0.5, 0], "schema-violation",
+     "floating point literal '0.5' is not accepted; use 'p/q' strings"),
+]
 
 
 @pytest.mark.parametrize("weight, code, message", [
@@ -113,11 +136,42 @@ def _rank2_doc(last_normal_weight):
      "fixed_points[1].normal_weights[2]: expected a coordinate list, got 7"),
     ([0, 0], "zero-normal-weight",
      "fixed_points[1]: fixed point 'P1' has a zero normal weight"),
-])
+] + [(weight, code, message.format(place="fixed_points[1].normal_weights[2]"))
+     for weight, code, message in ONE_PASS_REFUSALS])
 def test_weight_errors_name_their_place(weight, code, message):
     with pytest.raises(DatasetError) as err:
         load_dataset(_rank2_doc(weight))
     assert (err.value.code, str(err.value)) == (code, message)
+
+
+@pytest.mark.parametrize("weight, code, message", [
+    (weight, code, message.format(place="fixed_points[1].fiber_weight"))
+    for weight, code, message in ONE_PASS_REFUSALS])
+def test_fiber_weight_errors_name_their_place(weight, code, message):
+    with pytest.raises(DatasetError) as err:
+        load_dataset(_rank2_doc(weight, "fiber_weight"))
+    assert (err.value.code, str(err.value)) == (code, message)
+
+
+def test_loaders_refuse_a_descriptor_and_leave_it_open(tmp_path):
+    """An int path is not a file descriptor to read and close: every file
+    loader refuses it before opening anything, as it refuses True, which
+    would have read descriptor 1."""
+    path = tmp_path / "cp1.json"
+    path.write_text(CP1_DOC, encoding="utf-8")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        for load in (load_dataset_file, load_strata_file, load_root_system_file,
+                     load_character_file):
+            for bad in (fd, True):
+                with pytest.raises(LocmultError) as err:
+                    load(bad)
+                assert err.value.code == "io-error", (load, bad)
+                assert str(err.value).endswith(
+                    f"expected str, bytes or os.PathLike object, not {type(bad).__name__}")
+            os.fstat(fd)
+    finally:
+        os.close(fd)
 
 
 def test_all_normal_weights_keeps_first_occurrences():

@@ -17,6 +17,7 @@ from locmult import (
 from locmult.lattice import (
     LatticeError,
     NotReflectionGroup,
+    RootSystem,
     WeightVector,
     solve_exact,
 )
@@ -352,6 +353,28 @@ def test_non_orthogonal_presentation_is_refused():
     with pytest.raises(LatticeError) as err:
         generate_weyl_group((wv(2, -1), wv(-1, 2)), [[1, 0], [0, 1]])
     assert err.value.code == "non-orthogonal-root-system"
+
+
+def test_root_system_fields_are_typed(a2):
+    """A RootSystem built by hand with a field of the wrong type is
+    refused when it is built, not by the first entry point that reads
+    it; the one generate_weyl_group builds stands."""
+    fields = [a2.simple_roots, a2.cartan_pairing, a2.positive_roots, a2.delta,
+              a2.weyl_elements]
+    assert RootSystem(*fields) == a2
+    wrong = [(0, ((1, -1, 0), (0, 1, -1))),  # roots as tuples
+             (0, ()),  # no simple root
+             (1, ((1.0, -1, 0), (0, 1, -1))),  # a float pairing entry
+             (2, list(a2.positive_roots)),
+             (3, (1, 1, 0)),  # delta as a tuple
+             (4, (wv(0, 0, 0),))]  # an element as a weight
+    for i, value in wrong:
+        with pytest.raises(LatticeError) as err:
+            RootSystem(*fields[:i], value, *fields[i + 1:])
+        assert err.value.code == "not-a-root-system", (i, value)
+    with pytest.raises(LatticeError) as err:
+        RootSystem(3, (), (), wv(0), ())
+    assert err.value.code == "not-a-root-system"
 
 
 def test_weight_vector_hash_and_repr():
