@@ -251,10 +251,22 @@ def _reject_float(text):
     )
 
 
-def _parse_json(text: str, what: str, location=None):
-    """Strict JSON: float, NaN and Infinity literals are schema violations."""
+# built once: json.loads builds a JSONDecoder for every document it is
+# given keyword arguments for
+_DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
+
+
+def _parse_json(text: str | bytes, what: str, location=None):
+    """Strict JSON: float, NaN and Infinity literals are schema violations.
+    The text is read as `json.loads` reads it: bytes in their detected
+    encoding, and a str that opens with a byte order mark refused."""
     try:
-        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+        if not isinstance(text, str):
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        elif text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                       text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"malformed {what}: {exc.msg}", location=location) from None
 

@@ -314,6 +314,14 @@ class RootSystem:
             for w in self.weyl_elements
         )
 
+    @cached_property
+    def kostant(self) -> list:
+        """Room for the partition function of the positive roots, which
+        `weylred` fills on the first irreducible character and deepens
+        when a deeper one asks: it depends on the root system alone, so
+        it is kept with it for its lifetime, as the dot action is."""
+        return []
+
 
 ELEMENT_CAP = 100_000
 

@@ -7,15 +7,21 @@ along 2*delta, the sum of the positive roots, every fixed point w has
 the positive roots as its columns and its apex at the dot action
 w(lam + delta) - delta, so the formula is Kostant's: the multiplicity
 of mu is sum_w sign(w) P(w(lam + delta) - delta - mu), with P the
-partition function of the positive roots.  P is one expansion cut at
-the level of lam, which bounds every apex, while every dominant weight
-lies at level 0 or above; only dominant weights are read, and each is
+partition function of the positive roots.  P depends on the root
+system alone, so the RootSystem holds it for its lifetime, cut at the
+deepest level asked of it: the first irreducible character expands it
+to the level of its lam, which bounds every apex, while every dominant
+weight lies at level 0 or above; a deeper lam replaces it by one deeper
+expansion, and any other reads the held one, whose terms at a level
+are those of any cut at or above that level, so no answer depends on
+the order of the calls.  Only dominant weights are read, and each is
 spread over its W-orbit.  A term t^v gives mu = lam - v, dominant when
 <v, alpha_i> <= <lam, alpha_i> for each simple root, so mu is built
-only for the terms that pass.  P is 0 below level 0, so an apex
-below mu's level adds nothing: the apexes are sorted by level once
-per call, and each sum stops at the first one below mu.  It runs on
-int coordinate tuples with the dot action
+only for the terms that pass, and the same bounds decide whether lam
+is dominant.  P is 0 below level 0, so an apex below mu's level adds
+nothing: the apexes are sorted by level once per call, and each sum
+stops at the first one below mu.  It runs on int coordinate tuples
+with the dot action
 w(mu + delta) - delta = w(mu) + (w(delta) - delta): every Weyl element
 is stored as the rows of a signed permutation, and
 `RootSystem.dot_action` adds the lattice offsets once per root system,
@@ -23,14 +29,15 @@ so each coordinate of the image is one signed coordinate of mu plus
 its offset, and the orbit spread uses the same rows without the
 offset.  Decomposition inverts the character by the same alternating
 sum, in one pass: each weight adds sign(w) times its multiplicity to
-its one dominant dot image, if it has one, and w is found without scanning W, by reflecting the int vector
-2(mu + delta) in any simple reflection s_i(v) = v - <v, coroot_i> *
-alpha_i it pairs negatively with until it is dominant.  A character is
-W-invariant when it is invariant under every s_i.  A weight is dominant
-when it pairs nonnegatively with the simple roots, so r pairings decide
-it instead of |positive roots|.  A highest weight is read as a
-table key is, so a coordinate tuple serves, and anything but a
-RootSystem is not-a-root-system.  Characters are built and read as the
+its one dominant dot image, if it has one, and w is found without
+scanning W, by reflecting the int vector 2(mu + delta) in any simple
+reflection s_i(v) = v - <v, coroot_i> * alpha_i it pairs negatively
+with until it is dominant; the irreducibles to subtract are asked for
+deepest first, so one decomposition makes at most one expansion.  A
+character is W-invariant when it is invariant under every s_i.  A
+highest weight is read as a table key is, so a coordinate tuple
+serves, and anything but a RootSystem is not-a-root-system.
+Characters are built and read as the
 int coordinate tuples a CharacterTable stores; a decomposition makes
 WeightVectors only of the highest weights it reports.
 """
@@ -38,12 +45,13 @@ WeightVectors only of the highest weights it reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, mul, sub
 
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
 from .lattice import (
-    LatticeError, RootSystem, WeightVector, _instance, _weight, is_dominant,
+    LatticeError, RootSystem, WeightVector, _check_rank, _instance, _weight,
 )
 from .localize import CharacterTable, ComputationError, _dot, _expand
 
@@ -90,11 +98,14 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
     lam = _weight(lam, ComputationError)
     if not lam.is_integral():
         raise NonDominantWeight(f"highest weight {lam} is not a lattice point")
-    if not is_dominant(lam, rs):
+    _check_rank(lam, rs.simple_roots[0])
+    top = lam.coords
+    # mu = top - v is dominant when <v, alpha_i> <= <top, alpha_i>, and
+    # top itself (v = 0) when every bound is 0 or more
+    walls = [(a.coords, _dot(top, a.coords)) for a in rs.simple_roots]
+    if min(bound for _, bound in walls) < 0:
         raise NonDominantWeight(f"highest weight {lam} is not dominant")
-    positive = [b.coords for b in rs.positive_roots]
-    eta, top = tuple(map(sum, zip(*positive))), lam.coords  # 2 * delta
-    kostant = _expand(positive, eta, _dot(top, eta))
+    eta, kostant, terms = _kostant(rs, top)
     action = rs.dot_action
     apexes = []
     for sign, rows, offset in action:
@@ -103,12 +114,10 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
         shift = tuple(map(sub, _apply(rows, top, offset), top))
         apexes.append((-_dot(shift, eta), sign, shift))
     apexes.sort()
-    walls = [(a.coords, _dot(top, a.coords)) for a in rs.simple_roots]
     entries = {}
-    for v in kostant:
-        # mu = top - v is dominant when <v, alpha_i> <= <top, alpha_i>; a
-        # sum v of positive roots below a dominant top makes it a weight;
-        # this runs on every term, so it pairs with map(mul) inline
+    for v in terms:
+        # a sum v of positive roots below a dominant top makes mu a
+        # weight; this runs on every term, so it pairs with map(mul) inline
         for a, bound in walls:
             if sum(map(mul, v, a)) > bound:
                 break
@@ -123,6 +132,48 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
             for _, rows, _ in action:
                 entries[tuple(c * mu[k] for k, c in rows)] = n
     return CharacterTable._unchecked(entries)
+
+
+def _kostant(rs: RootSystem, top: tuple):
+    """2*delta, P as rs holds it, and the terms of P that the highest
+    weight top reads.
+
+    rs holds P cut at the deepest level asked of it so far, and a deeper
+    top replaces it by one deeper expansion.  A term of a deeper cut at
+    level L or below is the term of the cut at L, and every term that
+    passes top's walls lies at or below top's level L, 2*delta being a
+    nonnegative sum of simple roots; so a top below the held cut reads
+    the held P, but only its terms at level L or below.  Those are
+    listed by level on the first such read, grown from 0 by the positive
+    roots, every sum of which is a term, and only as far as the level
+    read: a cold call lists nothing, and a shallow one pays for its own
+    level, not for the held one.
+    """
+    held = rs.kostant
+    if not held:
+        positive = [b.coords for b in rs.positive_roots]
+        eta = tuple(map(sum, zip(*positive)))
+        # 2*delta, each positive root with its level, the cut, P, and the
+        # terms of P by level, as far as a read has listed them; every
+        # change is one slice assignment, so a reader of the same system
+        # in another thread unpacks a consistent holder
+        held[:] = [eta, [(b, _dot(b, eta)) for b in positive], -1, {},
+                   [[(0,) * len(eta)]]]
+    eta, steps, cut, kostant, by_level = held
+    level = _dot(top, eta)
+    if level > cut:
+        kostant = _expand([b for b, _ in steps], eta, level)
+        held[2:4] = level, kostant
+    if level >= cut:
+        return eta, kostant, kostant
+    if len(by_level) <= level:
+        by_level = by_level[:]
+        for lvl in range(len(by_level), level + 1):
+            by_level.append(list(dict.fromkeys(
+                tuple(map(add, u, b)) for b, step in steps if step <= lvl
+                for u in by_level[lvl - step])))
+        held[4:] = [by_level]
+    return eta, kostant, chain.from_iterable(by_level[:level + 1])
 
 
 def _apply(rows, v: tuple, offset: tuple) -> tuple:
@@ -194,7 +245,8 @@ def decompose_character(chi: CharacterTable, rs: RootSystem) -> DecompositionRes
             sums[lam] = sums.get(lam, 0) + n
     mults = {WeightVector(lam): n for lam, n in sorted(sums.items()) if n}
     residual = chi
-    for lam, n in mults.items():
+    # deepest first, so that the root system's one expansion serves the rest
+    for lam, n in sorted(mults.items(), key=lambda e: -_dot(e[0].coords, two_delta)):
         residual = residual._plus(irreducible_character(rs, lam), -n)
     return DecompositionResult(mults, residual, _invariant(table, rs))
 

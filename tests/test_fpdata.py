@@ -199,6 +199,21 @@ def test_malformed_json():
         load_dataset("{not json")
 
 
+def test_documents_read_as_json_loads_reads_them():
+    """The strict decoder takes bytes in their detected encoding (UTF-8
+    with or without a byte order mark, UTF-16) and refuses a str that
+    opens with a byte order mark, as json.loads does."""
+    ds = load_dataset(CP1_DOC)
+    for text in (CP1_DOC.encode(), bytearray(CP1_DOC.encode()),
+                 CP1_DOC.encode("utf-8-sig"), CP1_DOC.encode("utf-16")):
+        assert load_dataset(text) == ds
+    with pytest.raises(DatasetError) as err:
+        load_dataset("\ufeff" + CP1_DOC)
+    assert err.value.code == "schema-violation"
+    assert str(err.value) == \
+        "malformed document: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
+
 def test_bad_coefficient():
     doc = _doc(fixed_points=[
         {"label": "P0", "fiber_weight": [1], "normal_weights": [[1]],

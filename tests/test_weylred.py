@@ -3,8 +3,10 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 import pytest
 
@@ -378,8 +380,9 @@ def test_decomposition_reflects_instead_of_scanning_w(b2, monkeypatch):
     them, sum L = 18, L(mu) being the number of positive roots pairing
     negatively with mu + delta.  Each weight pairs with the r coroots
     once per reflection and once at the end, 2 * (18 + 21) = 78 `_dot`
-    calls, and the invariance test pairs each weight once per coroot,
-    2 * 21 = 42: 120 in all."""
+    calls, the one highest weight found pairs once with 2*delta, to ask
+    for the deepest constituent first, and the invariance test pairs
+    each weight once per coroot, 2 * 21 = 42: 121 in all."""
     from locmult import weylred
 
     chi = irreducible_character(b2, wv(2, 1))
@@ -394,7 +397,7 @@ def test_decomposition_reflects_instead_of_scanning_w(b2, monkeypatch):
     monkeypatch.setattr(weylred, "irreducible_character", lambda rs, lam: chi)
     result = decompose_character(chi, b2)
     assert result.multiplicities == {wv(2, 1): 1} and result.ok
-    assert len(calls) == 2 * (sum(lengths) + len(chi)) + 2 * len(chi) == 120
+    assert len(calls) == 2 * (sum(lengths) + len(chi)) + 1 + 2 * len(chi) == 121
     calls.clear()
     assert is_w_invariant(chi, b2)
     assert len(calls) == 2 * len(chi)
@@ -411,10 +414,8 @@ def test_generation_applies_no_matrix(monkeypatch):
     assert applies == []
 
 
-def test_irreducible_expands_the_dominant_chamber_only(a2, b2, b4, monkeypatch):
-    """A deterministic work counter: an irreducible character makes one
-    expansion, over the positive roots along 2*delta, cut at the level
-    of its highest weight."""
+def _counting_expansions(monkeypatch):
+    """The term count of every expansion weylred makes, from here on."""
     from locmult import weylred
 
     terms = []
@@ -426,21 +427,69 @@ def test_irreducible_expands_the_dominant_chamber_only(a2, b2, b4, monkeypatch):
         return result
 
     monkeypatch.setattr(weylred, "_expand", counting)
-    for rs, lam, dim, work in ((a2, wv(4, 2, 0), 27, 15), (b2, wv(3, 3), 84, 49),
-                               (b4, wv(3, 2, 1, 0), 9009, 10830)):
+    return terms
+
+
+def test_irreducible_expands_the_dominant_chamber_only(monkeypatch):
+    """A deterministic work counter: the first irreducible character of a
+    root system makes one expansion, over the positive roots along
+    2*delta, cut at the level of its highest weight, and the root system
+    keeps it.  Each system is built here, since a system another test
+    has read already holds an expansion."""
+    terms = _counting_expansions(monkeypatch)
+    for rs, lam, dim, work in ((type_a(2), wv(4, 2, 0), 27, 15),
+                               (type_b(2), wv(3, 3), 84, 49),
+                               (type_b(4), wv(3, 2, 1, 0), 9009, 10830)):
         terms.clear()
         assert irreducible_character(rs, lam).total() == dim
-        assert len(terms) == 1
-        assert terms[0] == work
+        assert terms == [work]
 
 
-def test_kostant_sum_reads_only_the_apexes_that_reach_it(a2, b2, b4, monkeypatch):
+def test_a_root_system_expands_again_only_when_asked_deeper(monkeypatch):
+    """A deterministic work counter: once a root system holds P, a call at
+    its level or below makes no expansion, and a deeper one makes exactly
+    one, which every later call reads."""
+    terms = _counting_expansions(monkeypatch)
+    for rs, cold, lower, deeper in (
+            (type_a(2), wv(4, 2, 0), wv(1, 0, 0), wv(5, 3, 0)),
+            (type_b(2), wv(3, 3), wv(2, 0), wv(4, 2)),
+            (type_b(4), wv(3, 2, 1, 0), wv(1, 1, 0, 0), None)):
+        irreducible_character(rs, cold)
+        terms.clear()
+        for lam in (cold, lower, cold, lower):
+            assert irreducible_character(rs, lam).total() == weyl_dimension(rs, lam)
+        assert terms == []
+        if deeper is not None:
+            for lam in (deeper, cold, lower, deeper):
+                assert irreducible_character(rs, lam).total() == weyl_dimension(rs, lam)
+            assert len(terms) == 1
+
+
+def test_a_shallow_call_lists_the_held_terms_to_its_level_only():
+    """A call below the held level reads the held P level by level: the
+    terms it lists, grown from 0 by the positive roots, are exactly the
+    terms of P at each level up to its own, and no deeper level is
+    listed."""
+    rs = type_b(2)
+    for lam in (wv(6, 5), wv(2, 1)):
+        irreducible_character(rs, lam)
+    eta, _, cut, kostant, by_level = rs.kostant
+    assert cut == pairing(wv(6, 5), 2 * rs.delta) == 23
+    assert len(by_level) == pairing(wv(2, 1), 2 * rs.delta) + 1 == 8
+    for level, listed in enumerate(by_level):
+        held = [v for v in kostant if sum(map(mul, v, eta)) == level]
+        assert len(listed) == len(set(listed)) and set(listed) == set(held), level
+
+
+def test_kostant_sum_reads_only_the_apexes_that_reach_it(monkeypatch):
     """A deterministic work counter: the lookups into the expansion.  P
     is 0 below level 0, so a dominant mu reads the apexes
     w(lam + delta) - delta at its 2*delta-level or above, and no other:
     7 for A2 (4,2,0), 22 for B2 (3,3) and 350 for B4 (3,2,1,0), where
     every apex for every dominant weight would be 5 * 6 = 30,
-    10 * 8 = 80 and 19 * 384 = 7296."""
+    10 * 8 = 80 and 19 * 384 = 7296.  A second call reads the expansion
+    the root system holds, with the same lookups.  Each system is built
+    here, since one another test has read holds an uncounted expansion."""
     from locmult import weylred
 
     class Counting(dict):
@@ -451,13 +500,96 @@ def test_kostant_sum_reads_only_the_apexes_that_reach_it(a2, b2, b4, monkeypatch
     lookups = []
     original = weylred._expand
     monkeypatch.setattr(weylred, "_expand", lambda *args: Counting(original(*args)))
-    for rs, lam, dominant, work in ((a2, wv(4, 2, 0), 5, 7), (b2, wv(3, 3), 10, 22),
-                                    (b4, wv(3, 2, 1, 0), 19, 350)):
-        lookups.clear()
-        chi = irreducible_character(rs, lam)
-        assert chi.total() == weyl_dimension(rs, lam)
-        assert sum(is_dominant(mu, rs) for mu in chi.support()) == dominant
-        assert len(lookups) == work
+    for rs, lam, dominant, work in ((type_a(2), wv(4, 2, 0), 5, 7),
+                                    (type_b(2), wv(3, 3), 10, 22),
+                                    (type_b(4), wv(3, 2, 1, 0), 19, 350)):
+        for _ in range(2):
+            lookups.clear()
+            chi = irreducible_character(rs, lam)
+            assert chi.total() == weyl_dimension(rs, lam)
+            assert sum(is_dominant(mu, rs) for mu in chi.support()) == dominant
+            assert len(lookups) == work
+
+
+def test_irreducible_characters_do_not_depend_on_call_order():
+    """Every dominant weight of a small box (coordinates 0..3, on B3
+    0..1), asked of one root system deepest first and of another
+    shallowest first, against the independent Kostant sum: a system that
+    holds a deeper P, or was deepened between two calls, gives the same
+    characters as a cold one."""
+    c2 = generate_weyl_group((wv(1, -1), wv(0, 2)), [[1, -1], [0, 1]])
+    for make, box in ((lambda: type_a(2), (range(4), range(4), [0])),
+                      (lambda: type_b(2), (range(4),) * 2),
+                      (lambda: generate_weyl_group(c2.simple_roots, c2.cartan_pairing),
+                       (range(4),) * 2),
+                      (lambda: type_b(3), (range(2),) * 3)):
+        probe = make()
+        weights = sorted((lam for lam in (wv(*c) for c in itertools.product(*box))
+                          if is_dominant(lam, probe)),
+                         key=lambda lam: pairing(lam, 2 * probe.delta))
+        expected = {lam: kostant_character(probe, lam) for lam in weights}
+        for order in (weights[::-1], weights):
+            rs = make()
+            for lam in order:
+                assert irreducible_character(rs, lam) == expected[lam], lam
+
+
+def test_threads_sharing_a_root_system_read_consistent_expansions():
+    """Threads that list the held P of one root system at once, with a
+    short switch interval, get the characters of a cold system: on each
+    of 20 fresh systems, one deep call and then 4 threads asking every
+    weight below it deepest first, so that all four grow the listing
+    together."""
+    weights = sorted((wv(a, b) for a in range(6) for b in range(a + 1)),
+                     key=lambda lam: pairing(lam, wv(3, 1)))
+    expected = {lam: irreducible_character(type_b(2), lam) for lam in weights}
+    wrong = []
+
+    def work(rs):
+        for lam in reversed(weights):
+            if irreducible_character(rs, lam) != expected[lam]:
+                wrong.append(lam)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            shared = type_b(2)
+            irreducible_character(shared, wv(6, 6))
+            threads = [threading.Thread(target=work, args=(shared,)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_decomposition_does_not_depend_on_what_a_system_holds(monkeypatch):
+    """A tensor product decomposes the same on a cold root system, on one
+    that holds a deeper P, and on one that holds a shallower one.  Its
+    nine constituents, at nine 2*delta-levels, are asked for deepest
+    first, so the cold system makes one expansion and the deeper one
+    none."""
+    lam, vector = wv(3, 1), wv(1, 1)
+    cold = type_b(2)
+    product = tensor(irreducible_character(cold, lam), irreducible_character(cold, vector))
+    terms = _counting_expansions(monkeypatch)
+    results, expansions = [], []
+    for held in (None, wv(6, 5), wv(1, 0)):
+        rs = type_b(2)
+        if held is not None:
+            irreducible_character(rs, held)
+        terms.clear()
+        results.append(decompose_character(product, rs))
+        expansions.append(len(terms))
+    assert expansions == [1, 0, 1]
+    assert len(results[0].multiplicities) == 9 and all(r.ok for r in results)
+    assert sum(n * weyl_dimension(cold, mu) for mu, n in results[0].multiplicities.items()) \
+        == weyl_dimension(cold, lam) * weyl_dimension(cold, vector)
+    assert all(r == results[0] for r in results)
 
 
 def test_weyl_entry_points_read_weights_and_refuse_other_systems(a2):
