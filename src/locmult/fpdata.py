@@ -30,6 +30,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Mapping
 
 from . import poly
@@ -207,6 +208,15 @@ class LocalizationDataset:
         told apart by its coordinates."""
         return tuple({a.coords: a for fp in self.fixed_points
                       for a in fp.normal_weights}.values())
+
+    @cached_property
+    def plan(self) -> dict:
+        """Room for what `localize` derives from the dataset alone: the
+        generic direction, the polarization per eta and the deepest
+        expansion per column multiset, filled as calls ask for them and
+        kept with the dataset for its lifetime, as a root system keeps
+        its Kostant partition function."""
+        return {}
 
 
 @dataclass(frozen=True)

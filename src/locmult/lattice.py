@@ -26,8 +26,10 @@ element is stored once as its rows: row i is the one nonzero
 every root, and w(delta) - delta is a lattice point for every Weyl
 element w, so `RootSystem.dot_action` adds to each element's sign and
 rows the offset w(delta) - delta, computed on ints as
-(w(2*delta) - 2*delta) / 2 once per root system; the dot action
-w(mu + delta) - delta is then one multiply and one add per coordinate.
+(w(2*delta) - 2*delta) / 2 once per root system, from 2*delta held on
+ints as the sum of the positive roots (`RootSystem.two_delta`); the dot
+action w(mu + delta) - delta is then one multiply and one add per
+coordinate.
 """
 
 from __future__ import annotations
@@ -303,11 +305,18 @@ class RootSystem:
         return len(self.weyl_elements)
 
     @cached_property
+    def two_delta(self) -> tuple[int, ...]:
+        """2*delta on ints, the sum of the positive roots: the direction
+        of the Kostant expansion, and the offset the dot action and a
+        decomposition are derived from."""
+        return tuple(map(sum, zip(*(b.coords for b in self.positive_roots))))
+
+    @cached_property
     def dot_action(self) -> tuple[tuple[int, tuple, tuple], ...]:
         """(sign, rows, offset) for every Weyl element w, in the order of
         weyl_elements, with offset w(delta) - delta, so w(mu + delta) -
         delta is tuple(c * mu[k] + o for (k, c), o in zip(rows, offset))."""
-        two_delta = (2 * self.delta).coords
+        two_delta = self.two_delta
         return tuple(
             (w.sign, w.rows, tuple((c * two_delta[k] - d) // 2
                                    for (k, c), d in zip(w.rows, two_delta)))

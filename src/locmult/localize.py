@@ -19,15 +19,27 @@ expanded along eta down to that level and, on the same columns, along
 -eta up to just below it; the sums off the polytope are exact zeros,
 so nothing is clipped (an irreducible Weyl character, in `weylred`, is
 one expansion over the positive roots read by Kostant's formula); a
-series in m (`multiplicity_series`) expands each fixed point once, up
-to the highest level its targets reach in the range, and reads the
-line those targets lie on, which is affine in m, over the window of
-powers whose target lies at a level the expansion holds, as one
-arithmetic progression looked up by C-level iterators, a constant
-coefficient polynomial evaluated once per fixed point;
-`multiplicity` is the one-power fixed-mode series, and
-`count_partitions` reads one coefficient.  The results are
-independent of eta; tests exercise this.
+series in m (`multiplicity_series`) reads, for each fixed point, the
+line its targets lie on, which is affine in m, over the window of
+powers whose target lies at level 0 or above, as one arithmetic
+progression looked up by C-level iterators, a constant coefficient
+polynomial evaluated once per fixed point; `multiplicity` is the
+one-power fixed-mode series, and `count_partitions` reads one
+coefficient.  The results are independent of eta; tests exercise this.
+
+A dataset holds, for its lifetime, what depends on it alone
+(`LocalizationDataset.plan`): its generic direction, its polarization
+per eta, and one expansion per column multiset, shared by the fixed
+points whose sorted polarized columns are equal and cut at the deepest
+level a series has asked of it.  A series expands a multiset only when
+one of its fixed points has targets above the held cut, once, to the
+top of the deepest; a term of a deeper cut at a level at most L is the
+term of the cut at L, and a series looks up only levels up to its
+targets' top, so no answer depends on the order of the calls.  Every
+change to the holder is one store of a finished value, so threads
+sharing a dataset read consistent entries.  A table reads the held
+direction and polarization but makes its own expansions, since it
+reads every term.
 
 Dataset weights are lattice points and eta is read as its integer ray
 (`_ray`), the only thing polarization and every truncation depend on,
@@ -44,7 +56,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, Mapping
 
 from .errors import LocmultError
@@ -345,35 +357,46 @@ def generic_direction(ds: LocalizationDataset) -> WeightVector:
     It relies on what the dataset's constructors proved: every normal
     weight is a nonzero lattice point of the dataset's rank, so each
     distinct one, told apart by its int coordinates, goes to
-    `pick_generic_direction` once, whose checks then pass."""
-    _instance(ds, LocalizationDataset, "not-a-dataset", ComputationError)
-    return pick_generic_direction(ds.all_normal_weights(), ds.rank)
+    `pick_generic_direction` once, whose checks then pass.  It depends
+    on the dataset alone, so the dataset holds it once found."""
+    plan = _instance(ds, LocalizationDataset, "not-a-dataset", ComputationError).plan
+    eta = plan.get("direction")
+    if eta is None:
+        plan["direction"] = eta = pick_generic_direction(ds.all_normal_weights(), ds.rank)
+    return eta
 
 
 def _polarized(ds: LocalizationDataset, eta: WeightVector):
-    """Polarize every fixed point once.
+    """Polarize every fixed point once per eta, which the dataset holds.
 
-    Returns q and, per fixed point, (coef, fiber, shift, columns): sign
-    * the coefficient polynomial times q, the coefficients' common
-    denominator, and the coordinates of the fiber weight, the shift and
-    the polarized columns.  eta's type and rank, and the dataset's type,
-    are checked here, where every entry point meets them and no normal
-    weight is needed to.
+    Returns q, the coefficients' common denominator, eta's integer ray
+    e and, per fixed point, (coef, fiber, shift, columns, key): sign *
+    the coefficient polynomial times q, the coordinates of the fiber
+    weight, the shift and the polarized columns, and (e, the sorted
+    columns), the key of the one expansion that every fixed point with
+    the same column multiset shares.  eta's type and rank, and the
+    dataset's type, are checked here, where every entry point meets them
+    and no normal weight is needed to; an eta is held only once they
+    pass.
     """
     _instance(eta, WeightVector, "not-a-weight", ComputationError)
-    _instance(ds, LocalizationDataset, "not-a-dataset", ComputationError)
+    plan = _instance(ds, LocalizationDataset, "not-a-dataset", ComputationError).plan
+    held = plan.get(eta)
+    if held is not None:
+        return held
     if len(eta.coords) != ds.rank:
         raise ComputationError(f"eta rank {len(eta.coords)} differs from dataset "
                                f"rank {ds.rank}", code="rank-mismatch")
     q = math.lcm(*(c.denominator for fp in ds.fixed_points for c in fp.coefficient))
-    points = []
+    e, points = _ray(eta), []
     for fp in ds.fixed_points:
         sign, shift, columns = polarize(fp, eta)
         points.append((
             [sign * c.numerator * (q // c.denominator) for c in fp.coefficient],
-            fp.fiber_weight.coords, shift, columns,
+            fp.fiber_weight.coords, shift, columns, (e, tuple(sorted(columns))),
         ))
-    return q, points
+    plan[eta] = held = q, e, points
+    return held
 
 
 def _exact(total: int, q: int, mu: tuple, k: int = 1) -> int:
@@ -399,11 +422,18 @@ def _plan(
     polynomial at m, times the coefficient of t^x in prod 1/(1 - t^a')
     over its polarized columns a', at x = m*(J_F - k*mu) - shift_F -
     (1 - k)*mu, with k = 1 when scaled and 0 when not.  The exponent x
-    is affine in m, so each fixed point is expanded once, up to top, the
+    is affine in m, so its level is too: its top over the range is the
     larger of its eta-levels at m_from and m_to, and its targets over
-    the window of powers at levels 0..top, where its terms lie, are one
+    the window of powers at levels 0..top, where the terms lie, are one
     arithmetic progression: a zip of one range per coordinate, looked up
-    by one `map`.  A constant
+    by one `map`.  A fixed point with an empty window is not read.  The
+    expansion depends on the column multiset alone, so the dataset holds
+    one per multiset, cut at the deepest top asked of it; the fixed
+    points are read deepest first, so a multiset whose held cut is below
+    a top is expanded once, to the deepest of its tops, and the others
+    read it.  A term of a deeper cut at a level at most top is the term
+    of the cut at top, and only levels 0..top are looked up, so no
+    answer depends on the order of the calls.  A constant
     coefficient polynomial, as every shipped dataset has, is evaluated
     once per window and repeated; any other is evaluated at each power of
     the window by `map`.  The products are added into the window's totals
@@ -411,27 +441,38 @@ def _plan(
     totals are then checked in increasing m, so the first non-integer
     one is named.
     """
-    q, points = _polarized(ds, eta)
-    e, base = _ray(eta), mu.coords
+    q, e, points = _polarized(ds, eta)
+    plan, base = ds.plan, mu.coords
     k = 1 if scaled else 0
     powers = range(m_from, m_to + 1)
-    totals = [0] * len(powers)
-    for coef, fiber, shift, cols in points:
+    n = len(powers)
+    reads = []
+    for coef, fiber, shift, cols, key in points:
         step = tuple(j - k * t for j, t in zip(fiber, base))
         x = tuple(m_from * d - s - (1 - k) * t
                   for d, s, t in zip(step, shift, base))
         level, rise = _dot(x, e), _dot(step, e)
-        terms = _expand(cols, e, max(level, level + (m_to - m_from) * rise))
         # the window: the i with level + i * rise >= 0
-        lo = max(0, -(level // rise)) if rise > 0 else 0 if level >= 0 else len(powers)
-        hi = min(len(powers), level // -rise + 1) if rise < 0 else len(powers)
-        if lo >= hi:
-            continue
+        lo = max(0, -(level // rise)) if rise > 0 else 0 if level >= 0 else n
+        hi = min(n, level // -rise + 1) if rise < 0 else n
+        if lo < hi:
+            reads.append((max(level, level + (n - 1) * rise), coef, x, step, lo, hi,
+                          cols, key))
+    totals = [0] * n
+    # deepest first, so that a column multiset is expanded at most once
+    reads.sort(key=itemgetter(0), reverse=True)
+    for top, coef, x, step, lo, hi, cols, key in reads:
+        # (cut, terms) is stored whole and read from the local entry, so a
+        # thread sharing ds reads a consistent one; a race at worst leaves
+        # a shallower cut held, which a later call deepens again
+        held = plan.get(key)
+        if held is None or held[0] < top:
+            held = plan[key] = top, _expand(cols, e, top)
         line = zip(*[range(a + lo * d, a + hi * d, d) if d else repeat(a, hi - lo)
                      for a, d in zip(x, step)])
         values = (repeat(evaluate(coef, powers[lo]), hi - lo) if len(coef) < 2
                   else map(evaluate, repeat(coef), powers[lo:hi]))
-        counts = map(terms.get, line, repeat(0))
+        counts = map(held[1].get, line, repeat(0))
         totals[lo:hi] = map(add, totals[lo:hi], map(mul, values, counts))
     if q == 1:
         return list(zip(powers, totals))
@@ -444,7 +485,8 @@ def multiplicity(
     eta: WeightVector | None = None,
 ) -> int:
     """Multiplicity of the weight mu in the m-th power character: the
-    one-power fixed-mode series."""
+    one-power fixed-mode series, which reads and deepens what the
+    dataset holds as any series does."""
     return multiplicity_series(ds, mu, m, m, MODE_FIXED, eta)[0][1]
 
 
@@ -468,12 +510,11 @@ def character_table(
     _integer(m, "power m", "computation-error", 1, ComputationError)
     if eta is None:
         eta = generic_direction(ds)
-    q, points = _polarized(ds, eta)
-    e = _ray(eta)
+    q, e, points = _polarized(ds, eta)
     levels = [m * _dot(fp.fiber_weight.coords, e) for fp in ds.fixed_points]
     cut = (min(levels) + max(levels)) // 2
     acc: dict[tuple, int] = {}
-    for coef, fiber, shift, cols in points:
+    for coef, fiber, shift, cols, _ in points:
         scale = evaluate(coef, m)
         apex = tuple(m * j - s for j, s in zip(fiber, shift))
         for v, n in _expand(cols, e, _dot(apex, e) - cut).items():
@@ -503,8 +544,12 @@ def multiplicity_series(
 
     The rank of mu, then the lattice condition for the whole range, is
     checked before anything is planned.  One plan serves the whole
-    range: each fixed point is polarized and expanded once, and its
-    line of targets is then read once as a progression in m.
+    range, and the dataset holds it for its lifetime: each fixed point
+    is polarized once per eta, and each column multiset is expanded only
+    when a call reaches above the level the dataset holds it at, so a
+    repeated or shallower call expands nothing; every line of targets is
+    then read once as a progression in m.  No answer depends on what the
+    dataset held before the call.
     """
     if mode not in (MODE_FIXED, MODE_SCALED):
         raise ComputationError(f"unknown mode {mode!r}", code="bad-mode")

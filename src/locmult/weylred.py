@@ -151,14 +151,13 @@ def _kostant(rs: RootSystem, top: tuple):
     """
     held = rs.kostant
     if not held:
-        positive = [b.coords for b in rs.positive_roots]
-        eta = tuple(map(sum, zip(*positive)))
+        eta = rs.two_delta
         # 2*delta, each positive root with its level, the cut, P, and the
         # terms of P by level, as far as a read has listed them; every
         # change is one slice assignment, so a reader of the same system
         # in another thread unpacks a consistent holder
-        held[:] = [eta, [(b, _dot(b, eta)) for b in positive], -1, {},
-                   [[(0,) * len(eta)]]]
+        held[:] = [eta, [(b.coords, _dot(b.coords, eta)) for b in rs.positive_roots],
+                   -1, {}, [[(0,) * len(eta)]]]
     eta, steps, cut, kostant, by_level = held
     level = _dot(top, eta)
     if level > cut:
@@ -225,7 +224,7 @@ def decompose_character(chi: CharacterTable, rs: RootSystem) -> DecompositionRes
     """
     table = _lattice_table(chi, rs)
     reflections = _reflections(rs)
-    two_delta = (2 * rs.delta).coords
+    two_delta = rs.two_delta
     sums: dict[tuple, int] = {}
     for mu, c in table.items():
         # reflect the int vector 2(mu + delta) into the dominant chamber,

@@ -434,6 +434,26 @@ def test_oracle_check(capsys):
     assert lines[5] == "m=6: ok (28 sections)"
 
 
+def test_oracle_check_chooses_eta_and_polarizes_once(capsys, monkeypatch):
+    """A deterministic work counter: the dataset an oracle check loads
+    holds its direction and its polarization, so the check to m = 4 on
+    cp2_standard chooses eta once and polarizes each of the 3 fixed
+    points once for the whole loop, not once per power."""
+    from locmult import localize
+
+    calls = {"pick_generic_direction": 0, "polarize": 0}
+    for name in calls:
+        def counting(*args, name=name, original=getattr(localize, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(localize, name, counting)
+    code, out, err = run(capsys, "oracle-check", "--dataset", CP2S, "--m-max", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "m=4: ok (15 sections)"
+    assert calls == {"pick_generic_direction": 1, "polarize": 3}
+
+
 def test_oracle_check_flag_overrides_metadata(capsys):
     code, out, err = run(capsys, "oracle-check", "--dataset", CP1,
                          "--m-max", "3", "--coord-weights", "1;0")

@@ -5,6 +5,8 @@ import itertools
 import json
 import random
 import sys
+import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from locmult import (
     find_certificate,
     generic_direction,
     load_dataset,
+    load_dataset_file,
     monomial_character,
     multiplicity,
     multiplicity_series,
@@ -505,9 +508,20 @@ def test_non_integer_multiplicity_text():
         )
 
 
-def test_series_polarizes_once_per_fixed_point(cp2_weighted, monkeypatch):
-    """A deterministic work counter: the series is polarized once, not once
-    per power."""
+def fresh(name):
+    """A freshly loaded shipped dataset, which holds no plan yet: the
+    session fixtures hold what earlier tests asked of them."""
+    return load_dataset_file(DATASETS / f"{name}.json")
+
+
+def closed_cp2_weighted(weight, m):
+    """cp2_weighted's multiplicity of weight at the power m."""
+    return 1 + (m - abs(weight)) // 2 if abs(weight) <= m else 0
+
+
+def test_series_polarizes_once_per_fixed_point(monkeypatch):
+    """A deterministic work counter: a dataset is polarized once per fixed
+    point for its lifetime, not once per power or per call."""
     from locmult import localize
 
     calls = []
@@ -518,27 +532,48 @@ def test_series_polarizes_once_per_fixed_point(cp2_weighted, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(localize, "polarize", counting)
-    series = multiplicity_series(cp2_weighted, wv(0), 1, 100)
+    ds = fresh("cp2_weighted")
+    series = multiplicity_series(ds, wv(0), 1, 100)
     assert series[-1] == (100, 51)
-    assert len(calls) == len(cp2_weighted.fixed_points) == 3
+    assert len(calls) == len(ds.fixed_points) == 3
+    calls.clear()
+    assert multiplicity_series(ds, wv(0), 1, 100) == series
+    assert multiplicity_series(ds, wv(-6), 1, 50, "fixed")[-1] == (50, 23)
+    assert calls == []
 
 
-def test_series_expands_once_per_fixed_point(cp2_weighted, monkeypatch):
-    """A deterministic work counter: each fixed point is expanded once
-    for the whole range, and every power is read off by lookup."""
+def test_series_expands_once_per_fixed_point(monkeypatch):
+    """A deterministic work counter: the dataset holds one expansion per
+    column multiset, cut at the deepest level asked of it, and a call
+    expands only the multisets whose lines it reads and holds below its
+    top level, each at most once.  With eta = 1 the targets of
+    cp2_weighted's fixed points are P0: m - mu, P1: -m - 3 - mu and P2:
+    -1 - mu in fixed mode (m, -m - 3 and -1 at mu = 0 scaled); P0 and P1
+    share the columns {1, 2}, P2 has {1, 1}, and a line is read only at
+    levels >= 0."""
     from locmult import localize
 
     calls = []
     original = localize._expand
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(cols, eta, level):
+        calls.append((tuple(sorted(cols)), level))
+        return original(cols, eta, level)
 
     monkeypatch.setattr(localize, "_expand", counting)
-    series = multiplicity_series(cp2_weighted, wv(0), 1, 100)
-    assert series[-1] == (100, 51)
-    assert len(calls) == len(cp2_weighted.fixed_points) == 3
+    ds, pair, double = fresh("cp2_weighted"), ((1,), (2,)), ((1,), (1,))
+    for mu, m_to, mode, expected in (
+        (-6, 50, "fixed", [(pair, 56), (double, 5)]),  # P0's 56 serves P1's 2
+        (-6, 50, "fixed", []),  # a repeat
+        (0, 100, "scaled", [(pair, 100)]),  # P0 only; P1 and P2 lie below 0
+        (6, 50, "fixed", []),  # P0 to 44; P1 and P2 lie below 0
+        (-8, 10, "fixed", [(double, 7)]),  # P2 at 7; P0 to 18, P1 to 4
+    ):
+        calls.clear()
+        series = multiplicity_series(ds, wv(mu), 1, m_to, mode)
+        assert series == [(m, closed_cp2_weighted(mu if mode == "fixed" else m * mu, m))
+                          for m in range(1, m_to + 1)], (mu, mode)
+        assert calls == expected, (mu, mode)
 
 
 def _negated(ds):
@@ -583,11 +618,93 @@ def test_series_window_boundaries(cp2_weighted, cp2_standard, cp3_standard):
                     ds.metadata.get("name"), mu, mode, a, b)
 
 
-def test_series_reads_each_line_only_in_its_window(cp2_weighted, monkeypatch):
+def _sub_range_queries(ds, m_max, count, rng):
+    """count random (mu, m_from, m_to, mode) series queries on ds, with
+    coordinates of mu in -3..3 and powers in 1..m_max."""
+    queries = []
+    for _ in range(count):
+        a, b = sorted(rng.randint(1, m_max) for _ in range(2))
+        mu = wv(*[rng.randint(-3, 3) for _ in range(ds.rank)])
+        queries.append((mu, a, b, rng.choice(("fixed", "scaled"))))
+    return queries
+
+
+def test_series_do_not_depend_on_what_a_dataset_holds(cp1, cp2_weighted, cp2_standard,
+                                                      cp3_standard):
+    """A dataset holds its deepest expansion per column multiset, and no
+    answer depends on the order of the calls: random sub-range series in
+    both modes, asked deepest first of one fresh dataset and shallowest
+    first of another, equal the same series asked cold, each of a fresh
+    copy, on the shipped datasets and their negations."""
+    rng = random.Random(33)
+    for base, m_max in ((cp1, 40), (cp2_weighted, 40), (cp2_standard, 16),
+                        (cp3_standard, 7)):
+        for ds in (base, _negated(base)):
+            queries = _sub_range_queries(ds, m_max, 30, rng)
+            cold = {q: multiplicity_series(replace(ds), *q) for q in queries}
+            by_depth = sorted(queries, key=lambda q: (q[2], q[2] - q[1]))
+            for order in (by_depth[::-1], by_depth):
+                warm = replace(ds)
+                for q in order:
+                    assert multiplicity_series(warm, *q) == cold[q], q
+
+
+def test_a_table_does_not_depend_on_what_a_dataset_holds(cp2_standard, cp3_standard):
+    """character_table reads the direction and polarization a dataset
+    holds, and makes its own expansions: after series on the same
+    dataset, and again after it, it equals the table of a fresh copy."""
+    rng = random.Random(34)
+    for ds, m in ((cp2_standard, 8), (cp3_standard, 5)):
+        warm = replace(ds)
+        for q in _sub_range_queries(warm, 3 * m, 10, rng):
+            multiplicity_series(warm, *q)
+        for power in (m, 1, m + 2):
+            assert character_table(warm, power) == character_table(replace(ds), power)
+
+
+def test_threads_sharing_a_dataset_read_consistent_plans(cp2_weighted, cp3_standard):
+    """Threads asking one fresh dataset for series at once, with a short
+    switch interval, get the answers of a cold dataset: on each of 10
+    fresh copies of cp2_weighted and cp3_standard, 4 threads ask the same
+    random series, each thread in its own order."""
+    rng = random.Random(35)
+    cases = []
+    for ds, m_max in ((cp2_weighted, 60), (cp3_standard, 6)):
+        queries = _sub_range_queries(ds, m_max, 12, rng)
+        cold = {q: multiplicity_series(replace(ds), *q) for q in queries}
+        cases.append((ds, queries, cold))
+    wrong = []
+
+    def work(ds, order, cold):
+        for q in order:
+            if multiplicity_series(ds, *q) != cold[q]:
+                wrong.append(q)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            for ds, queries, cold in cases:
+                shared = replace(ds)
+                threads = [threading.Thread(target=work, args=(
+                    shared, rng.sample(queries, len(queries)), cold)) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_series_reads_each_line_only_in_its_window(monkeypatch):
     """A deterministic work counter: the lookups into the expansions.
     With eta > 0 the targets of cp2_weighted's fixed points are P0: m - mu,
-    P1: -m - 3 + mu and P2: -1 + mu in fixed mode (P0: m, P1: -m - 3 and
-    P2: -1 at mu = 0 in scaled mode), and a term lies at a level >= 0."""
+    P1: -m - 3 - mu and P2: -1 - mu in fixed mode (P0: m, P1: -m - 3 and
+    P2: -1 at mu = 0 in scaled mode), and a term lies at a level >= 0.
+    The counts are the same whether the dataset is cold or already holds
+    the expansions, which it made through the counting wrapper."""
     from locmult import localize
 
     lookups = []
@@ -599,12 +716,14 @@ def test_series_reads_each_line_only_in_its_window(cp2_weighted, monkeypatch):
             return super().get(key, default)
 
     monkeypatch.setattr(localize, "_expand", lambda *args: Counted(original(*args)))
-    for mu, m_to, mode, expected in ((0, 100, "scaled", 100),  # P0 only
-                                     (6, 50, "fixed", 45),  # P0 at m >= 6
-                                     (-6, 50, "fixed", 50 + 3 + 50)):  # P1 at m <= 3
-        lookups.clear()
-        multiplicity_series(cp2_weighted, wv(mu), 1, m_to, mode)
-        assert len(lookups) == expected, (mu, mode)
+    ds = fresh("cp2_weighted")
+    for _ in range(2):
+        for mu, m_to, mode, expected in ((0, 100, "scaled", 100),  # P0 only
+                                         (6, 50, "fixed", 45),  # P0 at m >= 6
+                                         (-6, 50, "fixed", 50 + 3 + 50)):  # P1 at m <= 3
+            lookups.clear()
+            multiplicity_series(ds, wv(mu), 1, m_to, mode)
+            assert len(lookups) == expected, (mu, mode)
 
 
 def test_series_evaluates_a_constant_coefficient_once_per_window(
@@ -688,11 +807,17 @@ def test_character_table_expands_down_to_the_polytope(
             (-w, c) for w, c in character_table(ds, m).items())
 
 
-def test_expansions_compare_ints_along_rational_etas(cp2_standard, monkeypatch):
+def test_expansions_compare_ints_along_rational_etas(monkeypatch):
     """A deterministic work counter: at rational etas, every expansion
     that character_table, multiplicity_series (at a rational mu too) and
     count_partitions on int columns with a found certificate make reads
-    eta as its integer ray, at an int level."""
+    eta as its integer ray, at an int level.  On a fresh cp2_standard the
+    table makes its own two per fixed point, and the fixed series one per
+    column multiset whose line reaches level 0 (the three differ): P0 and
+    P1 along (3, 2), where P2's targets lie at level -10, and P1 alone
+    along (-14, 15).  The series at the rational mu, at m = 2, and the
+    one multiplicity, at m = 3 on the series' lines, read targets at
+    levels the dataset holds, so they expand nothing."""
     from locmult import localize
 
     calls = []
@@ -704,14 +829,19 @@ def test_expansions_compare_ints_along_rational_etas(cp2_standard, monkeypatch):
 
     monkeypatch.setattr(localize, "_expand", recording)
     q = Fraction
-    for eta, ray in ((wv(q(1, 2), q(1, 3)), (3, 2)),
-                     (wv(q(-2, 5), q(3, 7)), (-14, 15))):
+    ds = fresh("cp2_standard")
+    for eta, ray, held in ((wv(q(1, 2), q(1, 3)), (3, 2), 2),
+                           (wv(q(-2, 5), q(3, 7)), (-14, 15), 1)):
         calls.clear()
-        character_table(cp2_standard, 4, eta)
-        multiplicity_series(cp2_standard, wv(1, 1), 1, 6, "fixed", eta)
-        multiplicity_series(cp2_standard, wv(q(1, 2), 0), 2, 2, eta=eta)
-        multiplicity(cp2_standard, wv(1, 1), 3, eta)
-        assert len(calls) == 2 * 3 + 3 + 3 + 3
+        made = []
+        for call in (lambda: character_table(ds, 4, eta),
+                     lambda: multiplicity_series(ds, wv(1, 1), 1, 6, "fixed", eta),
+                     lambda: multiplicity_series(ds, wv(q(1, 2), 0), 2, 2, eta=eta),
+                     lambda: multiplicity(ds, wv(1, 1), 3, eta)):
+            before = len(calls)
+            call()
+            made.append(len(calls) - before)
+        assert made == [2 * 3, held, 0, 0]
         assert {e for e, _ in calls} == {ray}
         assert all(type(level) is int for _, level in calls)
     problem = PartitionProblem((wv(3, -1), wv(-1, 2), wv(1, 1)), wv(10, 10))

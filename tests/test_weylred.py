@@ -20,6 +20,7 @@ from locmult import (
     generate_weyl_group,
     irreducible_character,
     is_dominant,
+    load_dataset_file,
     pairing,
     tensor,
     wv,
@@ -27,6 +28,8 @@ from locmult import (
 from locmult.lattice import LatticeError, RootSystem, WeylElement
 from locmult.localize import ComputationError
 from locmult.weylred import NonDominantWeight, _apply, flag_dataset, is_w_invariant
+
+from conftest import DATASETS
 
 
 def a1_irrep(a):
@@ -631,21 +634,22 @@ def test_irreducible_matches_flag_variety_localization(a1, a1xa1, a2, b2):
 
 
 @pytest.mark.parametrize("call, built", [
-    ("irreducible", 0), ("tensor", 0), ("decompose", 4), ("table", 1),
+    ("irreducible", 0), ("tensor", 0), ("decompose", 3), ("table", 1),
     ("direction", 1),
 ])
-def test_weight_vectors_are_made_only_at_the_public_edges(
-    call, built, b2, cp2_standard, monkeypatch
-):
+def test_weight_vectors_are_made_only_at_the_public_edges(call, built, b2, monkeypatch):
     """An exact work counter: the WeightVectors each call builds.  The
     characters live on int coordinate tuples, so an irreducible
-    character and a tensor product build none, a decomposition one for
-    2*delta and one per highest weight it reports (3 here), a character
-    table one for its direction, since each fixed point is polarized on
-    int tuples, and the direction search one for its answer."""
+    character and a tensor product build none, a decomposition one per
+    highest weight it reports (3 here), reading 2*delta on ints from the
+    root system, a character table on a freshly loaded dataset one for
+    its direction, which the dataset then holds, since each fixed point
+    is polarized on int tuples, and the direction search one for its
+    answer."""
     from locmult import lattice
     from locmult.lattice import pick_generic_direction
 
+    cp2_standard = load_dataset_file(DATASETS / "cp2_standard.json")
     lam, vector = wv(3, 3), wv(1, 0)
     chi = irreducible_character(b2, lam)
     product = tensor(chi, irreducible_character(b2, vector))
