@@ -324,12 +324,12 @@ class RootSystem:
         )
 
     @cached_property
-    def kostant(self) -> list:
-        """Room for the partition function of the positive roots, which
-        `weylred` fills on the first irreducible character and deepens
-        when a deeper one asks: it depends on the root system alone, so
-        it is kept with it for its lifetime, as the dot action is."""
-        return []
+    def kostant(self) -> dict:
+        """Room for what `weylred` derives from the root system alone,
+        filled as calls ask and kept for its lifetime, as the dot action
+        is: each positive root with its level and pairings, and the
+        partition function of the positive roots, cut as deep as asked."""
+        return {}
 
 
 ELEMENT_CAP = 100_000

@@ -18,7 +18,7 @@ does not depend on the direction of expansion, so each fixed point is
 expanded along eta down to that level and, on the same columns, along
 -eta up to just below it; the sums off the polytope are exact zeros,
 so nothing is clipped (an irreducible Weyl character, in `weylred`, is
-one expansion over the positive roots read by Kostant's formula); a
+one expansion over the positive roots looked up by Kostant's formula); a
 series in m (`multiplicity_series`) reads, for each fixed point, the
 line its targets lie on, which is affine in m, over the window of
 powers whose target lies at level 0 or above, as one arithmetic
@@ -31,15 +31,15 @@ A dataset holds, for its lifetime, what depends on it alone
 (`LocalizationDataset.plan`): its generic direction, its polarization
 per eta, and one expansion per column multiset, shared by the fixed
 points whose sorted polarized columns are equal and cut at the deepest
-level a series has asked of it.  A series expands a multiset only when
-one of its fixed points has targets above the held cut, once, to the
-top of the deepest; a term of a deeper cut at a level at most L is the
-term of the cut at L, and a series looks up only levels up to its
-targets' top, so no answer depends on the order of the calls.  Every
-change to the holder is one store of a finished value, so threads
-sharing a dataset read consistent entries.  A table reads the held
-direction and polarization but makes its own expansions, since it
-reads every term.
+level a series has asked of it.  One rule (`_held`) holds every
+expansion that is only looked up, a root system's Kostant partition
+function too: a held cut at or above the level asked serves, since a
+term of a deeper cut at a level at most L is the term of the cut at L,
+and any other is replaced by one expansion to that level, so no answer
+depends on the order of the calls.  Every change to the holder is one
+store of a finished value, so threads sharing a dataset read
+consistent entries.  A table reads the held direction and polarization
+but makes its own expansions, since it reads every term.
 
 Dataset weights are lattice points and eta is read as its integer ray
 (`_ray`), the only thing polarization and every truncation depend on,
@@ -269,6 +269,18 @@ def _expand(cols: list[tuple], eta: tuple, level) -> dict[tuple, int]:
     return terms
 
 
+def _held(holder: dict, key, cols: list[tuple], eta: tuple, level) -> dict[tuple, int]:
+    """holder's expansion of cols along eta under key, cut at level or
+    deeper: a deeper cut serves, its terms up to level being those of
+    the cut at level, and a shallower one is replaced by one expansion
+    to level, stored whole in one assignment, so a thread sharing the
+    holder reads a consistent entry."""
+    held = holder.get(key)
+    if held is None or held[0] < level:
+        held = holder[key] = level, _expand(cols, eta, level)
+    return held[1]
+
+
 class CharacterTable:
     """Finitely supported int multiplicities, keyed by int coordinate tuples."""
 
@@ -427,13 +439,9 @@ def _plan(
     the window of powers at levels 0..top, where the terms lie, are one
     arithmetic progression: a zip of one range per coordinate, looked up
     by one `map`.  A fixed point with an empty window is not read.  The
-    expansion depends on the column multiset alone, so the dataset holds
-    one per multiset, cut at the deepest top asked of it; the fixed
-    points are read deepest first, so a multiset whose held cut is below
-    a top is expanded once, to the deepest of its tops, and the others
-    read it.  A term of a deeper cut at a level at most top is the term
-    of the cut at top, and only levels 0..top are looked up, so no
-    answer depends on the order of the calls.  A constant
+    dataset holds one expansion per column multiset (`_held`), and the
+    fixed points are read deepest first, so a multiset is expanded at
+    most once, to the deepest of its tops.  A constant
     coefficient polynomial, as every shipped dataset has, is evaluated
     once per window and repeated; any other is evaluated at each power of
     the window by `map`.  The products are added into the window's totals
@@ -462,17 +470,11 @@ def _plan(
     # deepest first, so that a column multiset is expanded at most once
     reads.sort(key=itemgetter(0), reverse=True)
     for top, coef, x, step, lo, hi, cols, key in reads:
-        # (cut, terms) is stored whole and read from the local entry, so a
-        # thread sharing ds reads a consistent one; a race at worst leaves
-        # a shallower cut held, which a later call deepens again
-        held = plan.get(key)
-        if held is None or held[0] < top:
-            held = plan[key] = top, _expand(cols, e, top)
         line = zip(*[range(a + lo * d, a + hi * d, d) if d else repeat(a, hi - lo)
                      for a, d in zip(x, step)])
         values = (repeat(evaluate(coef, powers[lo]), hi - lo) if len(coef) < 2
                   else map(evaluate, repeat(coef), powers[lo:hi]))
-        counts = map(held[1].get, line, repeat(0))
+        counts = map(_held(plan, key, cols, e, top).get, line, repeat(0))
         totals[lo:hi] = map(add, totals[lo:hi], map(mul, values, counts))
     if q == 1:
         return list(zip(powers, totals))

@@ -6,17 +6,20 @@ degree-m monomials in the homogeneous coordinates; when the torus
 scales coordinate i by the character w_i, the monomial with exponents
 e has weight sum_i e_i * w_i.  This enumeration never touches the
 fixed-point machinery, so it arbitrates the weight-sign convention of
-the localization datasets.
+the localization datasets.  Gelfand-Tsetlin patterns count the GL_n
+irreducibles with no partition function and no Weyl group, so they
+arbitrate the type-A characters of `weylred`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 from operator import mul
 
 from .errors import LocmultError
-from .lattice import WeightVector, _instance, _integer
+from .lattice import WeightVector, _instance, _integer, _weight
 from .localize import CharacterTable
 
 
@@ -70,3 +73,28 @@ def total_dimension(spec: ProjectiveActionSpec) -> int:
     _instance(spec, ProjectiveActionSpec, "not-a-projective-action", LocmultError)
     n = len(spec.coord_weights) - 1
     return comb(spec.degree + n, n)
+
+
+def gelfand_tsetlin_character(lam) -> CharacterTable:
+    """Weight multiplicities of the GL_n irreducible with highest weight
+    lam, a weakly decreasing lattice point: its Gelfand-Tsetlin patterns
+    have top row lam and each row interlacing the one above it,
+    row[i] >= below[i] >= row[i + 1], down to the empty row, and weight
+    the differences of successive row sums.  They are counted row by
+    row, each distinct row once with the weights of the rows above it."""
+    lam = _weight(lam, LocmultError)
+    top = lam.coords
+    if not lam.is_integral() or list(top) != sorted(top, reverse=True):
+        raise LocmultError(f"highest weight {lam} is not a weakly decreasing "
+                           "lattice point", code="non-dominant-weight")
+    rows = {top: {(): 1}}
+    for _ in top:
+        below_rows: dict[tuple, dict[tuple, int]] = {}
+        for row, weights in rows.items():
+            for below in product(*(range(b, a + 1) for a, b in zip(row, row[1:]))):
+                x = sum(row) - sum(below)
+                acc = below_rows.setdefault(below, {})
+                for w, c in weights.items():
+                    acc[(x,) + w] = acc.get((x,) + w, 0) + c
+        rows = below_rows
+    return CharacterTable._unchecked(rows[()])

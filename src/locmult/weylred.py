@@ -8,20 +8,20 @@ the positive roots as its columns and its apex at the dot action
 w(lam + delta) - delta, so the formula is Kostant's: the multiplicity
 of mu is sum_w sign(w) P(w(lam + delta) - delta - mu), with P the
 partition function of the positive roots.  P depends on the root
-system alone, so the RootSystem holds it for its lifetime, cut at the
-deepest level asked of it: the first irreducible character expands it
-to the level of its lam, which bounds every apex, while every dominant
-weight lies at level 0 or above; a deeper lam replaces it by one deeper
-expansion, and any other reads the held one, whose terms at a level
-are those of any cut at or above that level, so no answer depends on
-the order of the calls.  Only dominant weights are read, and each is
-spread over its W-orbit.  A term t^v gives mu = lam - v, dominant when
-<v, alpha_i> <= <lam, alpha_i> for each simple root, so mu is built
-only for the terms that pass, and the same bounds decide whether lam
-is dominant.  P is 0 below level 0, so an apex below mu's level adds
-nothing: the apexes are sorted by level once per call, and each sum
-stops at the first one below mu.  It runs on int coordinate tuples
-with the dot action
+system alone, so the RootSystem holds it for its lifetime, by the rule
+that holds a dataset's expansions (`localize._held`): cut at the level
+of the deepest lam asked, which bounds every apex, while every dominant
+weight lies at level 0 or above, so no answer depends on the order of
+the calls.  P is looked up, never scanned.  Only dominant weights are
+read, each spread over its W-orbit; a walk down from lam reaches every
+one, each step subtracting a positive root and staying dominant
+(Stembridge, The partial order of dominant weights, 1998).  The root
+system holds each positive root with its level and its pairings with
+the simple roots, so a step stays dominant when the root's pairings
+are at most the weight's.  P is 0 below level 0, so an apex below mu's
+level adds nothing: the apexes are sorted by level once per call, and
+each sum stops at the first one below mu.  It runs on int
+coordinate tuples with the dot action
 w(mu + delta) - delta = w(mu) + (w(delta) - delta): every Weyl element
 is stored as the rows of a signed permutation, and
 `RootSystem.dot_action` adds the lattice offsets once per root system,
@@ -45,15 +45,14 @@ WeightVectors only of the highest weights it reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import add, mul, sub
+from operator import add, ge, sub
 
 from .errors import LocmultError
 from .fpdata import FixedPointDatum, LocalizationDataset
 from .lattice import (
     LatticeError, RootSystem, WeightVector, _check_rank, _instance, _weight,
 )
-from .localize import CharacterTable, ComputationError, _dot, _expand
+from .localize import CharacterTable, ComputationError, _dot, _held
 
 
 class NonDominantWeight(LocmultError):
@@ -100,79 +99,45 @@ def irreducible_character(rs: RootSystem, lam: WeightVector) -> CharacterTable:
         raise NonDominantWeight(f"highest weight {lam} is not a lattice point")
     _check_rank(lam, rs.simple_roots[0])
     top = lam.coords
-    # mu = top - v is dominant when <v, alpha_i> <= <top, alpha_i>, and
-    # top itself (v = 0) when every bound is 0 or more
-    walls = [(a.coords, _dot(top, a.coords)) for a in rs.simple_roots]
-    if min(bound for _, bound in walls) < 0:
+    pairs = tuple(_dot(top, a.coords) for a in rs.simple_roots)
+    if min(pairs) < 0:
         raise NonDominantWeight(f"highest weight {lam} is not dominant")
-    eta, kostant, terms = _kostant(rs, top)
+    held, eta = rs.kostant, rs.two_delta
+    roots = held.get("roots")
+    if roots is None:
+        # each positive root with its pairings with the simple roots and
+        # its level, stored once per root system
+        held["roots"] = roots = [
+            (b.coords, tuple(_dot(b.coords, a.coords) for a in rs.simple_roots),
+             _dot(b.coords, eta)) for b in rs.positive_roots]
+    level = _dot(top, eta)
+    kostant = _held(held, "P", [b.coords for b in rs.positive_roots], eta, level)
     action = rs.dot_action
     apexes = []
     for sign, rows, offset in action:
-        # the apex w(lam + delta) - delta as its shift from top, at the
-        # depth <top - apex, eta>; shallowest first
-        shift = tuple(map(sub, _apply(rows, top, offset), top))
-        apexes.append((-_dot(shift, eta), sign, shift))
-    apexes.sort()
-    entries = {}
-    for v in terms:
-        # a sum v of positive roots below a dominant top makes mu a
-        # weight; this runs on every term, so it pairs with map(mul) inline
-        for a, bound in walls:
-            if sum(map(mul, v, a)) > bound:
+        # the apex w(lam + delta) - delta at its level; deepest first
+        apex = _apply(rows, top, offset)
+        apexes.append((_dot(apex, eta), sign, apex))
+    apexes.sort(reverse=True)
+    # the dominant weights below top, each with its pairings with the
+    # simple roots and its level, each reached once
+    entries, seen, walk = {}, {top}, [(top, pairs, level)]
+    for mu, pairs, height in walk:
+        # P is 0 below level 0, so mu reads only the apexes at its level or above
+        n = 0
+        for h, sign, apex in apexes:
+            if h < height:
                 break
-        else:
-            # P is 0 below level 0, so mu reads only the apexes no deeper than v
-            depth, n = _dot(v, eta), 0
-            for d, sign, shift in apexes:
-                if d > depth:
-                    break
-                n += sign * kostant.get(tuple(map(add, shift, v)), 0)
-            mu = tuple(map(sub, top, v))
-            for _, rows, _ in action:
-                entries[tuple(c * mu[k] for k, c in rows)] = n
+            n += sign * kostant.get(tuple(map(sub, apex, mu)), 0)
+        for _, rows, _ in action:
+            entries[tuple(c * mu[k] for k, c in rows)] = n
+        for b, b_pairs, b_level in roots:
+            if all(map(ge, pairs, b_pairs)):
+                nu = tuple(map(sub, mu, b))
+                if nu not in seen:
+                    seen.add(nu)
+                    walk.append((nu, tuple(map(sub, pairs, b_pairs)), height - b_level))
     return CharacterTable._unchecked(entries)
-
-
-def _kostant(rs: RootSystem, top: tuple):
-    """2*delta, P as rs holds it, and the terms of P that the highest
-    weight top reads.
-
-    rs holds P cut at the deepest level asked of it so far, and a deeper
-    top replaces it by one deeper expansion.  A term of a deeper cut at
-    level L or below is the term of the cut at L, and every term that
-    passes top's walls lies at or below top's level L, 2*delta being a
-    nonnegative sum of simple roots; so a top below the held cut reads
-    the held P, but only its terms at level L or below.  Those are
-    listed by level on the first such read, grown from 0 by the positive
-    roots, every sum of which is a term, and only as far as the level
-    read: a cold call lists nothing, and a shallow one pays for its own
-    level, not for the held one.
-    """
-    held = rs.kostant
-    if not held:
-        eta = rs.two_delta
-        # 2*delta, each positive root with its level, the cut, P, and the
-        # terms of P by level, as far as a read has listed them; every
-        # change is one slice assignment, so a reader of the same system
-        # in another thread unpacks a consistent holder
-        held[:] = [eta, [(b.coords, _dot(b.coords, eta)) for b in rs.positive_roots],
-                   -1, {}, [[(0,) * len(eta)]]]
-    eta, steps, cut, kostant, by_level = held
-    level = _dot(top, eta)
-    if level > cut:
-        kostant = _expand([b for b, _ in steps], eta, level)
-        held[2:4] = level, kostant
-    if level >= cut:
-        return eta, kostant, kostant
-    if len(by_level) <= level:
-        by_level = by_level[:]
-        for lvl in range(len(by_level), level + 1):
-            by_level.append(list(dict.fromkeys(
-                tuple(map(add, u, b)) for b, step in steps if step <= lvl
-                for u in by_level[lvl - step])))
-        held[4:] = [by_level]
-    return eta, kostant, chain.from_iterable(by_level[:level + 1])
 
 
 def _apply(rows, v: tuple, offset: tuple) -> tuple:

@@ -85,3 +85,37 @@ def test_series_passes_expand_once_per_multiset_and_level(monkeypatch):
                 assert level > held.get(multiset, -1), (seed, multiset)
                 held[multiset] = level
         assert len(held) == 2
+
+
+def test_weyl_passes_expand_once_per_root_system_and_level(monkeypatch):
+    """A deterministic work counter, the twin of the series one: the weyl
+    job list of a seed runs on one A2 and one B2, which hold their Kostant
+    partition functions, so the first pass expands only when a job asks a
+    system deeper than it holds, 3 times on seeds 1-3 (the first A2 and B2
+    characters, then the deeper drawn B2 weight), and a second pass none."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import jobs
+    from locmult import localize
+
+    calls = []
+    original = localize._expand
+
+    def counting(cols, eta, level):
+        calls.append((tuple(sorted(cols)), level))
+        return original(cols, eta, level)
+
+    monkeypatch.setattr(localize, "_expand", counting)
+    mods = SimpleNamespace(**{name: importlib.import_module(f"locmult.{name}")
+                              for name in ("lattice", "weylred")})
+    for seed in (1, 2, 3):
+        job_list, held, results = jobs.weyl_jobs(mods, seed, None), {}, {}
+        for made in (3, 0):
+            calls.clear()
+            for job in job_list:
+                results[job.label] = job.run(results)
+                assert job.check(results[job.label]), (seed, job.label)
+            assert len(calls) == made, seed
+            for roots, level in calls:
+                assert level > held.get(roots, -1), (seed, roots)
+                held[roots] = level
+        assert len(held) == 2

@@ -23,3 +23,20 @@ def test_every_import_is_stdlib_or_locmult():
                 top = name.split(".")[0]
                 assert top == "locmult" or top in sys.stdlib_module_names, (
                     path.name, name)
+
+
+def test_every_imported_name_is_used():
+    """Each name a module imports is read in it; `__init__`'s re-exports
+    and `__future__` features are not reads."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - used) == [], path.name

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from locmult import (
     wv,
 )
 from locmult.errors import LocmultError
+from locmult.oracle import gelfand_tsetlin_character
 
 
 def closed_form(m, l):
@@ -112,3 +114,18 @@ def test_oracle_agrees_with_localization(cp1, cp2_weighted):
         for m in (1, 2, 3):
             spec = ProjectiveActionSpec(weights, m)
             assert character_table(ds, m) == monomial_character(spec)
+
+
+def test_gelfand_tsetlin_patterns_by_hand():
+    """The adjoint of GL_3 has 8 patterns: the 6 roots once and the zero
+    weight of sl_3 twice; a GL_1 weight is its own character; a weight
+    that is not weakly decreasing integers is refused."""
+    chi = gelfand_tsetlin_character((2, 1, 0))
+    assert chi.total() == 8 and chi[wv(1, 1, 1)] == 2
+    assert set(chi.support()) == {wv(*p) for p in itertools.permutations((2, 1, 0))} | {
+        wv(1, 1, 1)}
+    assert gelfand_tsetlin_character(wv(-3)) == CharacterTable({wv(-3): 1})
+    for bad in ((0, 1), (wv(1, 0) * Fraction(1, 2)).coords):
+        with pytest.raises(LocmultError) as err:
+            gelfand_tsetlin_character(bad)
+        assert err.value.code == "non-dominant-weight"

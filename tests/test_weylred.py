@@ -6,7 +6,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 
 import pytest
 
@@ -27,6 +27,7 @@ from locmult import (
 )
 from locmult.lattice import LatticeError, RootSystem, WeylElement
 from locmult.localize import ComputationError
+from locmult.oracle import gelfand_tsetlin_character
 from locmult.weylred import NonDominantWeight, _apply, flag_dataset, is_w_invariant
 
 from conftest import DATASETS
@@ -84,20 +85,37 @@ def weyl_dimension(rs, lam):
                      for b in rs.positive_roots)
 
 
+def differences(n, rank):
+    """e_i - e_(i+1) on Z^rank for i < n."""
+    return [wv(*(1 if k == i else -1 if k == i + 1 else 0 for k in range(rank)))
+            for i in range(n)]
+
+
 def type_a(n):
     """A_n on Z^(n+1): simple roots e_i - e_(i+1)."""
-    roots = [wv(*(1 if k == i else -1 if k == i + 1 else 0
-                  for k in range(n + 1))) for i in range(n)]
+    roots = differences(n, n + 1)
     return generate_weyl_group(roots, [r.coords for r in roots])
 
 
 def type_b(n):
     """B_n on Z^n: simple roots e_i - e_(i+1) and the short root e_n."""
-    long = [wv(*(1 if k == i else -1 if k == i + 1 else 0 for k in range(n)))
-            for i in range(n - 1)]
+    long = differences(n - 1, n)
     short = wv(*(0,) * (n - 1), 1)
     return generate_weyl_group(long + [short],
                                [r.coords for r in long] + [(2 * short).coords])
+
+
+def type_c(n):
+    """C_n on Z^n: simple roots e_i - e_(i+1) and the long root 2e_n."""
+    short = differences(n - 1, n)
+    return generate_weyl_group(short + [wv(*(0,) * (n - 1), 2)],
+                               [r.coords for r in short] + [(0,) * (n - 1) + (1,)])
+
+
+def type_d(n):
+    """D_n on Z^n: simple roots e_i - e_(i+1) and e_(n-1) + e_n."""
+    roots = differences(n - 1, n) + [wv(*(0,) * (n - 2), 1, 1)]
+    return generate_weyl_group(roots, [r.coords for r in roots])
 
 
 @pytest.fixture(scope="module")
@@ -132,8 +150,35 @@ def test_irreducible_dimension_formula(a1xa1, a2, b2, b4):
     for rs, lam, dim in large:
         assert weyl_dimension(rs, lam) == dim
         cases.append((rs, lam))
+    for rs, box in ((type_c(3), (range(4),) * 3),
+                    (type_d(4), (range(3),) * 3 + (range(-2, 3),))):
+        weights = [lam for lam in (wv(*c) for c in itertools.product(*box))
+                   if is_dominant(lam, rs)]
+        assert len(weights) == 20
+        cases += [(rs, lam) for lam in weights]
     for rs, lam in cases:
         assert irreducible_character(rs, lam).total() == weyl_dimension(rs, lam)
+
+
+def test_irreducible_matches_gelfand_tsetlin_patterns():
+    """Type A against an oracle outside the kernel, which uses no
+    partition function and no Weyl group: every weakly decreasing weight
+    of A1 in -2..4, A2 in -1..3, A3 in 0..3 and A4 in 0..2, three deeper
+    A4 weights and A5 at (3,2,1,0,0,0), asked deepest first of one root
+    system per rank."""
+    count = 0
+    for n, values, extra in ((1, range(-2, 5), ()), (2, range(-1, 4), ()),
+                             (3, range(4), ()),
+                             (4, range(3), ((4, 2, 2, 0, 0), (3, 2, 1, 1, 0),
+                                            (5, 3, 1, 0, 0))),
+                             (5, (), ((3, 2, 1, 0, 0, 0),))):
+        rs = type_a(n)
+        weights = [*itertools.combinations_with_replacement(values[::-1], n + 1), *extra]
+        weights.sort(key=lambda lam: -pairing(wv(*lam), 2 * rs.delta))
+        for lam in weights:
+            assert irreducible_character(rs, lam) == gelfand_tsetlin_character(lam), lam
+        count += len(weights)
+    assert count == 119 + 3 + 1
 
 
 def test_irreducible_rank_one_examples(a1):
@@ -418,18 +463,19 @@ def test_generation_applies_no_matrix(monkeypatch):
 
 
 def _counting_expansions(monkeypatch):
-    """The term count of every expansion weylred makes, from here on."""
-    from locmult import weylred
+    """The term count of every expansion made from here on; `localize._expand`
+    is the one expansion site."""
+    from locmult import localize
 
     terms = []
-    original = weylred._expand
+    original = localize._expand
 
     def counting(*args):
         result = original(*args)
         terms.append(len(result))
         return result
 
-    monkeypatch.setattr(weylred, "_expand", counting)
+    monkeypatch.setattr(localize, "_expand", counting)
     return terms
 
 
@@ -468,22 +514,6 @@ def test_a_root_system_expands_again_only_when_asked_deeper(monkeypatch):
             assert len(terms) == 1
 
 
-def test_a_shallow_call_lists_the_held_terms_to_its_level_only():
-    """A call below the held level reads the held P level by level: the
-    terms it lists, grown from 0 by the positive roots, are exactly the
-    terms of P at each level up to its own, and no deeper level is
-    listed."""
-    rs = type_b(2)
-    for lam in (wv(6, 5), wv(2, 1)):
-        irreducible_character(rs, lam)
-    eta, _, cut, kostant, by_level = rs.kostant
-    assert cut == pairing(wv(6, 5), 2 * rs.delta) == 23
-    assert len(by_level) == pairing(wv(2, 1), 2 * rs.delta) + 1 == 8
-    for level, listed in enumerate(by_level):
-        held = [v for v in kostant if sum(map(mul, v, eta)) == level]
-        assert len(listed) == len(set(listed)) and set(listed) == set(held), level
-
-
 def test_kostant_sum_reads_only_the_apexes_that_reach_it(monkeypatch):
     """A deterministic work counter: the lookups into the expansion.  P
     is 0 below level 0, so a dominant mu reads the apexes
@@ -493,7 +523,7 @@ def test_kostant_sum_reads_only_the_apexes_that_reach_it(monkeypatch):
     10 * 8 = 80 and 19 * 384 = 7296.  A second call reads the expansion
     the root system holds, with the same lookups.  Each system is built
     here, since one another test has read holds an uncounted expansion."""
-    from locmult import weylred
+    from locmult import localize
 
     class Counting(dict):
         def get(self, *args):
@@ -501,8 +531,8 @@ def test_kostant_sum_reads_only_the_apexes_that_reach_it(monkeypatch):
             return dict.get(self, *args)
 
     lookups = []
-    original = weylred._expand
-    monkeypatch.setattr(weylred, "_expand", lambda *args: Counting(original(*args)))
+    original = localize._expand
+    monkeypatch.setattr(localize, "_expand", lambda *args: Counting(original(*args)))
     for rs, lam, dominant, work in ((type_a(2), wv(4, 2, 0), 5, 7),
                                     (type_b(2), wv(3, 3), 10, 22),
                                     (type_b(4), wv(3, 2, 1, 0), 19, 350)):
@@ -512,6 +542,50 @@ def test_kostant_sum_reads_only_the_apexes_that_reach_it(monkeypatch):
             assert chi.total() == weyl_dimension(rs, lam)
             assert sum(is_dominant(mu, rs) for mu in chi.support()) == dominant
             assert len(lookups) == work
+
+
+def test_irreducible_reads_the_expansion_by_lookups_only(monkeypatch):
+    """irreducible_character looks the terms of P up and never iterates
+    it: the one expansion each system makes refuses iteration, and the
+    characters are right, cold and warm."""
+    from locmult import localize
+
+    class LookupsOnly(dict):
+        def __iter__(self):
+            raise AssertionError("the expansion was iterated")
+
+        keys = items = values = __iter__
+
+    made = []
+    original = localize._expand
+    monkeypatch.setattr(localize, "_expand",
+                        lambda *args: made.append(args) or LookupsOnly(original(*args)))
+    for rs, lam in ((type_a(2), wv(4, 2, 0)), (type_b(2), wv(3, 3)),
+                    (type_b(4), wv(3, 2, 1, 0))):
+        for _ in range(2):
+            assert irreducible_character(rs, lam).total() == weyl_dimension(rs, lam)
+    assert len(made) == 3
+
+
+def test_the_walk_reaches_each_dominant_weight_once():
+    """A deterministic work counter: the walk down from lam tries the
+    positive roots, which the root system holds, once from each weight it
+    reaches, and it reaches each dominant weight of the character once:
+    5 for A2 (4,2,0), 10 for B2 (3,3) and 19 for B4 (3,2,1,0)."""
+
+    class Counting(list):
+        def __iter__(self):
+            visits.append(1)
+            return list.__iter__(self)
+
+    visits = []
+    for rs, lam, dominant in ((type_a(2), wv(4, 2, 0), 5), (type_b(2), wv(3, 3), 10),
+                              (type_b(4), wv(3, 2, 1, 0), 19)):
+        irreducible_character(rs, lam)
+        rs.kostant["roots"] = Counting(rs.kostant["roots"])
+        visits.clear()
+        chi = irreducible_character(rs, lam)
+        assert sum(is_dominant(mu, rs) for mu in chi.support()) == len(visits) == dominant
 
 
 def test_irreducible_characters_do_not_depend_on_call_order():
