@@ -12,12 +12,10 @@ product at an eta-level, which is exact because every polarized column
 pairs positively with eta, and multiplies in one column at a time by
 sweeping each line v + k*a once from its lowest term (the coin-change
 recurrence), so every term of the expansion is stored once per column.
-A whole table (`character_table`) is read from both sides of the
-middle eta-level of the weight polytope: the sum over the fixed points
-does not depend on the direction of expansion, so each fixed point is
-expanded along eta down to that level and, on the same columns, along
--eta up to just below it; the sums off the polytope are exact zeros,
-so nothing is clipped (an irreducible Weyl character, in `weylred`, is
+A whole table (`character_table`) reads each fixed point once, on the
+side of the middle eta-level of the weight polytope that its apex lies
+on; the sums off the polytope are exact zeros, so nothing is clipped
+(an irreducible Weyl character, in `weylred`, is
 one expansion over the positive roots looked up by Kostant's formula); a
 series in m (`multiplicity_series`) reads, for each fixed point, the
 line its targets lie on, which is affine in m, over the window of
@@ -32,14 +30,13 @@ A dataset holds, for its lifetime, what depends on it alone
 per eta, and one expansion per column multiset, shared by the fixed
 points whose sorted polarized columns are equal and cut at the deepest
 level a series has asked of it.  One rule (`_held`) holds every
-expansion that is only looked up, a root system's Kostant partition
-function too: a held cut at or above the level asked serves, since a
-term of a deeper cut at a level at most L is the term of the cut at L,
-and any other is replaced by one expansion to that level, so no answer
-depends on the order of the calls.  Every change to the holder is one
-store of a finished value, so threads sharing a dataset read
-consistent entries.  A table reads the held direction and polarization
-but makes its own expansions, since it reads every term.
+expansion, a root system's Kostant partition function and, for one
+call, a table's too: a held cut at or above the level asked serves,
+since a term of a deeper cut at a level at most L is the term of the
+cut at L, and any other is replaced by one expansion to that level, so
+no answer depends on the order of the calls.  Every change to the
+holder is one store of a finished value, so threads sharing a dataset
+read consistent entries.
 
 Dataset weights are lattice points and eta is read as its integer ray
 (`_ray`), the only thing polarization and every truncation depend on,
@@ -53,6 +50,7 @@ only where it hands weights out.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -201,7 +199,8 @@ class PartitionProblem:
             raise ComputationError("lower bounds must be 0 or 1")
         for a in cols:
             if _instance(a, WeightVector, "not-a-weight", ComputationError).rank != rank:
-                raise ComputationError("column rank differs from target rank")
+                raise ComputationError("column rank differs from target rank",
+                                       code="rank-mismatch")
         if self.eta is None:
             object.__setattr__(self, "eta", find_certificate(cols) if cols else None)
         elif any(pairing(a, self.eta) <= 0 for a in cols):
@@ -247,8 +246,6 @@ def _expand(cols: list[tuple], eta: tuple, level) -> dict[tuple, int]:
     Terms are visited in increasing eta-level, so the first one met on
     a line is its lowest; the levels ride along with the terms.
     """
-    if level < 0:
-        return {}
     zero = (0,) * len(eta)
     terms, levels = {zero: 1}, [(0, zero)]
     for a in cols:
@@ -497,17 +494,13 @@ def character_table(
 ) -> CharacterTable:
     """Full character of the m-th power as a weight/multiplicity table.
 
-    The term of fixed point F is sign * coefficient * t^apex / prod
-    (1 - t^-a') over its polarized columns a', with apex m*J_F - shift_F.
-    The sum over F does not depend on the direction of expansion, so the
-    table is read from both sides of `cut`, the middle level of the
-    weight polytope on the integer ray of eta, rounded down.  Along eta,
-    the term is t^apex times t^-v for each term t^v of prod 1/(1 - t^a');
-    read down to cut, it gives every weight at level cut or above.  Along
-    -eta, it is (-1)^N t^(apex + sum a') / prod (1 - t^a'), the same
-    columns read upward; read up to cut - 1, it gives every weight below.
-    Each side is complete on its half, so every sum is exact and the
-    sums off the polytope are exact zeros, which are skipped.
+    Fixed point F adds sign * coefficient * t^apex / prod (1 - t^-a')
+    over its polarized columns a', apex = m*J_F - shift_F.  The sum does
+    not depend on the direction of expansion, so each term is read once,
+    on its side of `cut`, the polytope's middle level: along eta down to
+    cut, or along -eta, as (-1)^N t^(apex + sum a') / prod (1 - t^a'), up
+    to cut - 1; the depths add up to -1 - sum <a', eta> < 0.  The reads
+    share one expansion per column multiset, held for the call (`_held`).
     """
     _integer(m, "power m", "computation-error", 1, ComputationError)
     if eta is None:
@@ -515,17 +508,25 @@ def character_table(
     q, e, points = _polarized(ds, eta)
     levels = [m * _dot(fp.fiber_weight.coords, e) for fp in ds.fixed_points]
     cut = (min(levels) + max(levels)) // 2
-    acc: dict[tuple, int] = {}
-    for coef, fiber, shift, cols, _ in points:
-        scale = evaluate(coef, m)
-        apex = tuple(m * j - s for j, s in zip(fiber, shift))
-        for v, n in _expand(cols, e, _dot(apex, e) - cut).items():
-            mu = tuple(map(sub, apex, v))
-            acc[mu] = acc.get(mu, 0) + scale * n
-        low = tuple(map(sum, zip(apex, *cols)))
-        scale *= (-1) ** len(cols)
-        for v, n in _expand(cols, e, cut - _dot(low, e) - 1).items():
-            mu = tuple(map(add, low, v))
+    reads = []
+    for coef, fiber, shift, cols, key in points:
+        scale, toward = evaluate(coef, m), sub
+        corner = tuple(m * j - s for j, s in zip(fiber, shift))  # the apex
+        depth = _dot(corner, e) - cut
+        if depth < 0:  # below the cut: read up from apex + sum a' instead
+            corner, toward = tuple(map(sum, zip(corner, *cols))), add
+            depth, scale = cut - 1 - _dot(corner, e), scale * (-1) ** len(cols)
+        if depth >= 0:
+            reads.append((depth, scale, corner, toward, cols, key))
+    held, acc = {}, {}
+    # deepest first, so that a column multiset is expanded once
+    reads.sort(key=itemgetter(0), reverse=True)
+    for depth, scale, corner, toward, cols, key in reads:
+        terms = _held(held, key, cols, e, depth).items()
+        if held[key][0] > depth:
+            terms = [(v, n) for v, n in terms if _dot(v, e) <= depth]
+        for v, n in terms:
+            mu = tuple(map(toward, corner, v))
             acc[mu] = acc.get(mu, 0) + scale * n
     table = {key: total for key, total in acc.items() if total}
     if q > 1:  # the lowest weight with a non-integer multiplicity is named
@@ -544,8 +545,9 @@ def multiplicity_series(
     """Multiplicities for m in [m_from, m_to], at mu (fixed mode) or at
     m*mu (scaled mode).
 
-    The rank of mu, then the lattice condition for the whole range, is
-    checked before anything is planned.  One plan serves the whole
+    An empty range, or one of more than sys.maxsize powers, is refused,
+    and then the rank of mu and the lattice condition for the whole
+    range are checked, before anything is planned.  One plan serves the whole
     range, and the dataset holds it for its lifetime: each fixed point
     is polarized once per eta, and each column multiset is expanded only
     when a call reaches above the level the dataset holds it at, so a
@@ -559,6 +561,9 @@ def multiplicity_series(
     _integer(m_to, "power m_to", "computation-error", None, ComputationError)
     if m_to < m_from:
         raise ComputationError("empty power range")
+    if m_to - m_from >= sys.maxsize:
+        raise ComputationError(f"power range {m_from}..{m_to} has more than "
+                               f"{sys.maxsize} powers")
     _instance(mu, WeightVector, "not-a-weight", ComputationError)
     _instance(ds, LocalizationDataset, "not-a-dataset", ComputationError)
     if mu.rank != ds.rank:

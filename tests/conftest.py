@@ -1,12 +1,28 @@
 """Shared fixtures: shipped datasets and small root systems."""
 
+import itertools
 from pathlib import Path
 
 import pytest
 
 from locmult import generate_weyl_group, load_dataset_file, wv
+from locmult.fpdata import FixedPointDatum, LocalizationDataset
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
+
+
+def grassmannian(k, n):
+    """Fixed-point data of the Pluecker bundle on Gr(k, n) under the
+    diagonal torus of GL_n: the fixed point S, a k-subset of 0..n-1, has
+    fiber weight sum_(i in S) e_i and normal weights e_i - e_j for i in S
+    and j not in S.  Its m-th power has the GL_n character (m^k, 0^(n-k))."""
+    def e(i, j=None):
+        return wv(*(int(t == i) - int(t == j) for t in range(n)))
+
+    return LocalizationDataset(n, tuple(
+        FixedPointDatum("".join(map(str, s)), sum((e(i) for i in s), wv(*(0,) * n)),
+                        tuple(e(i, j) for i in s for j in range(n) if j not in s))
+        for s in itertools.combinations(range(n), k)))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,9 @@
 """Arguments of the wrong type: every entry point exported by `locmult`
 refuses one with one coded error, read by the argument readers of
-`lattice`, never with a bare AttributeError, TypeError or ValueError."""
+`lattice`, never with a bare AttributeError, TypeError or ValueError;
+and the refusals of arguments of the right type but a wrong value."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -120,6 +123,33 @@ SWEEP = [
     ("pick_generic_direction", lambda: pick_generic_direction([], "2"), "bad-rank"),
 ]
 
+# (exported name, call, code): arguments of the right type whose value
+# is refused; ids are the name and the row's index
+REFUSALS = [
+    ("polarize", lambda: polarize(POINT, wv(1, 0)), "rank-mismatch"),
+    ("find_certificate", lambda: find_certificate([]), "not-pointed"),
+    ("PartitionProblem", lambda: PartitionProblem((wv(1),), wv(1), (0, 0)),
+     "computation-error"),
+    ("PartitionProblem", lambda: PartitionProblem((wv(1),), wv(1), (2,)),
+     "computation-error"),
+    ("PartitionProblem", lambda: PartitionProblem((wv(1, 0),), wv(1)), "rank-mismatch"),
+    ("CharacterTable", lambda: CharacterTable([(wv(Fraction(1, 2)), 1)]),
+     "computation-error"),
+    ("multiplicity_series", lambda: multiplicity_series(DATASET, wv(0), 1, 2, "both"),
+     "bad-mode"),
+    ("multiplicity_series", lambda: multiplicity_series(DATASET, wv(0), 3, 2),
+     "computation-error"),
+    ("multiplicity_series", lambda: multiplicity_series(DATASET, wv(0), 1, 10**19),
+     "computation-error"),
+    ("pick_generic_direction", lambda: pick_generic_direction([wv(1, 0)], 1),
+     "rank-mismatch"),
+    ("WeylElement", lambda: A2.weyl_elements[0].apply(wv(1, 0)), "rank-mismatch"),
+    ("generate_weyl_group", lambda: generate_weyl_group((wv(1, 0), wv(1)), [[1, 0], [1]]),
+     "rank-mismatch"),
+    ("generate_weyl_group", lambda: generate_weyl_group((wv(Fraction(1, 2)),), [[4]]),
+     "non-integer-weight"),
+]
+
 # records the library builds and returns: their constructors store what
 # they are given, except that a RootSystem refuses fields of the wrong
 # type (it comes from generate_weyl_group, which has a row, and every
@@ -130,6 +160,15 @@ RECORDS = {"DecompositionResult", "QRReport", "RootSystem"}
 @pytest.mark.parametrize("name, call, code", SWEEP,
                          ids=[f"{row[0]}-{i}" for i, row in enumerate(SWEEP)])
 def test_wrong_types_are_coded(name, call, code):
+    with pytest.raises(LocmultError) as err:
+        call()
+    assert err.value.code == code
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("name, call, code", REFUSALS,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(REFUSALS)])
+def test_wrong_values_are_coded(name, call, code):
     with pytest.raises(LocmultError) as err:
         call()
     assert err.value.code == code

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior via main(argv)."""
 
 import json
+import shlex
 
 import pytest
 
@@ -8,6 +9,7 @@ from locmult.cli import main
 
 from conftest import DATASETS
 
+ROOT = DATASETS.parent
 CP1 = str(DATASETS / "cp1.json")
 CP2 = str(DATASETS / "cp2_weighted.json")
 CP2S = str(DATASETS / "cp2_standard.json")
@@ -263,6 +265,34 @@ def test_series_bad_range(capsys):
         assert err.startswith("error: bad-flag:")
 
 
+def test_power_ranges_beyond_a_sequence_are_refused(capsys):
+    """A range of more powers than a Python sequence can hold is one
+    coded error, from a series and from verify-qr alike."""
+    huge = str(10**19)
+    for argv in (("series", "--dataset", CP2, "--mu", "0", "--m-range", f"1..{huge}"),
+                 ("verify-qr", "--dataset", CP2, "--mu", "0", "--m-max", huge)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == (f"error: computation-error: power range 1..{huge} has more "
+                       f"than 9223372036854775807 powers\n"), argv
+
+
+def test_readme_examples(capsys, monkeypatch):
+    """Every `$ locmult ...` block of the README, run from the repo root,
+    prints what the README shows, up to runs of whitespace (the README
+    shows the table's tabs as spaces)."""
+    monkeypatch.chdir(ROOT)
+    blocks = (ROOT / "README.md").read_text().split("```")[1::2]
+    examples = [block.strip("\n").splitlines() for block in blocks
+                if block.startswith("\n$ locmult ")]
+    assert len(examples) == 8
+    for command, *shown in examples:
+        code, out, err = run(capsys, *shlex.split(command)[2:])
+        assert (code, err) == (0, ""), command
+        assert [" ".join(line.split()) for line in out.splitlines()] == [
+            " ".join(line.split()) for line in shown], command
+
+
 def test_fit_from_series(capsys):
     code, out, err = run(capsys, "fit", "--series", "1,2,2,3,3,4",
                          "--period", "2", "--degree", "1")
@@ -396,6 +426,24 @@ def test_verify_qr_violation(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: structure-violated:")
     assert "witnesses m=12" in err
+
+
+def test_verify_qr_reports_an_undeclared_phase(capsys, tmp_path):
+    """A phase that no stratum declares is checked against zero: on
+    cp2_weighted only the rotated stratum declared leaves the nonzero +1
+    phase unclaimed, and on cp1 a free stratum of order 2 leaves the -1
+    phase, which is zero."""
+    for dataset, stratum, line, want in (
+            (CP2, {"order": 2, "rotation": "1/2", "degree_bound": 1},
+             "check phase +1: undeclared nonzero phase", 1),
+            (CP1, {"order": 2, "rotation": "0", "degree_bound": 0},
+             "check phase -1: ok", 0)):
+        strata = tmp_path / "strata.json"
+        strata.write_text(json.dumps([{"label": "s", **stratum}]))
+        code, out, err = run(capsys, "verify-qr", "--dataset", dataset, "--mu", "0",
+                             "--m-max", "12", "--strata", str(strata))
+        assert (code, err) == (want, "")
+        assert line in out.splitlines()
 
 
 def test_verify_qr_refuses_period_above_two(capsys, tmp_path):

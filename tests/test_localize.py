@@ -18,7 +18,9 @@ from locmult import (
     character_table,
     count_partitions,
     find_certificate,
+    generate_weyl_group,
     generic_direction,
+    irreducible_character,
     load_dataset,
     load_dataset_file,
     monomial_character,
@@ -32,7 +34,7 @@ from locmult import (
 from locmult.fpdata import FixedPointDatum, LocalizationDataset
 from locmult.localize import ComputationError, EtaNotGeneric, NotPointed
 
-from conftest import DATASETS
+from conftest import DATASETS, grassmannian
 
 
 def naive_count(columns, target, lower_bounds, shift, eta):
@@ -778,8 +780,9 @@ def test_character_table_expands_down_to_the_polytope(
     cp2_standard, cp3_standard, monkeypatch
 ):
     """A deterministic work counter: the terms of every expansion that a
-    table makes, each fixed point read along eta down to the middle
-    eta-level of the weight polytope and along -eta up to just below it.
+    table makes, each fixed point read on its side of the middle
+    eta-level of the weight polytope, along eta down to it or along -eta
+    up to just below it.
     On cp2 at m = 10 that is exactly one term per entry: 36 from the
     top vertex down, 30 from the bottom vertex up.  With every weight
     negated the character is the original one reflected."""
@@ -807,17 +810,80 @@ def test_character_table_expands_down_to_the_polytope(
             (-w, c) for w, c in character_table(ds, m).items())
 
 
+def test_a_table_expands_each_column_multiset_once(monkeypatch):
+    """A deterministic work counter: a table reads each fixed point once,
+    on its side of the cut, and expands each column multiset once, to its
+    deepest read.  On Gr(3, 6) at m = 4 the cut is 126, and S and its
+    complement share a multiset: 3 of the 10 multisets have no live read,
+    and each of the other 7 has two, at depths one apart (98 and 97 for
+    345 and 012), so the table makes 7 expansions of 50219 terms in all.
+    The holder is the call's own: the dataset keeps its direction and
+    its polarization, and no expansion."""
+    from locmult import localize
+
+    terms = []
+    original = localize._expand
+
+    def counting(*args):
+        result = original(*args)
+        terms.append(len(result))
+        return result
+
+    monkeypatch.setattr(localize, "_expand", counting)
+    ds = grassmannian(3, 6)
+    table = character_table(ds, 4)
+    assert (len(terms), sum(terms)) == (7, 50219)
+    assert table.total() == 4116
+    assert set(ds.plan) == {"direction", generic_direction(ds)}
+
+
+def test_no_expansion_is_asked_below_level_zero(monkeypatch):
+    """`_expand` has no early return below level 0: every reader asks it
+    for a level of 0 or above.  A table reads only the fixed points whose
+    side of the cut holds a term, a series only the windows that reach
+    level 0, and an irreducible character a dominant highest weight.
+    Each dataset and root system is fresh, so it expands what it reads."""
+    from locmult import localize
+
+    levels = []
+    original = localize._expand
+
+    def recording(cols, eta, level):
+        levels.append(level)
+        return original(cols, eta, level)
+
+    monkeypatch.setattr(localize, "_expand", recording)
+    for name in ("cp1", "cp2_weighted", "cp2_standard", "cp3_standard"):
+        ds = fresh(name)
+        for m in range(1, 6):
+            character_table(ds, m)
+        for mu in itertools.product(range(-2, 3), repeat=ds.rank):
+            for mode in ("fixed", "scaled"):
+                multiplicity_series(ds, wv(*mu), 1, 8, mode)
+    for roots, cartan, lam in ((((2,),), [[1]], (4,)),
+                               (((1, -1, 0), (0, 1, -1)), [[1, -1, 0], [0, 1, -1]],
+                                (3, 1, 0))):
+        rs = generate_weyl_group([wv(*a) for a in roots], cartan)
+        irreducible_character(rs, wv(*(0,) * len(lam)))
+        irreducible_character(rs, wv(*lam))
+    assert len(levels) > 20 and min(levels) >= 0
+
+
 def test_expansions_compare_ints_along_rational_etas(monkeypatch):
     """A deterministic work counter: at rational etas, every expansion
     that character_table, multiplicity_series (at a rational mu too) and
     count_partitions on int columns with a found certificate make reads
     eta as its integer ray, at an int level.  On a fresh cp2_standard the
-    table makes its own two per fixed point, and the fixed series one per
-    column multiset whose line reaches level 0 (the three differ): P0 and
-    P1 along (3, 2), where P2's targets lie at level -10, and P1 alone
-    along (-14, 15).  The series at the rational mu, at m = 2, and the
-    one multiplicity, at m = 3 on the series' lines, read targets at
-    levels the dataset holds, so they expand nothing."""
+    table makes one per fixed point with a live read (the three column
+    multisets differ): along (3, 2) the cut is 6, P0 and P1 are read down
+    from apexes at levels 12 and 7 and P2 up from level 0, to 5; along
+    (-14, 15) the cut is 2, P1 is read down from level 60, P0 up from
+    level -56, and P2's upward read starts at level 14, above the cut.
+    The fixed series makes one per column multiset whose line reaches
+    level 0: P0 and P1 along (3, 2), where P2's targets lie at level
+    -10, and P1 alone along (-14, 15).  The series at the rational mu, at
+    m = 2, and the one multiplicity, at m = 3 on the series' lines, read
+    targets at levels the dataset holds, so they expand nothing."""
     from locmult import localize
 
     calls = []
@@ -830,8 +896,8 @@ def test_expansions_compare_ints_along_rational_etas(monkeypatch):
     monkeypatch.setattr(localize, "_expand", recording)
     q = Fraction
     ds = fresh("cp2_standard")
-    for eta, ray, held in ((wv(q(1, 2), q(1, 3)), (3, 2), 2),
-                           (wv(q(-2, 5), q(3, 7)), (-14, 15), 1)):
+    for eta, ray, table, held in ((wv(q(1, 2), q(1, 3)), (3, 2), 3, 2),
+                                  (wv(q(-2, 5), q(3, 7)), (-14, 15), 2, 1)):
         calls.clear()
         made = []
         for call in (lambda: character_table(ds, 4, eta),
@@ -841,7 +907,7 @@ def test_expansions_compare_ints_along_rational_etas(monkeypatch):
             before = len(calls)
             call()
             made.append(len(calls) - before)
-        assert made == [2 * 3, held, 0, 0]
+        assert made == [table, held, 0, 0]
         assert {e for e, _ in calls} == {ray}
         assert all(type(level) is int for _, level in calls)
     problem = PartitionProblem((wv(3, -1), wv(-1, 2), wv(1, 1)), wv(10, 10))

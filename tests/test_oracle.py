@@ -18,6 +18,8 @@ from locmult import (
 from locmult.errors import LocmultError
 from locmult.oracle import gelfand_tsetlin_character
 
+from conftest import grassmannian
+
 
 def closed_form(m, l):
     """Weight-l multiplicity in degree m for coordinate weights 1,-1,0."""
@@ -114,6 +116,19 @@ def test_oracle_agrees_with_localization(cp1, cp2_weighted):
         for m in (1, 2, 3):
             spec = ProjectiveActionSpec(weights, m)
             assert character_table(ds, m) == monomial_character(spec)
+
+
+def test_grassmannian_tables_match_gelfand_tsetlin_patterns():
+    """Rank 4-6 tables against an oracle outside the kernel: the m-th
+    power of the Pluecker bundle on Gr(k, n) is the GL_n irreducible
+    with highest weight (m^k, 0^(n-k)).  On Gr(3, 6) the fixed points S
+    and their complements share a column multiset, so most reads of a
+    table there look up an expansion made to one level deeper."""
+    for k, n, m_max in ((2, 4, 3), (2, 5, 4), (3, 6, 4)):
+        ds = grassmannian(k, n)
+        for m in range(1, m_max + 1):
+            lam = (m,) * k + (0,) * (n - k)
+            assert character_table(ds, m) == gelfand_tsetlin_character(lam), (k, n, m)
 
 
 def test_gelfand_tsetlin_patterns_by_hand():

@@ -86,6 +86,7 @@ def test_onset_threshold_examples(cp2_weighted):
     identity = QuasiPolynomial(1, (make([0, 1]),))
     floor_halves = [(m, m // 2) for m in range(1, 9)]
     assert onset_threshold(floor_halves, identity) is None
+    assert onset_threshold([], identity) is None
 
 
 def test_verify_weighted_projective_plane(cp2_weighted):
@@ -117,6 +118,16 @@ def test_verify_wrong_declaration(cp2_weighted):
         verify_structure(cp2_weighted, wv(0), (EVEN,), 12)
     assert err.value.witnesses == (12,)
     assert err.value.code == "structure-violated"
+
+
+def test_verify_refuses_an_onset_above_half_of_m_max(cp2_weighted):
+    """At mu = 9 in fixed mode the top samples fit 1 + (m - 9) // 2,
+    which holds from m = 7 on (it gives -1 at m = 6, where the
+    multiplicity is 0), and 7 is above 12 / 2."""
+    with pytest.raises(StructureViolated) as err:
+        verify_structure(cp2_weighted, wv(9), cp2_weighted.strata, 12, "fixed")
+    assert "fit fails for every onset <= 12/2" in str(err.value)
+    assert err.value.witnesses == (1, 2, 3, 4, 5, 6)
 
 
 def test_verify_m_max_too_small(cp2_weighted):

@@ -707,6 +707,28 @@ def test_irreducible_matches_flag_variety_localization(a1, a1xa1, a2, b2):
     assert count == 168
 
 
+def test_flag_tables_match_irreducible_characters_to_rank_four(monkeypatch):
+    """The torus engine on G/T at rank 3 and 4, at eta = 2*delta and at
+    the dataset's default eta, against Kostant's formula.  Along any
+    eta off the walls every fixed point polarizes to the positive roots
+    of eta's chamber, so a table makes one expansion, which its deepest
+    read fills and every other read filters to its own depth: along
+    2*delta on A3 at (3,2,1,0) the cut is 0 and the deepest read starts
+    at level 10, so it holds the points of the positive root cone up to
+    height 5, sum_(h <= 5) C(h + 2, 2) = 56 terms."""
+    terms = _counting_expansions(monkeypatch)
+    made = {}
+    for rs, lam in ((type_a(3), wv(3, 2, 1, 0)), (type_a(4), wv(2, 1, 1, 0, 0)),
+                    (type_b(3), wv(3, 2, 1))):
+        expected = irreducible_character(rs, lam)
+        for eta in (wv(*rs.two_delta), None):
+            terms.clear()
+            assert character_table(flag_dataset(rs, lam), 1, eta) == expected, (lam, eta)
+            made[lam, eta] = terms[:]
+    assert all(len(work) == 1 for work in made.values())
+    assert made[wv(3, 2, 1, 0), wv(3, 1, -1, -3)] == [56]
+
+
 @pytest.mark.parametrize("call, built", [
     ("irreducible", 0), ("tensor", 0), ("decompose", 3), ("table", 1),
     ("direction", 1),
