@@ -1,15 +1,17 @@
 """Command-line surface.
 
-Each command computes its results once and appends them to one output
-list: a record dict per result, and a plain string for the few lines
-only human output has.  `main` reads `--format` and renders the list in
-one write, after the command returns or raises, so the lines of the
-powers checked before a failure are kept.  `--format records` writes
-each record as one JSON line with exact-rational strings, sorted keys,
-and no floats, so identical invocations are byte-identical, from one
-JSON encoder built once per process; human output is each record's
-line by its record type.  Every failure path prints one line
-`error: <code>: <message>` to stderr and exits nonzero.
+`main` parses a command's flags with that command's parser alone.  Each
+command appends its results once to one output list: a record dict per
+result, the character table's sorted entries as one (m, entries) item,
+and a plain string for the few lines only human output has.  `main`
+renders the list in one write by `--format`, after the command returns
+or raises, so the lines of the powers checked before a failure are kept.
+`records` writes each record as one JSON line with exact-rational
+strings, sorted keys, and no floats, so identical invocations are
+byte-identical: a dict from one JSON encoder built once per process, a
+table entry from one line format; human output is a dict's line by its
+record type and "weight<TAB>multiplicity" per entry.  Every failure path
+prints one line `error: <code>: <message>` to stderr and exits nonzero.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ def _parse_vector(text: str, what: str) -> WeightVector:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_NEGATIVE = re.compile(r"-[0-9]")
 
 
 def _integer_flag(flag: str):
@@ -126,9 +129,7 @@ def cmd_mult(args, out) -> int:
 def cmd_character(args, out) -> int:
     ds = load_dataset_file(args.dataset)
     table = character_table(ds, args.m, _eta(args))
-    for key, n in sorted(table._table.items()):
-        out.append({"record": "character-entry", "m": args.m,
-                    "weight": list(key), "multiplicity": n})
+    out.append((args.m, sorted(table._table.items())))
     out.append({"record": "character-total", "m": args.m,
                 "dimension": table.total()})
     return 0
@@ -293,8 +294,6 @@ def _human_line(r) -> str | None:
                     f"{r['fixed_points']} fixed points")
         case "multiplicity":
             return str(r["value"])
-        case "character-entry":
-            return f"{','.join(map(str, r['weight']))}\t{r['multiplicity']}"
         case "quasi-polynomial":
             return f"period: {r['period']}"
         case "residue-poly":
@@ -330,11 +329,20 @@ def _human_line(r) -> str | None:
 
 def _render(out: list, fmt: str) -> str:
     """records: each record dict as one JSON line, plain strings skipped;
-    human: each record's line from its type, plain strings as they are."""
-    if fmt == "records":
-        return "".join(["".join(_ENCODE(r, 0)) + "\n" for r in out if type(r) is dict])
-    lines = (r if type(r) is str else _human_line(r) for r in out)
-    return "".join(line + "\n" for line in lines if line is not None)
+    human: each record's line from its type, plain strings as they are;
+    an (m, entries) item: one line per entry, from that format's f-string."""
+    records, lines = fmt == "records", []
+    for r in out:
+        if type(r) is tuple:
+            m, entries = r
+            lines += [f'{{"m":{m},"multiplicity":{n},"record":"character-entry",'
+                      f'"weight":[{",".join(map(str, w))}]}}' if records else
+                      f"{','.join(map(str, w))}\t{n}" for w, n in entries]
+        elif type(r) is dict:
+            lines.append("".join(_ENCODE(r, 0)) if records else _human_line(r))
+        elif not records:
+            lines.append(r)
+    return "".join([line + "\n" for line in lines if line is not None])
 
 
 @functools.cache
@@ -345,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact multiplicities and characters from fixed-point data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for main
 
     def add(name, func, help_text, **flags):
         p = sub.add_parser(name, help=help_text)
@@ -417,7 +426,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     out = []
     for token in argv:
         if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and re.match(r"-[0-9]", token)):
+                and _NEGATIVE.match(token)):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -428,7 +437,10 @@ def main(argv=None) -> int:
     argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     out = []
     try:
-        args = build_parser().parse_args(argv)
+        sub = build_parser().commands.get(argv[0] if argv else None)
+        args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+        if args is None or rest:  # no command, or a token left: the top parser reports it
+            args = build_parser().parse_args(argv)
         try:
             return args.func(args, out)
         finally:

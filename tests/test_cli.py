@@ -1,5 +1,6 @@
 """End-to-end command-line behavior via main(argv)."""
 
+import itertools
 import json
 import shlex
 
@@ -245,6 +246,76 @@ def test_record_bytes(capsys, tmp_path):
         assert run(capsys, *argv) == (want_code, human, want_err), argv
         assert run(capsys, *argv, "--format", "records") == (
             want_code, recs, want_err), argv
+
+
+def test_character_lines_are_the_entry_records(capsys, monkeypatch, tmp_path):
+    """The table's lines come from a line format, not the JSON encoder:
+    in records each is json.dumps of the entry's record dict, in human
+    "weight<TAB>multiplicity", on every shipped dataset, on every signed
+    permutation of the benchmark's cp2 and cp3, and with negative
+    multiplicities."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import gen
+    from locmult import character_table, load_dataset_file
+
+    cases = [(path, m) for path in (CP1, CP2, CP2S, CP3) for m in (1, 2, 3)]
+    for base, m in ((gen.CP2_STANDARD, 10), (gen.CP3_STANDARD, 3)):
+        rank = len(base[0])
+        for perm in itertools.permutations(range(rank)):
+            for signs in itertools.product((1, -1), repeat=rank):
+                path = tmp_path / f"signed{len(cases)}.json"
+                path.write_text(gen.projective_document(
+                    gen.signed_permutation(base, perm, signs), range(len(base))))
+                cases.append((str(path), m))
+    doc = json.loads((DATASETS / "cp2_standard.json").read_text())
+    for fp in doc["fixed_points"]:
+        fp["coefficient"] = ["-1"]
+    path = tmp_path / "cp2_negative.json"
+    path.write_text(json.dumps(doc))
+    cases += [(str(path), m) for m in (1, 2, 3)]
+    assert len(cases) == 12 + 8 + 48 + 3
+    for path, m in cases:
+        table = character_table(load_dataset_file(path), m)
+        entries = sorted(table._table.items())
+        assert run(capsys, "character", "--dataset", path, "--m", str(m),
+                   "--format", "records") == (0, _lines(
+            *({"record": "character-entry", "m": m, "weight": list(w),
+               "multiplicity": n} for w, n in entries),
+            {"record": "character-total", "m": m, "dimension": table.total()},
+        ), ""), (path, m)
+        assert run(capsys, "character", "--dataset", path, "--m", str(m)) == (
+            0, "".join(f"{w}\t{n}\n" for w, n in table.items()), ""), (path, m)
+    assert entries and all(n < 0 for _, n in entries)
+
+
+def test_a_command_is_parsed_once(capsys, monkeypatch):
+    """A command's argv goes straight to its own subparser, one argparse
+    pass; any other argv, and a token the command does not take, exits
+    as the top parser's parse_args would."""
+    import argparse
+
+    from locmult.cli import build_parser
+
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert run(capsys, "character", "--dataset", CP2S, "--m", "3",
+               "--format", "records")[0] == 0
+    assert passes == ["locmult character"]
+    for argv in ([], ["--help"], ["bogus"], ["character"], ["character", "--help"],
+                 ["mult", "--dataset", CP2, "--m", "4"],
+                 ["mult", "--dataset", CP2, "--mu", "0", "--m", "4", "--tol", "3"]):
+        with pytest.raises(SystemExit) as want:
+            build_parser().parse_args(argv)
+        expected = (want.value.code, *capsys.readouterr())
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert (got.value.code, *capsys.readouterr()) == expected, argv
 
 
 def test_series(capsys):
